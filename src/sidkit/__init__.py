@@ -55,7 +55,6 @@ from .quantizer import (
 )
 from .collision import (
     AssignmentTable,
-    CollisionPolicy,
     apply_knn_policy,
     apply_merge_policy,
     apply_noco_policy,

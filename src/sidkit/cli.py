@@ -292,7 +292,7 @@ def cmd_train_scorer(args) -> int:
         raise DataError("train-scorer needs --corpus, or --sequences with --assignment")
     scorer = retrieval.train_markov_scorer(corpus, structure, order=args.order, alpha=args.alpha)
     retrieval.save_markov_scorer(scorer, args.out)
-    print(f"train-scorer: {len(corpus)} streams, {len(scorer._counts)} contexts")
+    print(f"train-scorer: {len(corpus)} streams, {scorer.num_contexts} contexts")
     return EXIT_OK
 
 

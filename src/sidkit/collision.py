@@ -26,14 +26,16 @@ DEFAULT_SIGMA = 25
 class AssignmentTable:
     """item_id -> SemanticId with an occupancy count per SID.
 
-    Insertion order is preserved; occupancy is maintained incrementally and
-    always equals the multiset of mapped SIDs.
+    Insertion order is preserved.  Occupancy lives in a per-prefix index,
+    prefix -> {last-level code: count}, maintained incrementally: it always
+    equals the multiset of mapped SIDs and holds no zero counts or empty
+    prefixes, so the occupied siblings of a SID are one dict lookup away.
     """
 
     def __init__(self, structure: SidStructure, mapping: dict[str, SemanticId] | None = None):
         self.structure = structure
         self._map: dict[str, SemanticId] = {}
-        self._occ: Counter[tuple[int, ...]] = Counter()
+        self._index: dict[tuple[int, ...], dict[int, int]] = {}
         self._members: dict[tuple[int, ...], set[str]] = {}
         if mapping:
             for item_id, sid in mapping.items():
@@ -44,14 +46,20 @@ class AssignmentTable:
         sid.validate(self.structure)
         old = self._map.get(item_id)
         if old is not None:
-            self._occ[old.codes] -= 1
-            self._members[old.codes].discard(item_id)
-            if self._occ[old.codes] == 0:
-                del self._occ[old.codes]
-                del self._members[old.codes]
+            codes = old.codes
+            siblings = self._index[codes[:-1]]
+            siblings[codes[-1]] -= 1
+            self._members[codes].discard(item_id)
+            if siblings[codes[-1]] == 0:
+                del siblings[codes[-1]]
+                del self._members[codes]
+                if not siblings:
+                    del self._index[codes[:-1]]
         self._map[item_id] = sid
-        self._occ[sid.codes] += 1
-        self._members.setdefault(sid.codes, set()).add(item_id)
+        codes = sid.codes
+        siblings = self._index.setdefault(codes[:-1], {})
+        siblings[codes[-1]] = siblings.get(codes[-1], 0) + 1
+        self._members.setdefault(codes, set()).add(item_id)
 
     def __len__(self) -> int:
         return len(self._map)
@@ -73,12 +81,16 @@ class AssignmentTable:
 
     def occupancy_of(self, sid: SemanticId | tuple[int, ...]) -> int:
         codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
-        return self._occ.get(codes, 0)
+        return self._index.get(codes[:-1], {}).get(codes[-1], 0)
 
     @property
     def occupancy(self) -> dict[tuple[int, ...], int]:
         """Occupied SIDs only; zeros are implicit."""
-        return dict(self._occ)
+        return {
+            prefix + (code,): count
+            for prefix, siblings in self._index.items()
+            for code, count in siblings.items()
+        }
 
     def items_for_sid(self, sid: SemanticId | tuple[int, ...]) -> list[str]:
         """Member item ids in ascending id order."""
@@ -87,22 +99,6 @@ class AssignmentTable:
 
     def copy(self) -> "AssignmentTable":
         return AssignmentTable(self.structure, dict(self._map))
-
-
-@dataclass
-class CollisionPolicy:
-    """Which repair to run and its knobs."""
-
-    kind: str = "noco"
-    sigma: int = DEFAULT_SIGMA
-    merge_threshold: int = 0
-    k_candidates: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("noco", "knn", "random", "merge"):
-            raise ValueError(f"unknown collision policy {self.kind!r}")
-        if self.sigma < 1:
-            raise ValueError("sigma must be >= 1")
 
 
 def raw_assignment(catalog, model: QuantizerModel) -> AssignmentTable:
@@ -195,6 +191,10 @@ def apply_merge_policy(
     code) whose live occupancy is at least the threshold; if no sibling
     qualifies, the largest-occupancy sibling takes them.  A SID with no other
     occupied sibling keeps its items.  Distinct occupied SIDs never increase.
+
+    Siblings come from the table's per-prefix index, so beyond copying the
+    table and sorting the small SIDs the cost is O(items moved + siblings of
+    each small SID).
     """
     result = table.copy()
     if merge_threshold <= 0:
@@ -206,23 +206,20 @@ def apply_merge_policy(
         key=lambda codes: (snapshot[codes], codes),
     )
     for codes in small:
-        if result.occupancy_of(codes) == 0:
+        prefix, code = codes[:-1], codes[-1]
+        counts = result._index.get(prefix, {})
+        if code not in counts:
             continue
-        prefix = codes[:-1]
-        siblings = [
-            other
-            for other, count in result.occupancy.items()
-            if other[:-1] == prefix and other != codes and count > 0
-        ]
+        siblings = [other for other in counts if other != code]
         if not siblings:
             continue
-        big = [s for s in siblings if result.occupancy_of(s) >= merge_threshold]
+        big = [s for s in siblings if counts[s] >= merge_threshold]
         if big:
-            d2 = {s: float(((last_table[s[-1]] - last_table[codes[-1]]) ** 2).sum()) for s in big}
+            d2 = {s: float(((last_table[s] - last_table[code]) ** 2).sum()) for s in big}
             target = min(big, key=lambda s: (d2[s], s))
         else:
-            target = min(siblings, key=lambda s: (-result.occupancy_of(s), s))
-        target_sid = SemanticId(target)
+            target = min(siblings, key=lambda s: (-counts[s], s))
+        target_sid = SemanticId(prefix + (target,))
         for item_id in result.items_for_sid(codes):
             result.assign(item_id, target_sid)
     return result

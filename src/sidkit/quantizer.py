@@ -288,17 +288,13 @@ class QuantizerModel:
             return np.stack(cols, axis=1)
         raise DataError("random quantizer assigns by item id, not content; use assign_random")
 
-    def rank_last_level(self, embedding: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """Prefix codes plus every last-level code ordered by residual distance.
+    def rank_last_level_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m-1) prefix codes plus (N, n_m) last-level codes ordered by
+        residual distance.
 
         The collision-repair policies walk this ranking; ties in distance
         resolve to the lower code so the order is total and reproducible.
         """
-        prefixes, orders = self.rank_last_level_batch(np.asarray(embedding)[None, :])
-        return tuple(int(c) for c in prefixes[0]), orders[0]
-
-    def rank_last_level_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched rank_last_level: (N, m-1) prefixes and (N, n_m) orderings."""
         X = np.asarray(X, dtype=np.float64)
         m = self.structure.num_levels
         last_table = self.codebooks.levels[-1]

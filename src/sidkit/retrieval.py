@@ -54,6 +54,11 @@ class MarkovScorer(SequenceScorer):
         self.alpha = float(alpha)
         self._counts: dict[tuple[int, ...], dict[int, int]] = {}
 
+    @property
+    def num_contexts(self) -> int:
+        """Distinct contexts seen in training."""
+        return len(self._counts)
+
     def observe(self, stream) -> None:
         """Accumulate (context, next-token) counts from one flat-token stream."""
         tokens = _validated_stream(stream, self.structure)

@@ -1,14 +1,17 @@
 """Collision-repair policies and the assignment table they operate on."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidkit.catalog import ItemCatalog, ItemRecord, SemanticId, SidStructure
 from sidkit.collision import (
     AssignmentTable,
-    CollisionPolicy,
     apply_knn_policy,
     apply_merge_policy,
     apply_noco_policy,
@@ -52,6 +55,40 @@ def two_prefix_model(n_last=4):
     return hand_model((2, n_last), [level1, level2])
 
 
+def quadratic_merge(table, codebooks, merge_threshold):
+    """Reference merge: for every small SID, scan all occupied SIDs of the
+    table for its siblings."""
+    result = table.copy()
+    if merge_threshold <= 0:
+        return result
+    last_table = codebooks.levels[-1]
+    snapshot = table.occupancy
+    small = sorted(
+        (codes for codes, count in snapshot.items() if 0 < count < merge_threshold),
+        key=lambda codes: (snapshot[codes], codes),
+    )
+    for codes in small:
+        if result.occupancy_of(codes) == 0:
+            continue
+        prefix = codes[:-1]
+        siblings = [
+            other
+            for other, count in result.occupancy.items()
+            if other[:-1] == prefix and other != codes and count > 0
+        ]
+        if not siblings:
+            continue
+        big = [s for s in siblings if result.occupancy_of(s) >= merge_threshold]
+        if big:
+            d2 = {s: float(((last_table[s[-1]] - last_table[codes[-1]]) ** 2).sum()) for s in big}
+            target = min(big, key=lambda s: (d2[s], s))
+        else:
+            target = min(siblings, key=lambda s: (-result.occupancy_of(s), s))
+        for item_id in result.items_for_sid(codes):
+            result.assign(item_id, SemanticId(target))
+    return result
+
+
 class TestAssignmentTable:
     def test_assign_and_move_keep_occupancy_consistent(self):
         structure = SidStructure((4, 4), code_dim=2)
@@ -64,6 +101,29 @@ class TestAssignmentTable:
         assert table.occupancy_of((1, 2)) == 1
         assert table.occupancy == {(0, 0): 1, (1, 2): 1}
         assert len(table) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        moves=st.lists(
+            st.tuples(st.integers(0, 7), st.tuples(*(st.integers(0, 2) for _ in range(3)))),
+            max_size=60,
+        ),
+    )
+    def test_prefix_index_matches_recount(self, m, moves):
+        """Assigns and moves in any order leave the per-prefix index equal to
+        a recount of the mapping, with no zero counts or empty prefixes."""
+        table = AssignmentTable(SidStructure((3,) * m, code_dim=2))
+        for item, codes in moves:
+            table.assign(f"it{item}", SemanticId(codes[:m]))
+        recount: dict[tuple[int, ...], dict[int, int]] = {}
+        for _, sid in table.items():
+            siblings = recount.setdefault(sid.codes[:-1], {})
+            siblings[sid.codes[-1]] = siblings.get(sid.codes[-1], 0) + 1
+        assert table._index == recount
+        assert all(siblings and all(n > 0 for n in siblings.values())
+                   for siblings in table._index.values())
+        assert table.occupancy == Counter(sid.codes for _, sid in table.items())
 
     def test_members_listing_is_sorted(self):
         structure = SidStructure((2, 2), code_dim=2)
@@ -246,6 +306,39 @@ class TestMergePolicy:
         for item_id in table:
             assert merged[item_id].prefix == table[item_id].prefix
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_quadratic_reference(self, data):
+        """Random tables against the sibling scan over the whole occupancy.
+        Codewords are small integers and per-SID counts small, so equal
+        distances and equal occupancies are common.  The distance tie-break
+        shows in the result; the occupancy tie-break runs but cannot: a
+        prefix with no SID at the threshold always ends up whole in its last
+        small SID."""
+        m = data.draw(st.integers(1, 3), label="m")
+        sizes = tuple(data.draw(st.lists(st.integers(2, 4), min_size=m, max_size=m)))
+        dim = data.draw(st.integers(1, 2), label="dim")
+        structure = SidStructure(sizes, code_dim=dim)
+        coords = st.integers(-2, 2)
+        levels = [
+            np.array(data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                                        min_size=n, max_size=n)), dtype=np.float64)
+            for n in sizes
+        ]
+        books = CodebookStack(structure, levels)
+        # a dense count per SID over two codes per prefix level, so most
+        # SIDs have several siblings
+        grid = list(itertools.product(*(range(min(n, 2)) for n in sizes[:-1]), range(sizes[-1])))
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=len(grid), max_size=len(grid)))
+        order = data.draw(st.permutations([c for c, n in zip(grid, counts) for _ in range(n)]))
+        table = AssignmentTable(structure)
+        for i, codes in enumerate(order):
+            table.assign(f"i{i:03d}", SemanticId(codes))
+        threshold = data.draw(st.integers(0, 5), label="threshold")
+        merged = apply_merge_policy(table, books, merge_threshold=threshold)
+        expected = quadratic_merge(table, books, threshold)
+        assert list(merged.items()) == list(expected.items())
+
     def test_distinct_occupied_never_increases_and_gini_never_drops(self):
         rng = np.random.default_rng(3)
         structure = SidStructure((2, 4), code_dim=2)
@@ -269,16 +362,6 @@ class TestNocoPolicy:
         assert dict(out.items()) == dict(raw.items())
         out.assign("item0000", SemanticId((1, 0)))
         assert raw["item0000"].codes != (1, 0)
-
-
-class TestPolicyConfig:
-    def test_known_kinds_accepted(self):
-        for kind in ("knn", "random", "merge", "noco"):
-            CollisionPolicy(kind=kind)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            CollisionPolicy(kind="hash")
 
 
 class TestOccupancyStats:

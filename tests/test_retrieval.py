@@ -65,6 +65,10 @@ class TestMarkovScorer:
         after_one = np.exp(scorer.next_token_log_probs([1]))
         np.testing.assert_allclose(after_one, [1.1 / 1.2, 0.1 / 1.2], rtol=1e-12)
 
+    def test_num_contexts_counts_distinct_contexts(self):
+        # contexts (), (0,) and (1,); (0,) is seen twice
+        assert hand_scorer().num_contexts == 3
+
     def test_unseen_context_is_uniform(self):
         scorer = hand_scorer()
         # tokens 3 then 1 never occur as a context pair
