@@ -158,7 +158,7 @@ def cmd_tokenize(args) -> int:
     catalog = _load_catalog(args)
     structure = _structure(args)
     X = catalog.embedding_matrix()
-    if args.kind == "rqvae":
+    if args.kind in ("rqvae", "multivq"):
         config = quantizer.RqvaeConfig(
             epochs=args.epochs,
             warmup_epochs=args.warmup_epochs,
@@ -167,17 +167,8 @@ def cmd_tokenize(args) -> int:
             hidden_dims=tuple(args.hidden_dims),
             seed=args.seed,
         )
-        model = quantizer.train_rqvae(X, structure, config)
-    elif args.kind == "multivq":
-        config = quantizer.RqvaeConfig(
-            epochs=args.epochs,
-            warmup_epochs=args.warmup_epochs,
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-            hidden_dims=tuple(args.hidden_dims),
-            seed=args.seed,
-        )
-        model = quantizer.train_multivq(X, structure, config)
+        train = quantizer.train_rqvae if args.kind == "rqvae" else quantizer.train_multivq
+        model = train(X, structure, config)
     elif args.kind == "rqkmeans":
         config = quantizer.RqkmeansConfig(iters_per_level=args.iters, seed=args.seed)
         model = quantizer.train_rqkmeans(X, structure, config)
@@ -210,19 +201,16 @@ def cmd_collide(args) -> int:
         )
     elif args.policy == "random":
         table = collision.apply_random_policy(catalog, model)
-    elif args.policy == "merge":
-        if args.assignment:
-            base = collision.load_assignment(args.assignment, model.structure)
-        else:
-            base = collision.raw_assignment(catalog, model)
-        table = collision.apply_merge_policy(base, model.codebooks, args.merge_threshold)
     else:
         base = (
             collision.load_assignment(args.assignment, model.structure)
             if args.assignment
             else collision.raw_assignment(catalog, model)
         )
-        table = collision.apply_noco_policy(base)
+        if args.policy == "merge":
+            table = collision.apply_merge_policy(base, model.codebooks, args.merge_threshold)
+        else:
+            table = collision.apply_noco_policy(base)
     collision.save_assignment(table, args.out)
     stats = collision.occupancy_stats(table)
     print(

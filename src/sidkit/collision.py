@@ -186,11 +186,19 @@ def apply_merge_policy(
 ) -> AssignmentTable:
     """Fold small SIDs into bigger siblings under the same prefix.
 
-    Every SID whose occupancy sits in (0, merge_threshold) sends its items to
+    Small SIDs, those whose occupancy sits in (0, merge_threshold), are
+    visited in ascending (occupancy, codes) order.  Each sends its items to
     the nearest sibling (last-level codeword distance, ties to the lowest
     code) whose live occupancy is at least the threshold; if no sibling
     qualifies, the largest-occupancy sibling takes them.  A SID with no other
     occupied sibling keeps its items.  Distinct occupied SIDs never increase.
+
+    The end state per prefix has a closed form.  Where some SID starts at
+    the threshold, small SIDs never receive items, so the fallback never
+    runs and each small SID's items land in its nearest such starting SID.
+    Where no SID starts at the threshold, each visited SID empties into one
+    not yet visited, so every item of the prefix ends in its last small SID
+    in (occupancy, codes) order, whatever the fallback picks.
 
     Siblings come from the table's per-prefix index, so beyond copying the
     table and sorting the small SIDs the cost is O(items moved + siblings of

@@ -48,6 +48,11 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
+        if h.shape[-1] != self.weights[0].shape[0]:
+            raise DataError(
+                f"input width {h.shape[-1]} does not match the net's input dim "
+                f"{self.weights[0].shape[0]}"
+            )
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
             if i < len(self.weights) - 1:
@@ -108,12 +113,27 @@ class CodebookStack:
         return self.levels[0].shape[1]
 
 
-def nearest_row(table: np.ndarray, z: np.ndarray) -> int:
-    """Index of the Euclidean-nearest row; ties resolve to the lowest index."""
-    if table.shape[0] == 0:
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(N, K) squared Euclidean distances from each row of A to each row of B.
+
+    The module's one distance kernel: every nearest-codeword decision is an
+    argmin over these rows, so ties resolve to the lowest index.
+    """
+    if B.shape[0] == 0:
         raise DataError("empty codebook level")
-    d2 = ((table - z) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    if A.shape[1] != B.shape[1]:
+        raise DataError(f"input width {A.shape[1]} does not match codeword width {B.shape[1]}")
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _residual_codes(Z: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy nearest-codeword codes over the running residual, one level per
+    table: (N, len(tables)) int codes and the (N, d) residual left over."""
+    codes = np.zeros((Z.shape[0], len(tables)), dtype=np.int64)
+    for j, table in enumerate(tables):
+        codes[:, j] = np.argmin(sq_distances(Z, table), axis=1)
+        Z = Z - table[codes[:, j]]
+    return codes, Z
 
 
 def residual_assign(z1: np.ndarray, codebooks: CodebookStack) -> tuple[SemanticId, list[np.ndarray]]:
@@ -124,29 +144,18 @@ def residual_assign(z1: np.ndarray, codebooks: CodebookStack) -> tuple[SemanticI
     the chosen codewords plus the final residual telescope back to z1 exactly.
     """
     z = np.asarray(z1, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != codebooks.dim:
-        raise DataError(f"input dim {z.shape} does not match codebook dim {codebooks.dim}")
+    if z.ndim != 1:
+        raise DataError(f"expected one vector, got shape {z.shape}")
+    codes, _ = residual_assign_batch(z[None, :], codebooks)
     residuals = [z]
-    codes = []
-    for table in codebooks.levels:
-        c = nearest_row(table, z)
-        codes.append(c)
-        z = z - table[c]
-        residuals.append(z)
-    return SemanticId(tuple(codes)), residuals
+    for table, c in zip(codebooks.levels, codes[0]):
+        residuals.append(residuals[-1] - table[c])
+    return SemanticId(tuple(int(c) for c in codes[0])), residuals
 
 
 def residual_assign_batch(Z: np.ndarray, codebooks: CodebookStack) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized residual_assign: (N, m) int codes and (N, d) final residuals."""
-    Z = np.asarray(Z, dtype=np.float64)
-    codes = np.zeros((Z.shape[0], codebooks.structure.num_levels), dtype=np.int64)
-    for j, table in enumerate(codebooks.levels):
-        if table.shape[0] == 0:
-            raise DataError("empty codebook level")
-        d2 = ((Z[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-        codes[:, j] = np.argmin(d2, axis=1)
-        Z = Z - table[codes[:, j]]
-    return codes, Z
+    return _residual_codes(np.asarray(Z, dtype=np.float64), codebooks.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +169,7 @@ def kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         raise DataError("cannot seed centroids from zero points")
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = sq_distances(X, centroids[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -168,7 +177,7 @@ def kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
             centroids[i] = X[i % n]
             continue
         centroids[i] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((X - centroids[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_distances(X, centroids[i : i + 1])[:, 0])
     return centroids
 
 
@@ -193,7 +202,7 @@ def lloyd_kmeans(
     objective_trace: list[float] = []
     labels = np.zeros(X.shape[0], dtype=np.int64)
     for _ in range(max_iters):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_distances(X, centroids)
         labels = np.argmin(d2, axis=1)
         costs = d2[np.arange(X.shape[0]), labels]
         objective_trace.append(float(costs.sum()))
@@ -251,42 +260,30 @@ class QuantizerModel:
     def structure(self) -> SidStructure:
         return self.codebooks.structure
 
-    def latent(self, embedding: np.ndarray) -> np.ndarray:
-        """The vector the level-1 codebook quantizes for this embedding."""
-        if self.kind == "rqvae":
-            return self.encoder.forward(np.asarray(embedding, dtype=np.float64))
-        if self.kind in ("rqkmeans",):
-            return np.asarray(embedding, dtype=np.float64)
-        raise DataError(f"{self.kind} quantizer has no single latent space")
+    def _multivq_codes(self, X: np.ndarray, levels: int) -> np.ndarray:
+        """(N, levels) codes of the first multivq levels, each the nearest
+        codeword to that level's own encoding of X."""
+        codes = np.zeros((X.shape[0], levels), dtype=np.int64)
+        for j in range(levels):
+            Z = self.level_encoders[j].forward(X)
+            codes[:, j] = np.argmin(sq_distances(Z, self.codebooks.levels[j]), axis=1)
+        return codes
 
     def assign(self, embedding: np.ndarray) -> SemanticId:
         """Content-based semantic id for one embedding."""
-        if self.kind in ("rqvae", "rqkmeans"):
-            sid, _ = residual_assign(self.latent(embedding), self.codebooks)
-            return sid
-        if self.kind == "multivq":
-            codes = []
-            for enc, table in zip(self.level_encoders, self.codebooks.levels):
-                z = enc.forward(np.asarray(embedding, dtype=np.float64))
-                codes.append(nearest_row(table, z))
-            return SemanticId(tuple(codes))
-        raise DataError("random quantizer assigns by item id, not content; use assign_random")
+        codes = self.assign_batch(np.reshape(embedding, (1, -1)))
+        return SemanticId(tuple(int(c) for c in codes[0]))
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
         """Codes for a matrix of embeddings, shape (N, m)."""
         X = np.asarray(X, dtype=np.float64)
-        if self.kind in ("rqvae", "rqkmeans"):
-            Z = self.encoder.forward(X) if self.kind == "rqvae" else X
-            codes, _ = residual_assign_batch(Z, self.codebooks)
-            return codes
+        if self.kind == "random":
+            raise DataError("random quantizer assigns by item id, not content; use assign_random")
         if self.kind == "multivq":
-            cols = []
-            for enc, table in zip(self.level_encoders, self.codebooks.levels):
-                Z = enc.forward(X)
-                d2 = ((Z[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-                cols.append(np.argmin(d2, axis=1))
-            return np.stack(cols, axis=1)
-        raise DataError("random quantizer assigns by item id, not content; use assign_random")
+            return self._multivq_codes(X, self.structure.num_levels)
+        Z = self.encoder.forward(X) if self.kind == "rqvae" else X
+        codes, _ = residual_assign_batch(Z, self.codebooks)
+        return codes
 
     def rank_last_level_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, m-1) prefix codes plus (N, n_m) last-level codes ordered by
@@ -297,38 +294,29 @@ class QuantizerModel:
         """
         X = np.asarray(X, dtype=np.float64)
         m = self.structure.num_levels
-        last_table = self.codebooks.levels[-1]
-        if self.kind in ("rqvae", "rqkmeans"):
-            Z = self.encoder.forward(X) if self.kind == "rqvae" else X
-            prefixes = np.zeros((X.shape[0], m - 1), dtype=np.int64)
-            for j, table in enumerate(self.codebooks.levels[: m - 1]):
-                d2 = ((Z[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-                prefixes[:, j] = np.argmin(d2, axis=1)
-                Z = Z - table[prefixes[:, j]]
-        elif self.kind == "multivq":
-            cols = []
-            for enc, table in zip(self.level_encoders[: m - 1], self.codebooks.levels[: m - 1]):
-                Ze = enc.forward(X)
-                d2 = ((Ze[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-                cols.append(np.argmin(d2, axis=1))
-            prefixes = (
-                np.stack(cols, axis=1) if cols else np.zeros((X.shape[0], 0), dtype=np.int64)
-            )
+        if self.kind == "random":
+            raise DataError("random quantizer cannot rank codewords by content")
+        if self.kind == "multivq":
+            prefixes = self._multivq_codes(X, m - 1)
             Z = self.level_encoders[-1].forward(X)
         else:
-            raise DataError("random quantizer cannot rank codewords by content")
-        d2_last = ((Z[:, None, :] - last_table[None, :, :]) ** 2).sum(axis=2)
+            Z = self.encoder.forward(X) if self.kind == "rqvae" else X
+            prefixes, Z = _residual_codes(Z, self.codebooks.levels[: m - 1])
         # stable argsort keeps equal distances in ascending-code order
-        orders = np.argsort(d2_last, axis=1, kind="stable")
+        orders = np.argsort(sq_distances(Z, self.codebooks.levels[-1]), axis=1, kind="stable")
         return prefixes, orders
 
     def reconstruct(self, embedding: np.ndarray) -> np.ndarray:
         """Decoder output for the quantized representation (rqvae only)."""
+        return self._reconstruct_batch(np.reshape(embedding, (1, -1)))[0]
+
+    def _reconstruct_batch(self, X: np.ndarray) -> np.ndarray:
+        """Encode, quantize the latents level by level, decode (rqvae only)."""
         if self.kind != "rqvae":
-            raise DataError(f"{self.kind} quantizer has no decoder")
-        sid, residuals = residual_assign(self.latent(embedding), self.codebooks)
-        quantized = residuals[0] - residuals[-1]
-        return self.decoder.forward(quantized)
+            raise DataError(f"{self.kind} quantizer has no decoder; only rqvae models have one")
+        Z = self.encoder.forward(X)
+        _, final_res = residual_assign_batch(Z, self.codebooks)
+        return self.decoder.forward(Z - final_res)
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +405,11 @@ def _init_codebooks_from_latents(
 ) -> CodebookStack:
     """k-means++ seeds on the running residuals of the first batch."""
     levels = []
-    residuals = Z.copy()
+    residuals = Z
     for n_j in structure.level_sizes:
         table = kmeanspp_init(residuals, n_j, rng)
         levels.append(table)
-        d2 = ((residuals[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-        residuals = residuals - table[np.argmin(d2, axis=1)]
+        residuals = residuals - table[np.argmin(sq_distances(residuals, table), axis=1)]
     return CodebookStack(structure, levels)
 
 
@@ -454,10 +441,15 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
     params = enc_w + enc_b + dec_w + dec_b + level_tensors
     optimizer = AdamW(params, lr=config.learning_rate, betas=config.betas, eps=config.eps)
 
+    def encode_and_assign(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the stack views the live tables; assignment only reads them
+        z = _forward_t(enc_w, enc_b, Tensor(batch)).value
+        stack = CodebookStack(structure, [t.value for t in level_tensors])
+        codes, _ = residual_assign_batch(z, stack)
+        return z, codes
+
     def evaluate_full() -> tuple[float, float]:
-        z_all = _forward_t(enc_w, enc_b, Tensor(X)).value
-        stack = CodebookStack(structure, [t.value.copy() for t in level_tensors])
-        codes, _ = residual_assign_batch(z_all, stack)
+        _, codes = encode_and_assign(X)
         total, recon = rqvae_loss(
             enc_w, enc_b, dec_w, dec_b, level_tensors, X, codes, config.commitment_beta
         )
@@ -477,9 +469,7 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
         for start in range(0, X.shape[0], batch_size):
             idx = order[start : start + batch_size]
             batch = X[idx]
-            z_b = _forward_t(enc_w, enc_b, Tensor(batch)).value
-            stack = CodebookStack(structure, [t.value.copy() for t in level_tensors])
-            codes, _ = residual_assign_batch(z_b, stack)
+            z_b, codes = encode_and_assign(batch)
             for j in range(structure.num_levels):
                 used[j][codes[:, j]] = True
             last_z, last_codes = z_b, codes
@@ -628,14 +618,8 @@ def fidelity_percent(original: np.ndarray, reconstructed: np.ndarray) -> np.ndar
 
 def feature_fidelity(model: QuantizerModel, embeddings) -> float:
     """Mean reconstruction fidelity of the quantized representation, in percent."""
-    if model.kind != "rqvae":
-        raise DataError("feature fidelity needs a decoder; only rqvae models have one")
     X = _stack_embeddings(embeddings)
-    Z = model.encoder.forward(X)
-    _, final_res = residual_assign_batch(Z, model.codebooks)
-    quantized = Z - final_res
-    recon = model.decoder.forward(quantized)
-    return float(fidelity_percent(X, recon).mean())
+    return float(fidelity_percent(X, model._reconstruct_batch(X)).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -141,27 +141,39 @@ def labeled_from_stream(stream, scored_from: int) -> LabeledSequence:
     return LabeledSequence(tokens, labels)
 
 
+def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
+    """Mean negative log-probability over every scored position from index
+    `start` on, pooled across the examples.
+
+    The label at position t is predicted from tokens[:t]; a label outside its
+    level's band raises DataError.
+    """
+    structure = scorer.structure
+    total, scored = 0.0, 0
+    for example in examples:
+        for pos in range(start, len(example.labels)):
+            label = example.labels[pos]
+            if label < 0:
+                continue
+            level = pos % structure.num_levels
+            offset = structure.offsets[level]
+            if not offset <= label < offset + structure.level_sizes[level]:
+                raise DataError(f"label {label} at position {pos} is outside level {level}'s band")
+            log_probs = scorer.next_token_log_probs(example.tokens[:pos])
+            total += -float(log_probs[label - offset])
+            scored += 1
+    if scored == 0:
+        raise DataError("no scorable position")
+    return total / scored
+
+
 def rec_loss(scorer: SequenceScorer, example: LabeledSequence) -> float:
     """Mean negative log-probability over the scored positions.
 
     The label at position t is predicted from tokens[:t], so labels normally
     copy the tokens with the unscored prefix replaced by the sentinel.
     """
-    total, scored = 0.0, 0
-    structure = scorer.structure
-    for pos, label in enumerate(example.labels):
-        if label < 0:
-            continue
-        level = pos % structure.num_levels
-        offset = structure.offsets[pos % structure.num_levels]
-        if not offset <= label < offset + structure.level_sizes[level]:
-            raise DataError(f"label {label} at position {pos} is outside level {level}'s band")
-        log_probs = scorer.next_token_log_probs(example.tokens[:pos])
-        total += -float(log_probs[label - offset])
-        scored += 1
-    if scored == 0:
-        raise DataError("no scorable position")
-    return total / scored
+    return _scored_loss(scorer, [example])
 
 
 @dataclass(frozen=True)
@@ -196,19 +208,7 @@ def slice_plan(label_rows) -> SlicePlan:
 
 def masked_batch_loss(scorer: SequenceScorer, examples) -> float:
     """Full-length masked loss: every position visited, sentinels skipped."""
-    total, scored = 0.0, 0
-    for example in examples:
-        for pos, label in enumerate(example.labels):
-            if label < 0:
-                continue
-            level = pos % scorer.structure.num_levels
-            offset = scorer.structure.offsets[level]
-            log_probs = scorer.next_token_log_probs(example.tokens[:pos])
-            total += -float(log_probs[label - offset])
-            scored += 1
-    if scored == 0:
-        raise DataError("no scorable position")
-    return total / scored
+    return _scored_loss(scorer, examples)
 
 
 def sliced_loss(scorer: SequenceScorer, examples) -> float:
@@ -219,22 +219,7 @@ def sliced_loss(scorer: SequenceScorer, examples) -> float:
     """
     examples = list(examples)
     plan = slice_plan([ex.labels for ex in examples])
-    seq_len = len(examples[0].labels)
-    start = seq_len - plan.logits_to_keep
-    total, scored = 0.0, 0
-    for example in examples:
-        for pos in range(max(start, 0), seq_len):
-            label = example.labels[pos]
-            if label < 0:
-                continue
-            level = pos % scorer.structure.num_levels
-            offset = scorer.structure.offsets[level]
-            log_probs = scorer.next_token_log_probs(example.tokens[:pos])
-            total += -float(log_probs[label - offset])
-            scored += 1
-    if scored == 0:
-        raise DataError("no scorable position")
-    return total / scored
+    return _scored_loss(scorer, examples, start=len(examples[0].labels) - plan.logits_to_keep)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,50 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    def test_catalog_narrower_than_kmeans_model_is_data_error(
+        self, pipeline, tmp_path, capsys
+    ):
+        narrow = tmp_path / "narrow"
+        assert main(["gen-toy", "--items", "200", "--d-in", "6", "--seed", "0",
+                     "--out-dir", str(narrow)]) == EXIT_OK
+        code = main(
+            [
+                "collide", "--catalog", str(narrow / "catalog.tsv"), "--d-in", "6",
+                "--model", str(pipeline / "model.tsv"), "--policy", "knn",
+                "--out", str(tmp_path / "knn.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "input width 6" in capsys.readouterr().err
+
+    def test_catalog_narrower_than_rqvae_encoder_is_data_error(
+        self, toy_dir, pipeline, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "tokenize", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--levels", "5,4", "--code-dim", "4", "--kind", "rqvae", "--seed", "0",
+                "--epochs", "1", "--warmup-epochs", "1", "--batch-size", "100",
+                "--hidden-dims", "8",
+                "--out-assignment", str(tmp_path / "raw.tsv"),
+                "--out-model", str(tmp_path / "rqvae.tsv"),
+            ]
+        )
+        assert code == EXIT_OK
+        narrow = tmp_path / "narrow"
+        assert main(["gen-toy", "--items", "200", "--d-in", "6", "--seed", "0",
+                     "--out-dir", str(narrow)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(
+            [
+                "eval-sid", "--catalog", str(narrow / "catalog.tsv"), "--d-in", "6",
+                "--model", str(tmp_path / "rqvae.tsv"),
+                "--assignment", str(tmp_path / "raw.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "input width 6" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

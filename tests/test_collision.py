@@ -55,6 +55,59 @@ def two_prefix_model(n_last=4):
     return hand_model((2, n_last), [level1, level2])
 
 
+def closed_form_merge(table, codebooks, merge_threshold):
+    """Where every item ends under merge, read off each prefix's starting
+    counts without simulating any move."""
+    if merge_threshold <= 0:
+        return dict(table.items())
+    last_table = codebooks.levels[-1]
+    by_prefix = {}
+    for codes, count in table.occupancy.items():
+        by_prefix.setdefault(codes[:-1], {})[codes[-1]] = count
+    dest = {}
+    for prefix, counts in by_prefix.items():
+        big = [c for c, count in counts.items() if count >= merge_threshold]
+        for code, count in counts.items():
+            if count >= merge_threshold:
+                dest[prefix + (code,)] = code
+            elif big:
+                dest[prefix + (code,)] = min(big, key=lambda b: (
+                    float(((last_table[b] - last_table[code]) ** 2).sum()), b))
+            else:  # the last small SID in (occupancy, codes) order
+                dest[prefix + (code,)] = max(counts, key=lambda c: (counts[c], c))
+    return {
+        item_id: SemanticId(sid.codes[:-1] + (dest[sid.codes],))
+        for item_id, sid in table.items()
+    }
+
+
+def draw_merge_case(data):
+    """A random table, codebooks and threshold.  Codewords are small integers
+    and per-SID counts small, so equal distances and equal occupancies are
+    common."""
+    m = data.draw(st.integers(1, 3), label="m")
+    sizes = tuple(data.draw(st.lists(st.integers(2, 4), min_size=m, max_size=m)))
+    dim = data.draw(st.integers(1, 2), label="dim")
+    structure = SidStructure(sizes, code_dim=dim)
+    coords = st.integers(-2, 2)
+    levels = [
+        np.array(data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n)), dtype=np.float64)
+        for n in sizes
+    ]
+    books = CodebookStack(structure, levels)
+    # a dense count per SID over two codes per prefix level, so most
+    # SIDs have several siblings
+    grid = list(itertools.product(*(range(min(n, 2)) for n in sizes[:-1]), range(sizes[-1])))
+    counts = data.draw(st.lists(st.integers(0, 5), min_size=len(grid), max_size=len(grid)))
+    order = data.draw(st.permutations([c for c, n in zip(grid, counts) for _ in range(n)]))
+    table = AssignmentTable(structure)
+    for i, codes in enumerate(order):
+        table.assign(f"i{i:03d}", SemanticId(codes))
+    threshold = data.draw(st.integers(0, 5), label="threshold")
+    return table, books, threshold
+
+
 def quadratic_merge(table, codebooks, merge_threshold):
     """Reference merge: for every small SID, scan all occupied SIDs of the
     table for its siblings."""
@@ -310,34 +363,22 @@ class TestMergePolicy:
     @given(data=st.data())
     def test_matches_quadratic_reference(self, data):
         """Random tables against the sibling scan over the whole occupancy.
-        Codewords are small integers and per-SID counts small, so equal
-        distances and equal occupancies are common.  The distance tie-break
-        shows in the result; the occupancy tie-break runs but cannot: a
-        prefix with no SID at the threshold always ends up whole in its last
-        small SID."""
-        m = data.draw(st.integers(1, 3), label="m")
-        sizes = tuple(data.draw(st.lists(st.integers(2, 4), min_size=m, max_size=m)))
-        dim = data.draw(st.integers(1, 2), label="dim")
-        structure = SidStructure(sizes, code_dim=dim)
-        coords = st.integers(-2, 2)
-        levels = [
-            np.array(data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
-                                        min_size=n, max_size=n)), dtype=np.float64)
-            for n in sizes
-        ]
-        books = CodebookStack(structure, levels)
-        # a dense count per SID over two codes per prefix level, so most
-        # SIDs have several siblings
-        grid = list(itertools.product(*(range(min(n, 2)) for n in sizes[:-1]), range(sizes[-1])))
-        counts = data.draw(st.lists(st.integers(0, 5), min_size=len(grid), max_size=len(grid)))
-        order = data.draw(st.permutations([c for c, n in zip(grid, counts) for _ in range(n)]))
-        table = AssignmentTable(structure)
-        for i, codes in enumerate(order):
-            table.assign(f"i{i:03d}", SemanticId(codes))
-        threshold = data.draw(st.integers(0, 5), label="threshold")
+        The distance tie-break shows in the result; the occupancy tie-break
+        runs but cannot (see test_end_state_closed_form)."""
+        table, books, threshold = draw_merge_case(data)
         merged = apply_merge_policy(table, books, merge_threshold=threshold)
         expected = quadratic_merge(table, books, threshold)
         assert list(merged.items()) == list(expected.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_end_state_closed_form(self, data):
+        """A prefix with a SID at the threshold sends each small SID to its
+        nearest such SID; a prefix without one ends whole in its last small
+        SID in (occupancy, codes) order, whatever the fallback picks."""
+        table, books, threshold = draw_merge_case(data)
+        merged = apply_merge_policy(table, books, merge_threshold=threshold)
+        assert dict(merged.items()) == closed_form_merge(table, books, threshold)
 
     def test_distinct_occupied_never_increases_and_gini_never_drops(self):
         rng = np.random.default_rng(3)

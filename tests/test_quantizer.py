@@ -21,12 +21,12 @@ from sidkit.quantizer import (
     kmeanspp_init,
     lloyd_kmeans,
     load_quantizer,
-    nearest_row,
     random_model,
     residual_assign,
     residual_assign_batch,
     rqvae_loss,
     save_quantizer,
+    sq_distances,
     train_multivq,
     train_rqkmeans,
     train_rqvae,
@@ -52,6 +52,16 @@ def small_stack(seed=0, sizes=(4, 3), dim=5):
     rng = np.random.default_rng(seed)
     structure = SidStructure(sizes, code_dim=dim)
     return CodebookStack(structure, [rng.standard_normal((n, dim)) for n in sizes])
+
+
+def train_kind(kind, X, structure):
+    """A briefly trained content-based quantizer of the given kind."""
+    if kind == "rqkmeans":
+        return train_rqkmeans(X, structure, RqkmeansConfig(seed=0))
+    cfg = RqvaeConfig(epochs=3, warmup_epochs=1, learning_rate=1e-3,
+                      batch_size=16, hidden_dims=(8,), seed=0)
+    train = train_rqvae if kind == "rqvae" else train_multivq
+    return train(X, structure, cfg)
 
 
 class TestResidualAssign:
@@ -101,9 +111,9 @@ class TestResidualAssign:
         with pytest.raises(DataError):
             residual_assign(np.ones(3), small_stack(dim=5))
 
-    def test_nearest_row_empty_table(self):
+    def test_sq_distances_empty_table(self):
         with pytest.raises(DataError):
-            nearest_row(np.zeros((0, 3)), np.ones(3))
+            sq_distances(np.ones((1, 3)), np.zeros((0, 3)))
 
 
 class TestLloydKmeans:
@@ -422,6 +432,19 @@ class TestMultiVq:
         np.testing.assert_array_equal(model.assign_batch(X[:1])[0], np.array(sid.codes))
 
 
+class TestAssignOneRow:
+    @pytest.mark.parametrize("kind", ["rqkmeans", "rqvae"])
+    def test_assign_matches_assign_batch_rows(self, kind):
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 4)) * 3.0
+        model = train_kind(kind, X, SidStructure((4, 3), code_dim=4))
+        batch = model.assign_batch(X)
+        for i in range(X.shape[0]):
+            sid = model.assign(X[i])
+            sid.validate(model.structure)
+            assert sid.codes == tuple(batch[i])
+
+
 class TestRandomBaseline:
     def test_deterministic_per_seed(self):
         structure = SidStructure((8, 8, 8), code_dim=4)
@@ -464,17 +487,24 @@ class TestRandomBaseline:
 
 
 class TestRankLastLevel:
-    def test_order_matches_brute_force(self):
+    @pytest.mark.parametrize("kind", ["rqkmeans", "rqvae", "multivq"])
+    def test_order_matches_brute_force(self, kind):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((30, 5))
-        model = train_rqkmeans(X, SidStructure((3, 6), code_dim=5), RqkmeansConfig(seed=0))
+        model = train_kind(kind, X, SidStructure((3, 2, 6), code_dim=5))
         prefixes, orders = model.rank_last_level_batch(X)
         codes = model.assign_batch(X)
         for i in range(X.shape[0]):
             np.testing.assert_array_equal(prefixes[i], codes[i, :-1])
             assert orders[i][0] == codes[i, -1]
-            residual = X[i] - model.codebooks.levels[0][codes[i, 0]]
-            dists = np.linalg.norm(model.codebooks.levels[1] - residual, axis=1)
+            # the vector the last level quantizes, rebuilt for this row alone
+            if kind == "multivq":
+                residual = model.level_encoders[-1].forward(X[i])
+            else:
+                residual = model.encoder.forward(X[i]) if kind == "rqvae" else X[i]
+                for j in range(2):
+                    residual = residual - model.codebooks.levels[j][codes[i, j]]
+            dists = np.linalg.norm(model.codebooks.levels[-1] - residual, axis=1)
             assert sorted(dists[orders[i]]) == pytest.approx(list(dists[orders[i]]))
 
     def test_equal_distances_rank_by_code(self):

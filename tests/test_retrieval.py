@@ -145,6 +145,18 @@ class TestRecLoss:
         with pytest.raises(DataError):
             rec_loss(scorer, example)
 
+    @pytest.mark.parametrize("loss", [
+        lambda scorer, ex: rec_loss(scorer, ex),
+        lambda scorer, ex: masked_batch_loss(scorer, [ex]),
+        lambda scorer, ex: sliced_loss(scorer, [ex]),
+    ], ids=["rec", "masked", "sliced"])
+    def test_every_loss_rejects_label_below_band(self, loss):
+        """Label 1 sits in level 0's band, not level 1's; indexing the level-1
+        log-probs with 1 - offset would wrap to the last entry."""
+        example = LabeledSequence(tokens=(0, 2), labels=(SENTINEL, 1))
+        with pytest.raises(DataError, match="outside level 1"):
+            loss(hand_scorer(), example)
+
     def test_fully_masked_sequence_unconstructible(self):
         with pytest.raises(ValueError):
             LabeledSequence(tokens=(0, 2), labels=(SENTINEL, SENTINEL))
