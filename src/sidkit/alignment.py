@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamW, Tensor, logsumexp_rows
-from .catalog import ItemCatalog
+from .catalog import ItemCatalog, read_rows
 from .errors import DataError
 
 DEFAULT_TEMPERATURE = 0.07
@@ -205,13 +205,11 @@ def save_projection(head: ProjectionHead, path) -> None:
 
 
 def load_projection(path, temperature: float = DEFAULT_TEMPERATURE) -> ProjectionHead:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split("\t")])
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] + 1:
-        raise DataError(f"projection file {path} must hold d weight rows plus one bias row")
-    return ProjectionHead(weight=matrix[:-1], bias=matrix[-1], temperature=temperature)
+    """Read a head written by save_projection: d rows of d weights, then d biases."""
+
+    def finish(rows):
+        if len(rows) < 2 or {len(row) for row in rows} != {len(rows) - 1}:
+            raise DataError(f"expected d rows of d weights, then d biases; got {len(rows)} rows")
+        return ProjectionHead(np.array(rows[:-1]), np.array(rows[-1]), temperature)
+
+    return read_rows(path, lambda fields: list(map(float, fields)), finish)

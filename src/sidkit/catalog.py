@@ -131,15 +131,23 @@ class ItemCatalog:
         self.d_in = int(d_in)
         self._records: dict[str, ItemRecord] = {}
         for rec in records:
-            if rec.item_id in self._records:
-                raise DataError(f"duplicate item_id {rec.item_id!r}")
-            rec.embedding = as_embedding(rec.embedding, self.d_in, context=f"item {rec.item_id}")
-            self._records[rec.item_id] = rec
+            self._add(rec)
+        self._linked()
+
+    def _add(self, rec: ItemRecord) -> None:
+        if rec.item_id in self._records:
+            raise DataError(f"duplicate item_id {rec.item_id!r}")
+        rec.embedding = as_embedding(rec.embedding, self.d_in, context=f"item {rec.item_id}")
+        self._records[rec.item_id] = rec
+
+    def _linked(self) -> "ItemCatalog":
+        """The catalog itself, once every related-item link resolves."""
         for rec in self._records.values():
             if rec.related_item is not None and rec.related_item not in self._records:
                 raise DataError(
                     f"item {rec.item_id!r} references unknown related item {rec.related_item!r}"
                 )
+        return self
 
     def __len__(self) -> int:
         return len(self._records)
@@ -272,6 +280,40 @@ def _format_floats(vec: np.ndarray) -> str:
     return ",".join(repr(float(x)) for x in vec)
 
 
+def read_rows(path, parse_row, finish=lambda rows: rows):
+    """Read one artifact file: the one place the package opens one to read.
+
+    Each non-blank line, less its line ending only (a scorer row may start
+    with a tab), goes split on tabs to ``parse_row``; ``finish`` makes the
+    list of results the loaded object.  A ValueError, IndexError, KeyError
+    or DataError becomes ``DataError("path:line: ...")``, or ``"path: ..."``
+    from ``finish`` (whole-file checks) or from read-ahead UTF-8 decoding.
+    """
+    rows, lineno = [], 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isspace():
+                    rows.append(parse_row(line.rstrip("\n").split("\t")))
+        lineno = 0  # no single line is at fault from here on
+        return finish(rows)
+    except (ValueError, IndexError, KeyError, DataError) as exc:
+        where = path if not lineno or isinstance(exc, UnicodeDecodeError) else f"{path}:{lineno}"
+        raise DataError(f"{where}: {exc}") from exc
+
+
+class Header(dict):
+    """Named rows and sections of a quantizer or scorer file; a missing one raises."""
+
+    def __missing__(self, key):
+        raise DataError(f"missing #{key}")
+
+    def structure(self) -> SidStructure:
+        """The SID structure that the `#levels` and `#code_dim` rows name."""
+        (code_dim,) = self["code_dim"]
+        return SidStructure(tuple(int(n) for n in self["levels"]), code_dim=int(code_dim))
+
+
 def load_item_catalog(path, d_in: int) -> ItemCatalog:
     """Read an item-info TSV into a catalog.
 
@@ -284,50 +326,23 @@ def load_item_catalog(path, d_in: int) -> ItemCatalog:
         d_in: declared embedding dimension; every row is validated against it.
 
     Raises:
-        DataError: on malformed rows (reported with their line number),
-            dimension mismatches, or duplicate item ids.
+        DataError: on malformed rows, dimension mismatches or duplicate item
+            ids (reported with their line number), or dangling related items.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split("\t")]
-            if len(fields) < 2:
-                raise DataError(f"{path}:{lineno}: expected at least item_id and embedding")
-            item_id = fields[0]
-            if not item_id:
-                raise DataError(f"{path}:{lineno}: empty item_id")
-            try:
-                values = [float(x) for x in fields[1].split(",")]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed embedding") from None
-            try:
-                embedding = as_embedding(values, d_in)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    catalog = ItemCatalog((), d_in)
 
-            rest = fields[2:]
-            sid = None
-            if rest:
-                if rest[0].startswith("["):
-                    sid = parse_sid_brackets(rest.pop(0))
-                elif rest[0] == "":
-                    rest.pop(0)  # empty SID slot
-            rest += [""] * (3 - len(rest))
-            related, style, origin = (f or None for f in rest[:3])
-            records.append(
-                ItemRecord(
-                    item_id=item_id,
-                    embedding=embedding,
-                    related_item=related,
-                    sid=sid,
-                    style_group=style,
-                    origin_group=origin,
-                )
-            )
-    return ItemCatalog(records, d_in)
+    def add_row(fields):
+        item_id, values, *rest = (f.strip() for f in fields)
+        if not item_id:
+            raise DataError("empty item_id")
+        slot = rest.pop(0) if rest and rest[0][:1] in ("", "[") else ""  # SID slot, maybe empty
+        related, style, origin = (f or None for f in rest + [""] * (3 - len(rest)))
+        catalog._add(ItemRecord(
+            item_id, list(map(float, values.split(","))), related_item=related,
+            sid=parse_sid_brackets(slot) if slot else None, style_group=style, origin_group=origin,
+        ))
+
+    return read_rows(path, add_row, lambda _: catalog._linked())
 
 
 def save_item_catalog(catalog: ItemCatalog, path) -> None:
@@ -355,36 +370,20 @@ def load_sequences(path) -> list[InteractionSequence]:
     than MAX_HISTORY keep only the most recent ids; one warning reports how
     many rows were truncated.
     """
-    sequences = []
-    truncated = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            pv_id, targets_f, query_f, history_f = (f.strip() for f in fields[:4])
-            if not pv_id:
-                raise DataError(f"{path}:{lineno}: empty pv_id")
-            targets = tuple(t for t in targets_f.split(",") if t)
-            if not targets:
-                raise DataError(f"{path}:{lineno}: empty targets")
-            history = tuple(h for h in history_f.split(",") if h)
-            if len(history) > MAX_HISTORY:
-                history = history[-MAX_HISTORY:]
-                truncated += 1
-            sequences.append(
-                InteractionSequence(
-                    pv_id=pv_id,
-                    history=history,
-                    targets=targets,
-                    query=query_f or None,
-                )
-            )
+    truncated = []
+
+    def parse(fields):
+        pv_id, targets, query, history = (f.strip() for f in fields)
+        history_ids = tuple(h for h in history.split(",") if h)
+        if len(history_ids) > MAX_HISTORY:
+            history_ids = history_ids[-MAX_HISTORY:]
+            truncated.append(pv_id)
+        target_ids = tuple(t for t in targets.split(",") if t)
+        return InteractionSequence(pv_id, history_ids, target_ids, query or None)
+
+    sequences = read_rows(path, parse)
     if truncated:
-        logger.warning("%d sequence(s) truncated to the most recent %d ids", truncated, MAX_HISTORY)
+        logger.warning("%d sequence(s) truncated to the last %d ids", len(truncated), MAX_HISTORY)
     return sequences
 
 

@@ -154,6 +154,15 @@ def _load_catalog(args):
     return load_item_catalog(args.catalog, d_in=args.d_in)
 
 
+def _catalog_assignment(args, catalog, structure) -> collision.AssignmentTable:
+    """--assignment, every item of which must be in --catalog."""
+    table = collision.load_assignment(args.assignment, structure)
+    unknown = next((item_id for item_id in table if item_id not in catalog), None)
+    if unknown is not None:
+        raise DataError(f"{args.assignment}: item {unknown!r} is not in {args.catalog}")
+    return table
+
+
 def cmd_tokenize(args) -> int:
     catalog = _load_catalog(args)
     structure = _structure(args)
@@ -203,7 +212,7 @@ def cmd_collide(args) -> int:
         table = collision.apply_random_policy(catalog, model)
     else:
         base = (
-            collision.load_assignment(args.assignment, model.structure)
+            _catalog_assignment(args, catalog, model.structure)
             if args.assignment
             else collision.raw_assignment(catalog, model)
         )
@@ -229,7 +238,7 @@ def cmd_eval_sid(args) -> int:
         structure = SidStructure(_int_list(args.levels), code_dim=args.code_dim)
     else:
         raise DataError("eval-sid needs --model or --levels for the SID structure")
-    table = collision.load_assignment(args.assignment, structure)
+    table = _catalog_assignment(args, catalog, structure)
     occ = sidmetrics.OccupancyVector.from_table(table)
     if args.occupied_only:
         occ = sidmetrics.OccupancyVector(

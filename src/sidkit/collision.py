@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import SemanticId, SidStructure, format_sid_brackets, parse_sid_brackets
+from .catalog import SemanticId, SidStructure, format_sid_brackets, parse_sid_brackets, read_rows
 from .errors import DataError
 from .quantizer import QuantizerModel, assign_random
 
@@ -264,20 +264,13 @@ def save_assignment(table: AssignmentTable, path) -> None:
 
 
 def load_assignment(path, structure: SidStructure) -> AssignmentTable:
+    """Read an assignment TSV; a duplicate item or an out-of-band code is an error."""
     table = AssignmentTable(structure)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected item_id and SID, got {len(parts)} fields")
-            try:
-                sid = parse_sid_brackets(parts[1]).validate(structure)
-            except (DataError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if parts[0] in table:
-                raise DataError(f"{path}:{lineno}: duplicate item_id {parts[0]!r}")
-            table.assign(parts[0], sid)
-    return table
+
+    def assign(fields):
+        item_id, sid = fields
+        if item_id in table:
+            raise DataError(f"duplicate item_id {item_id!r}")
+        table.assign(item_id, parse_sid_brackets(sid))
+
+    return read_rows(path, assign, lambda _: table)

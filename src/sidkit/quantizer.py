@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamW, Tensor, cosine_warmup_lr
-from .catalog import SemanticId, SidStructure
+from .catalog import Header, SemanticId, SidStructure, read_rows
 from .errors import DataError, NumericError
 
 
@@ -31,8 +31,8 @@ class Mlp:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up layer by layer")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError("an mlp needs one or more layers, each with weights and a bias")
         for i in range(len(self.weights) - 1):
             if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
                 raise ValueError(f"layer {i} output dim does not feed layer {i + 1}")
@@ -250,6 +250,8 @@ class QuantizerModel:
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
         if self.kind == "rqvae" and (self.encoder is None or self.decoder is None):
             raise ValueError("rqvae model requires encoder and decoder")
+        if self.kind == "rqvae" and self.decoder.dims[-1] != self.encoder.dims[0]:
+            raise ValueError("rqvae decoder must map back to the encoder's input width")
         if self.kind == "multivq":
             if not self.level_encoders or len(self.level_encoders) != self.structure.num_levels:
                 raise ValueError("multivq model requires one encoder per level")
@@ -659,67 +661,62 @@ def save_quantizer(model: QuantizerModel, path) -> None:
 
 
 def load_quantizer(path) -> QuantizerModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header: dict[str, list[str]] = {}
-    pos = 0
-    while pos < len(lines) and lines[pos].startswith("#") and lines[pos].split("\t")[0] in (
-        "#kind",
-        "#seed",
-        "#levels",
-        "#code_dim",
-    ):
-        parts = lines[pos].split("\t")
-        header[parts[0][1:]] = parts[1:]
-        pos += 1
-    try:
-        kind = header["kind"][0]
-        seed = int(header["seed"][0])
-        level_sizes = tuple(int(x) for x in header["levels"])
-        code_dim = int(header["code_dim"][0])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise DataError(f"malformed quantizer header in {path}: {exc}") from exc
-    structure = SidStructure(level_sizes, code_dim=code_dim)
+    """Read a model written by save_quantizer: header rows, then sections.
 
-    def read_matrix(rows: int) -> np.ndarray:
-        nonlocal pos
-        if pos + rows > len(lines):
-            raise DataError(f"truncated quantizer file {path}")
-        block = [
-            [float(x) for x in lines[pos + r].split("\t")] for r in range(rows)
-        ]
-        pos += rows
-        return np.asarray(block, dtype=np.float64)
+    `#codebook j` holds level_sizes[j] rows of code_dim values (rqkmeans: the
+    embedding width); each `#layer n_in n_out` of an `#mlp tag` holds n_in
+    weight rows and a bias row of n_out values, each checked at its line.
+    """
+    header = Header()
+    sections = [[["#header"], 0, 0, []]]  # [directive fields, rows expected, row width, rows]
 
-    tables: list[np.ndarray] = []
-    mlps: dict[str, Mlp] = {}
-    while pos < len(lines):
-        parts = lines[pos].split("\t")
-        if parts[0] == "#codebook":
-            pos += 1
-            tables.append(read_matrix(level_sizes[len(tables)]))
-        elif parts[0] == "#mlp":
-            tag = parts[1]
-            pos += 1
-            weights, biases = [], []
-            while pos < len(lines) and lines[pos].startswith("#layer"):
-                _, n_in, n_out = lines[pos].split("\t")
-                pos += 1
-                weights.append(read_matrix(int(n_in)))
-                biases.append(read_matrix(1)[0])
-            mlps[tag] = Mlp(weights, biases)
+    def parse(fields):
+        section = sections[-1]
+        if fields[0][:1] != "#":
+            row = list(map(float, fields))
+            section[2] = section[2] or len(row)
+            if len(row) != section[2] or len(section[3]) >= section[1]:
+                raise DataError(f"{' '.join(section[0])} takes {section[1]} rows of {section[2]}")
+            section[3].append(row)
+            return
+        if len(section[3]) != section[1]:
+            raise DataError(f"{' '.join(section[0])} ends after {len(section[3])} rows")
+        key, level = fields[0], sum(s[0][0] == "#codebook" for s in sections)
+        if key == "#codebook" and fields[1:] == [str(level)]:
+            width = None if header["kind"] == ["rqkmeans"] else header.structure().code_dim
+            sections.append([fields, header.structure().level_sizes[level], width, []])
+        elif key == "#mlp" and len(fields) == 2 and fields not in [s[0] for s in sections]:
+            sections.append([fields, 0, 0, []])
+        elif key == "#layer" and section[0][0] in ("#mlp", "#layer"):
+            n_in, n_out = map(int, fields[1:])
+            sections.append([fields, n_in + 1, n_out, []])
+        elif len(sections) == 1 and key not in ("#codebook", "#mlp", "#layer"):
+            header[key[1:]] = fields[1:]
         else:
-            raise DataError(f"unexpected line {pos + 1} in quantizer file {path}")
-    if len(tables) != len(level_sizes):
-        raise DataError(f"quantizer file {path} is missing codebook sections")
-    level_encoders = None
-    if kind == "multivq":
-        level_encoders = [mlps[f"encoder{j}"] for j in range(len(level_sizes))]
-    return QuantizerModel(
-        kind=kind,
-        codebooks=CodebookStack(structure, tables),
-        seed=seed,
-        encoder=mlps.get("encoder"),
-        decoder=mlps.get("decoder"),
-        level_encoders=level_encoders,
-    )
+            raise DataError(f"unexpected {' '.join(fields)!r} row")
+
+    def finish(_):
+        if len(sections[-1][3]) != sections[-1][1]:
+            raise DataError(f"file ends inside {' '.join(sections[-1][0])}")
+        (kind,), (seed,), structure = header["kind"], header["seed"], header.structure()
+        tables, layers = [], {}
+        for fields, _, _, rows in sections[1:]:
+            if fields[0] == "#codebook":
+                tables.append(np.array(rows))
+            elif fields[0] == "#mlp":
+                weights, biases = layers[f"mlp {fields[1]}"] = ([], [])
+            else:
+                weights.append(np.array(rows[:-1]))
+                biases.append(np.array(rows[-1]))
+        nets = Header((name, Mlp(*net)) for name, net in layers.items())
+        m = structure.num_levels if kind == "multivq" else 0
+        return QuantizerModel(
+            kind=kind,
+            codebooks=CodebookStack(structure, tables),
+            seed=int(seed),
+            encoder=nets.get("mlp encoder"),
+            decoder=nets.get("mlp decoder"),
+            level_encoders=[nets[f"mlp encoder{j}"] for j in range(m)] or None,
+        )
+
+    return read_rows(path, parse, finish)

@@ -11,11 +11,14 @@ billion-parameter sequence model would.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import SemanticId, SidStructure, flat_tokens_to_sid, sid_to_flat_tokens
+from .catalog import (
+    Header, SemanticId, SidStructure, flat_tokens_to_sid, read_rows, sid_to_flat_tokens,
+)
 from .collision import AssignmentTable
 from .errors import DataError
 
@@ -47,8 +50,8 @@ class MarkovScorer(SequenceScorer):
     def __init__(self, structure: SidStructure, order: int = 2, alpha: float = DEFAULT_ALPHA):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < float("inf"):
+            raise ValueError("alpha must be positive and finite")
         self.structure = structure
         self.order = int(order)
         self.alpha = float(alpha)
@@ -377,17 +380,13 @@ def save_corpus(corpus, path) -> None:
 
 
 def load_corpus(path) -> list[list[int]]:
-    corpus = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                corpus.append([int(t) for t in line.split(",")])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return corpus
+    """One stream per line, comma-separated flat tokens."""
+
+    def parse(fields):
+        (stream,) = fields
+        return [int(t) for t in stream.split(",")]
+
+    return read_rows(path, parse)
 
 
 def save_markov_scorer(scorer: MarkovScorer, path) -> None:
@@ -406,32 +405,41 @@ def save_markov_scorer(scorer: MarkovScorer, path) -> None:
 
 
 def load_markov_scorer(path) -> MarkovScorer:
-    header: dict[str, list[str]] = {}
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if parts[0].startswith("#"):
-                header[parts[0][1:]] = parts[1:]
-                continue
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected context, token, count")
-            try:
-                key = tuple(int(t) for t in parts[0].split(",")) if parts[0] else ()
-                counts.setdefault(key, {})[int(parts[1])] = int(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        structure = SidStructure(
-            tuple(int(n) for n in header["levels"]), code_dim=int(header["code_dim"][0])
-        )
-        scorer = MarkovScorer(
-            structure, order=int(header["order"][0]), alpha=float(header["alpha"][0])
-        )
-    except (KeyError, IndexError, ValueError) as exc:
-        raise DataError(f"malformed scorer header in {path}: {exc}") from exc
-    scorer._counts = counts
-    return scorer
+    """Read a scorer written by save_markov_scorer.  Each count row must be a
+    slice of a valid stream: a context of at most `order` tokens on successive
+    levels, from level 0 if shorter than the order, then a token of the next
+    level (level 0 after an empty context), counted at least once."""
+    header, seen, scorer = Header(), {}, None  # seen: context text -> (slot, next band)
+
+    def parse(fields):
+        nonlocal scorer
+        if scorer is None and fields[0][:1] == "#":
+            header[fields[0][1:]] = fields[1:]
+            return
+        scorer = scorer or _header_scorer(header)
+        text, token, count = fields
+        slot, lo, hi = seen.get(text) or seen.setdefault(text, _context_slot(scorer, text))
+        token, count = int(token), int(count)
+        if not lo <= token < hi or count < 1 or token in slot:
+            raise DataError(f"after {text!r} expected a new token in [{lo}, {hi}), count >= 1")
+        slot[token] = count
+
+    return read_rows(path, parse, lambda _: scorer or _header_scorer(header))
+
+
+def _header_scorer(header: Header) -> MarkovScorer:
+    (order,), (alpha,) = header["order"], header["alpha"]
+    return MarkovScorer(header.structure(), order=int(order), alpha=float(alpha))
+
+
+def _context_slot(scorer: MarkovScorer, text: str) -> tuple[dict[int, int], int, int]:
+    """The count slot of a context plus the band [start, end) its next token
+    must lie in; a context that is no slice of a stream of whole SIDs raises."""
+    key = tuple(map(int, text.split(","))) if text else ()
+    offsets, sizes = scorer.structure.offsets, scorer.structure.level_sizes
+    level = bisect_right(offsets, key[0]) - 1 if len(key) == scorer.order else 0
+    for t in key:
+        if len(key) > scorer.order or not 0 <= t - offsets[level] < sizes[level]:
+            raise DataError(f"context {text!r} is not a slice of a stream of whole SIDs")
+        level = (level + 1) % len(sizes)
+    return scorer._counts.setdefault(key, {}), offsets[level], offsets[level] + sizes[level]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ItemCatalog, SidStructure
+from .catalog import ItemCatalog, SidStructure, read_rows
 from .collision import AssignmentTable
 from .errors import DataError
 
@@ -187,19 +187,14 @@ def consistency(table: AssignmentTable, labels: PairLabels, relation: str) -> fl
 
 def load_pair_labels(path) -> PairLabels:
     """3-column TSV: item_id, item_id, relation."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            if parts[2] not in RELATIONS:
-                raise DataError(f"{path}:{lineno}: unknown relation {parts[2]!r}")
-            pairs.append((parts[0], parts[1], parts[2]))
-    return PairLabels(tuple(pairs))
+
+    def parse(fields):
+        a, b, relation = fields
+        if relation not in RELATIONS:
+            raise DataError(f"unknown relation {relation!r}")
+        return a, b, relation
+
+    return read_rows(path, parse, lambda pairs: PairLabels(tuple(pairs)))
 
 
 def save_pair_labels(labels: PairLabels, path) -> None:

@@ -1,5 +1,7 @@
 """Contrastive alignment loss and the trainable projection head."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,4 +175,17 @@ class TestProjectionSerialization:
         path = tmp_path / "head.tsv"
         path.write_text("1.0\t2.0\n3.0\t4.0\n")  # 2x2: no room for a bias row
         with pytest.raises(DataError):
+            load_projection(path)
+
+    def test_garbled_value_names_its_line(self, tmp_path):
+        path = tmp_path / "head.tsv"
+        path.write_text("1.0\t2.0\n3.0\t4.o\n5.0\t6.0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+            load_projection(path)
+
+    @pytest.mark.parametrize("text", ["1.0\t2.0\n3.0\n5.0\t6.0\n", "1.0\t2.0\n3.0\t4.0\n5.0\n", ""])
+    def test_ragged_or_empty_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "head.tsv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load_projection(path)

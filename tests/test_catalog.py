@@ -1,5 +1,7 @@
 """Data model, token encoding, and file round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +21,13 @@ from sidkit.catalog import (
     load_sequences,
     parse_sid_brackets,
     parse_sid_string,
+    read_rows,
     render_sid_string,
     save_item_catalog,
     save_sequences,
     sid_to_flat_tokens,
 )
+from sidkit import catalog as catalog_module
 from sidkit.errors import DataError
 
 
@@ -215,6 +219,31 @@ class TestCatalog:
         with pytest.raises(DataError, match="2"):
             load_item_catalog(path, d_in=3)
 
+    @pytest.mark.parametrize(
+        "row", ["c\t0.1,nan", "c\t0.1", "c\t0.1,x", "a\t0.1,0.2", "\t0.1,0.2", "c\t0.1,0.2\t\tb\ts\to\tx"]
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "catalog.tsv"
+        path.write_text("a\t0.1,0.2\n\nb\t0.3,0.4\n" + row + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: "):
+            load_item_catalog(path, d_in=2)
+
+    def test_dangling_related_item_names_the_file(self, tmp_path):
+        path = tmp_path / "catalog.tsv"
+        path.write_text("a\t0.1,0.2\t\tghost\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*ghost"):
+            load_item_catalog(path, d_in=2)
+
+    def test_each_embedding_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = catalog_module.as_embedding
+        monkeypatch.setattr(catalog_module, "as_embedding",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        path = tmp_path / "catalog.tsv"
+        path.write_text("a\t0.1,0.2\nb\t0.3,0.4\t[1,2]\ta\nc\t0.5,0.6\n")
+        assert len(load_item_catalog(path, d_in=2)) == 3
+        assert len(calls) == 3
+
     def test_identical_bytes_identical_catalog(self, tmp_path):
         path = tmp_path / "catalog.tsv"
         path.write_text("a\t0.125,-3.5\tb\nb\t1.0,2.0\n".replace(" ", ""))
@@ -258,3 +287,41 @@ class TestSequences:
         path.write_text("pv1\t\t\ta,b\n")
         with pytest.raises(DataError):
             load_sequences(path)
+
+
+class TestReadRows:
+    def test_skips_blank_lines_but_counts_them(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\tb\n\n  \n\tc \n")
+        assert read_rows(path, tuple) == [("a", "b"), ("", "c ")]
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: .*'boom'"):
+            read_rows(path, lambda fields: fields[0] or int("boom"))
+
+    @pytest.mark.parametrize("error", [ValueError, IndexError, KeyError, DataError])
+    def test_row_errors_become_data_errors(self, tmp_path, error):
+        path = tmp_path / "rows.tsv"
+        path.write_text("x\ny\n")
+
+        def parse(fields):
+            if fields == ["y"]:
+                raise error("bad row")
+            return fields
+
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+            read_rows(path, parse)
+
+    def test_undecodable_byte_names_the_file_but_no_line(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        lines = [f"i{k}\t[0,0]\n".encode() for k in range(2000)]
+        lines[1500] = b"i1500\xff\t[0,0]\n"  # read-ahead decodes it while line ~1457 is parsed
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            read_rows(path, tuple)
+
+    def test_finish_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("x\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*'too few'"):
+            read_rows(path, tuple, lambda rows: int("too few"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            read_rows(path, tuple, lambda rows: rows[5])

@@ -311,6 +311,61 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "input width 6" in capsys.readouterr().err
 
+    def test_garbled_model_float_names_its_line(self, toy_dir, pipeline, tmp_path, capsys):
+        lines = (pipeline / "model.tsv").read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace("\t", "x\t", 1)
+        model = tmp_path / "model.tsv"
+        model.write_text("".join(lines))
+        code = main(
+            [
+                "collide", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--model", str(model), "--policy", "knn", "--out", str(tmp_path / "knn.tsv"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"{model}:6: " in capsys.readouterr().err
+
+    def test_multivq_model_missing_an_encoder_is_data_error(self, toy_dir, tmp_path, capsys):
+        base = ["--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8"]
+        assert main(
+            [
+                "tokenize", *base, "--levels", "3,3,3", "--code-dim", "2", "--kind", "multivq",
+                "--seed", "0", "--epochs", "1", "--warmup-epochs", "1", "--batch-size", "100",
+                "--hidden-dims", "4", "--out-assignment", str(tmp_path / "raw.tsv"),
+                "--out-model", str(tmp_path / "model.tsv"),
+            ]
+        ) == EXIT_OK
+        text = (tmp_path / "model.tsv").read_text()
+        (tmp_path / "model.tsv").write_text(text[: text.index("#mlp\tencoder2")])
+        capsys.readouterr()
+        code = main(["collide", *base, "--model", str(tmp_path / "model.tsv"),
+                     "--policy", "knn", "--out", str(tmp_path / "knn.tsv")])
+        assert code == EXIT_DATA
+        assert "#mlp encoder2" in capsys.readouterr().err
+
+    def test_out_of_band_scorer_row_is_data_error(self, tmp_path, capsys):
+        scorer = tmp_path / "scorer.tsv"
+        scorer.write_text("#order\t2\n#alpha\t0.1\n#levels\t4\t4\t4\n#code_dim\t2\n0\t999\t3\n")
+        assert main(["retrieve", "--scorer", str(scorer), "--k", "3"]) == EXIT_DATA
+        assert f"{scorer}:5: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval-sid", "noco", "merge"])
+    def test_assignment_item_missing_from_catalog(
+        self, command, toy_dir, pipeline, tmp_path, capsys
+    ):
+        assignment = tmp_path / "assignment.tsv"
+        assignment.write_text((pipeline / "knn.tsv").read_text() + "nope\t[0,0]\n")
+        out = tmp_path / "out.tsv"
+        args = ["--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--model", str(pipeline / "model.tsv"), "--assignment", str(assignment)]
+        if command == "eval-sid":
+            code = main(["eval-sid", *args])
+        else:
+            code = main(["collide", *args, "--policy", command, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

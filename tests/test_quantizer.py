@@ -625,3 +625,102 @@ class TestSerialization:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_quantizer(tmp_path / "absent.tsv")
+
+    def test_rqkmeans_table_keeps_embedding_width(self, tmp_path):
+        # rqkmeans codebooks live in the embedding space, whatever code_dim says
+        X = np.random.default_rng(24).standard_normal((30, 3))
+        model = train_rqkmeans(X, SidStructure((3, 3), code_dim=8), RqkmeansConfig(seed=0))
+        self.round_trip(model, tmp_path, X)
+
+
+def _model_lines(kind, tmp_path):
+    """A small saved model of the given kind, as a list of lines."""
+    X = np.random.default_rng(25).standard_normal((24, 3))
+    structure = SidStructure((3, 3, 3), code_dim=2)
+    cfg = RqvaeConfig(epochs=2, warmup_epochs=1, learning_rate=1e-3,
+                      batch_size=12, hidden_dims=(4,), seed=0)
+    train = {"rqvae": train_rqvae, "multivq": train_multivq}[kind]
+    save_quantizer(train(X, structure, cfg), tmp_path / "model.tsv")
+    return (tmp_path / "model.tsv").read_text().splitlines(keepends=True)
+
+
+class TestMalformedModel:
+    """Each corruption raises DataError naming the file, and the line where
+    one row is at fault."""
+
+    def load_lines(self, lines, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError) as info:
+            load_quantizer(path)
+        return str(info.value), str(path)
+
+    def test_multivq_missing_level_encoder(self, tmp_path):
+        lines = _model_lines("multivq", tmp_path)
+        start = lines.index("#mlp\tencoder2\n")
+        message, path = self.load_lines(lines[:start], tmp_path)
+        assert message.startswith(f"{path}: ") and "#mlp encoder2" in message
+
+    def test_garbled_float_names_its_line(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        row = lines.index("#codebook\t1\n") + 2
+        lines[row] = lines[row].replace("\t", "x\t", 1)
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}:{row + 1}: ")
+
+    @pytest.mark.parametrize("section", ["#codebook\t0\n", "#layer\t4\t2\n"])
+    def test_extra_column_names_its_line(self, section, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        row = lines.index(section) + 1
+        lines[row] = lines[row].replace("\n", "\t1.0\n")
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}:{row + 1}: ")
+
+    def test_short_bias_names_its_line(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        bias = lines.index("#layer\t3\t4\n") + 4
+        lines[bias] = lines[bias].rsplit("\t", 1)[0] + "\n"
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}:{bias + 1}: ")
+
+    def test_extra_codebook_row_names_its_line(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        extra = lines.index("#codebook\t1\n")
+        lines.insert(extra, lines[extra - 1])
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}:{extra + 1}: ") and "#codebook 0" in message
+
+    def test_short_codebook_names_the_next_section(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        nxt = lines.index("#codebook\t1\n")
+        del lines[nxt - 1]
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}:{nxt}: ") and "#codebook 0" in message
+
+    def test_truncated_file_is_data_error(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        message, path = self.load_lines(lines[:-1], tmp_path)
+        assert message.startswith(f"{path}: ")
+
+    def test_nan_codebook_is_data_error(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        row = lines.index("#codebook\t2\n") + 1
+        lines[row] = "nan" + lines[row][lines[row].index("\t"):]
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}: ") and "non-finite" in message
+
+    def test_decoder_that_misses_the_input_width_is_data_error(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        last_layer = len(lines) - lines[::-1].index("#layer\t4\t3\n") - 1
+        message, path = self.load_lines(lines[:last_layer], tmp_path)
+        assert message.startswith(f"{path}: ") and "decoder" in message
+
+    def test_empty_mlp_is_data_error(self, tmp_path):
+        lines = _model_lines("rqvae", tmp_path)
+        start = lines.index("#mlp\tdecoder\n")
+        self.load_lines(lines[: start + 1], tmp_path)
+
+    def test_missing_header_row_is_named(self, tmp_path):
+        lines = [ln for ln in _model_lines("rqvae", tmp_path) if not ln.startswith("#kind")]
+        message, _ = self.load_lines(lines, tmp_path)
+        assert "missing #kind" in message

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -488,4 +489,45 @@ class TestScorerSerialization:
             "#order\t2\n#alpha\t0.1\n#levels\t2\t2\n#code_dim\t2\n0\tnope\t3\n"
         )
         with pytest.raises(DataError, match="5"):
+            load_markov_scorer(path)
+
+    HEADER = "#order\t2\n#alpha\t0.1\n#levels\t4\t4\t4\n#code_dim\t2\n"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0\t999\t3",  # token outside every band
+            "0\t1\t3",  # token of level 0 where level 1 follows
+            "\t4\t1",  # an empty context is followed by level 0
+            "4\t8\t2",  # a context shorter than the order starts at level 0
+            "0,8\t9\t1",  # context tokens on levels 0 and 2
+            "0,4,8\t1\t1",  # context longer than the order
+            "-1,4\t8\t1",  # context token outside every band
+            "0\t4\t0",  # count below 1
+            "4,8\t0\t1\n4,8\t0\t2",  # the same (context, token) twice
+        ],
+    )
+    def test_row_that_no_stream_produces_is_rejected(self, tmp_path, row):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(self.HEADER + "\t0\t5\n" + row + "\n")
+        last = 6 + row.count("\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{last}: "):
+            load_markov_scorer(path)
+
+    def test_rows_that_streams_produce_load(self, tmp_path):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(self.HEADER + "\t0\t5\n0\t4\t2\n0,4\t8\t1\n4,8\t2\t1\n8,3\t5\t1\n")
+        scorer = load_markov_scorer(path)
+        assert scorer.num_contexts == 5
+        assert np.argmax(scorer.next_token_log_probs([0, 4, 8])) == 2
+
+    def test_header_only_file_is_an_empty_scorer(self, tmp_path):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(self.HEADER)
+        assert load_markov_scorer(path).num_contexts == 0
+
+    def test_non_finite_alpha_rejected(self, tmp_path):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(self.HEADER.replace("0.1", "nan"))
+        with pytest.raises(DataError, match="alpha"):
             load_markov_scorer(path)
