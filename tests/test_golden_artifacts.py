@@ -1,0 +1,130 @@
+"""Golden digests: the CLI pipeline's artifacts keep their bytes.
+
+A small fixed-seed toy world goes through tokenize (with --out-trace), every
+collision policy and eval-sid --csv, for the two quantizer kinds whose
+output involves no autodiff matrix products (rqkmeans and random); rqvae and
+multivq train through matmuls whose last bits may vary between BLAS builds.
+Each artifact's sha256 must equal the digest recorded below, so a faster
+kernel that changes any decision, value or written float fails here.
+
+After an intended output change, `pytest -vv` on this file shows the new
+digests in the failure diff; record them and say in CHANGES.md why the bytes
+moved.
+"""
+
+import hashlib
+
+import pytest
+
+from sidkit.cli import EXIT_DATA, EXIT_OK, main
+
+LEVELS = "8,8,4"
+
+INPUT_DIGESTS = {
+    "catalog.tsv": "f997fb5cfd6b52cd6ea38a18d1ba870f9a509d645442bf7d25af405fb189c75e",
+    "labels.tsv": "c03cb9468fbf30e155483da13effbaf6d8fa83ce5527ffdac25bf4479f1c5e8a",
+}
+
+GOLDEN = {
+    "rqkmeans": {
+        "raw.tsv": "df670a9729a1bd6358383fc68a77d755f2e862a7d01264e04716f0c2bffe79b6",
+        "model.tsv": "ce23f5c1b948045c98bb30b171a9eebdca7923e03e828382ec9607c841b9a016",
+        "trace.csv": "839977e56cc3ae1c609d20aae9cea8ad1c9f7119c22fe6e50ef6a841078524fd",
+        "noco.tsv": "df670a9729a1bd6358383fc68a77d755f2e862a7d01264e04716f0c2bffe79b6",
+        "knn.tsv": "0ac215082b18fcb42f5810c2a08d4a42857fdc94f4a2ffa474b3f53f12e94078",
+        "random.tsv": "590a8afc4f50514bc86620e705aaf79bfdccd41dc4acc26ef6a07e7601480a07",
+        "merge.tsv": "e5d52c434c3c621307c43822e82b1cbc6013473c463683d6737b87ecca2e976f",
+        "eval_raw.csv": "2d730b1d88fdeca76d50955135589a0017291911bc58c05e0521ac9cfe11fdba",
+        "eval_noco.csv": "2d730b1d88fdeca76d50955135589a0017291911bc58c05e0521ac9cfe11fdba",
+        "eval_knn.csv": "af1475c3e2272e2064d52de8c9a8d414b278093068a1d6d1a193c999487a73c7",
+        "eval_random.csv": "f6616801e1b741d3bbb66fbad6bcb1fb933c37e0d99e7762c08bce031c8f3c4d",
+        "eval_merge.csv": "f2ba999f38ea8ff588ba1f39d4a80d79b424baba798a20ccf92452fb3e74a910",
+    },
+    # knn and random policies rank codewords by content, which the random
+    # baseline has none of: both exit as data errors
+    "random": {
+        "raw.tsv": "3dde369ba4cefb89a80f036df4ea1b4f0f4f015689fabfe58eeff48a98e70b95",
+        "model.tsv": "e4fbc42e1a692f902d8a3aa7561dc00c041c931c6540d4144e0142d2c1c528ef",
+        "trace.csv": "5d46c279fa578f5e3eaf5d6667b1b956b1a400e314d83e1756baa580f5297e80",
+        "noco.tsv": "3dde369ba4cefb89a80f036df4ea1b4f0f4f015689fabfe58eeff48a98e70b95",
+        "merge.tsv": "aba322ef4bd04b1bb47e3ec60efa809c1c6314233af9e61f2ea89b2b8d9c77e7",
+        "eval_raw.csv": "0441018d3cbcb250adc5b99a8c4fe86d154a7fceecce2054944edb6655206dea",
+        "eval_noco.csv": "0441018d3cbcb250adc5b99a8c4fe86d154a7fceecce2054944edb6655206dea",
+        "eval_merge.csv": "fef2796bceed46d2e23895f19cd057771a791fc5b10e845aae00b8b4b6fa12fc",
+        "knn.tsv": EXIT_DATA,
+        "random.tsv": EXIT_DATA,
+    },
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_world")
+    code = main(
+        [
+            "gen-toy", "--items", "400", "--clusters", "8", "--d-in", "8",
+            "--train-sequences", "40", "--eval-sequences", "10",
+            "--seed", "3", "--out-dir", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    return out
+
+
+def _run_pipeline(world, work, kind) -> dict[str, str]:
+    """Every artifact of one kind's pipeline, by file name -> sha256; a
+    policy the kind cannot run maps to its exit code instead."""
+    base = ["--catalog", str(world / "catalog.tsv"), "--d-in", "8"]
+    assert main(
+        [
+            "tokenize", *base, "--levels", LEVELS, "--code-dim", "8",
+            "--kind", kind, "--seed", "5", "--iters", "20",
+            "--out-assignment", str(work / "raw.tsv"),
+            "--out-model", str(work / "model.tsv"),
+            "--out-trace", str(work / "trace.csv"),
+        ]
+    ) == EXIT_OK
+    model = ["--model", str(work / "model.tsv")]
+    produced = ["raw.tsv", "model.tsv", "trace.csv"]
+    codes = {}
+    policies = {
+        "noco": [],
+        "knn": ["--sigma", "2"],
+        "random": [],
+        "merge": ["--merge-threshold", "3", "--assignment", str(work / "raw.tsv")],
+    }
+    for policy, extra in policies.items():
+        name = f"{policy}.tsv"
+        code = main(
+            ["collide", *base, *model, "--policy", policy, *extra, "--out", str(work / name)]
+        )
+        if code == EXIT_OK:
+            produced.append(name)
+        else:
+            codes[name] = code
+    for name in [n for n in produced if n.endswith(".tsv") and n != "model.tsv"]:
+        csv_name = f"eval_{name[:-4]}.csv"
+        assert main(
+            [
+                "eval-sid", *base, *model, "--assignment", str(work / name),
+                "--labels", str(world / "labels.tsv"), "--csv", str(work / csv_name),
+            ]
+        ) == EXIT_OK
+        produced.append(csv_name)
+    digests = {name: _sha256(work / name) for name in produced}
+    digests.update(codes)
+    return digests
+
+
+def test_toy_world_inputs_are_unchanged(world):
+    assert {name: _sha256(world / name) for name in INPUT_DIGESTS} == INPUT_DIGESTS
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_pipeline_artifacts_match_golden_digests(world, tmp_path, kind):
+    assert _run_pipeline(world, tmp_path, kind) == GOLDEN[kind]
+
