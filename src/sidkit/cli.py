@@ -163,6 +163,19 @@ def _catalog_assignment(args, catalog, structure) -> collision.AssignmentTable:
     return table
 
 
+def _assigned_sequences(args, table: collision.AssignmentTable):
+    """--sequences, every item of which must hold a SID in --assignment."""
+    sequences = load_sequences(args.sequences)
+    for seq in sequences:
+        unknown = next((i for i in (*seq.history, *seq.targets) if i not in table), None)
+        if unknown is not None:
+            raise DataError(
+                f"{args.sequences}: sequence {seq.pv_id!r} names item {unknown!r}, "
+                f"which has no SID in {args.assignment}"
+            )
+    return sequences
+
+
 def cmd_tokenize(args) -> int:
     catalog = _load_catalog(args)
     structure = _structure(args)
@@ -284,7 +297,7 @@ def cmd_train_scorer(args) -> int:
         corpus = retrieval.load_corpus(args.corpus)
     elif args.sequences and args.assignment:
         table = collision.load_assignment(args.assignment, structure)
-        corpus = retrieval.build_useraction_corpus(load_sequences(args.sequences), table)
+        corpus = retrieval.build_useraction_corpus(_assigned_sequences(args, table), table)
     else:
         raise DataError("train-scorer needs --corpus, or --sequences with --assignment")
     scorer = retrieval.train_markov_scorer(corpus, structure, order=args.order, alpha=args.alpha)
@@ -334,7 +347,7 @@ def cmd_retrieve(args) -> int:
 def cmd_eval_hr(args) -> int:
     scorer = retrieval.load_markov_scorer(args.scorer)
     table = collision.load_assignment(args.assignment, scorer.structure)
-    sequences = load_sequences(args.sequences)
+    sequences = _assigned_sequences(args, table)
     schedule = (
         retrieval.BeamSchedule(args.beam)
         if args.beam
@@ -356,7 +369,7 @@ def cmd_eval_hr(args) -> int:
 def cmd_build_pretrain_corpus(args) -> int:
     structure = _structure(args)
     table = collision.load_assignment(args.assignment, structure)
-    corpus = retrieval.build_useraction_corpus(load_sequences(args.sequences), table)
+    corpus = retrieval.build_useraction_corpus(_assigned_sequences(args, table), table)
     retrieval.save_corpus(corpus, args.out)
     print(f"build-pretrain-corpus: {len(corpus)} streams")
     return EXIT_OK

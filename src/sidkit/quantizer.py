@@ -6,6 +6,13 @@ encoder/quantizer/decoder (rqvae), residual k-means with no neural nets
 content-blind uniform baseline (random).  Assignment is always greedy
 nearest-neighbor per level; rqvae and rqkmeans quantize residuals, multivq
 quantizes each level's own encoding of the original embedding.
+
+Two kernels measure distance.  nearest_codewords makes every decision (the
+nearest codeword, a codeword ranking) with one matrix product per block of
+rows and an exact rounding guard; sq_distances computes distance values in
+the difference form, for k-means++ weights and the rows the guard sends
+back.  Either way a tie goes to the lowest codeword index, and the outcome
+is bit for bit the difference form's argmin or stable argsort.
 """
 
 from __future__ import annotations
@@ -113,17 +120,110 @@ class CodebookStack:
         return self.levels[0].shape[1]
 
 
-def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(N, K) squared Euclidean distances from each row of A to each row of B.
-
-    The module's one distance kernel: every nearest-codeword decision is an
-    argmin over these rows, so ties resolve to the lowest index.
-    """
+def _check_widths(A: np.ndarray, B: np.ndarray) -> None:
     if B.shape[0] == 0:
         raise DataError("empty codebook level")
     if A.shape[1] != B.shape[1]:
         raise DataError(f"input width {A.shape[1]} does not match codeword width {B.shape[1]}")
+
+
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(N, K) squared Euclidean distances from each row of A to each row of B.
+
+    The value kernel, in the difference form sum_k (a_k - b_k)^2 with an
+    (N, K, d) temporary.  It serves where the distances themselves matter:
+    k-means++ sampling weights (a one-row B), and the rows whose decision
+    nearest_codewords cannot certify, which it then argmins or stably sorts
+    so that ties go to the lowest index.  Every other decision comes from
+    nearest_codewords, with the same outcome as an argmin over these values.
+    """
+    _check_widths(A, B)
     return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+# Rows per block are _BLOCK_FLOATS // K for the (rows, K) distance block and
+# _BLOCK_FLOATS // (K * d) for a fallback's (rows, K, d) temporary, so both
+# stay near 2 MB whatever N is.
+_BLOCK_FLOATS = 1 << 18
+
+# Guard bound, per row i: e_i = 8 (d + 4) u (||a_i||^2 + max_j ||b_j||^2),
+# u = 2^-52 (machine epsilon).  Write s = ||a||^2, t = ||b||^2,
+# D = ||a - b||^2 <= 2 (s + t) and g_n = n u / (1 - n u).
+#   GEMM form.  A row compares ~D = fl(fl(t) + fl(a.(-2b))) across codes:
+#   it estimates D - s, and s is the same for every code of the row.  A
+#   length-d dot product errs by at most g_d sum_k |x_k y_k| in any
+#   summation order, with or without FMA: g_d t for fl(t), and
+#   2 g_d |a||b| <= g_d (s + t) for the product (doubling is exact).  The
+#   final addition rounds a value of size at most 2 (1 + g_d)(s + t).  So
+#   |~D - (D - s)| <= ~(2d + 2) u (s + t).
+#   Difference form ^D = fl(sum_k fl(fl(a_k - b_k)^2)).  Each term carries
+#   two roundings and a sum of d non-negative terms in any order adds
+#   g_(d-1), so |^D - D| <= g_(d+2) D <= ~(2d + 4) u (s + t).
+# Together |(~D + s) - ^D| <= ~(4d + 6) u (s + t), and e_i leaves a factor
+# near 2 for the O(d u) second-order terms.  Gradual underflow adds at most
+# half a smallest subnormal per rounding, fewer than 4d + 8 in all, which
+# the subnormal term of the bound covers.  Rounding is monotone, so a
+# computed gap above 2 e_i is a real one: if a row's best ~D leads every
+# other code by more than 2 e_i (ranked: every adjacent gap exceeds it), ^D
+# orders those codes the same way, strictly, and a tie is never certified.
+_GUARD_SLACK = 8.0
+
+
+def _gemm_block(a: np.ndarray, B: np.ndarray, ranked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """GEMM-form decisions (~D above) for one block of rows, and which rows
+    the guard certifies: a margin (ranked: every adjacent gap) above 2 e_i."""
+    a_norms = np.einsum("ij,ij->i", a, a)
+    b_norms = np.einsum("ij,ij->i", B, B)
+    d2 = a @ (-2.0 * B).T
+    d2 += b_norms
+    f = np.finfo(np.float64)
+    scale = _GUARD_SLACK * (a.shape[1] + 4)
+    bound = 2.0 * scale * (f.eps * (a_norms + b_norms.max()) + f.smallest_subnormal)
+    # certified means gap > bound, so a nan gap is never certified
+    if ranked:
+        order = np.argsort(d2, axis=1)
+        gaps = np.diff(np.take_along_axis(d2, order, axis=1), axis=1)
+        return order, (gaps > bound[:, None]).all(axis=1)
+    order = np.argmin(d2, axis=1)
+    rows = np.arange(a.shape[0])
+    best = d2[rows, order]
+    d2[rows, order] = np.inf
+    return order, d2.min(axis=1) - best > bound
+
+
+def nearest_codewords(A: np.ndarray, B: np.ndarray, ranked: bool = False) -> np.ndarray:
+    """Index of the nearest row of B for each row of A, shape (N,); with
+    ranked=True, every row index of B by ascending distance, shape (N, K).
+
+    The decision kernel: every nearest-codeword choice and codeword ranking
+    in sidkit comes from here.  It compares ||a||^2 - 2 a.b + ||b||^2 across
+    codes, less the row's constant ||a||^2, with one matrix product per
+    block of rows.  A row whose best-to-second margin (ranked: any adjacent
+    gap in its sorted row) is not above the guard bound 2 e_i, or is NaN, is
+    recomputed from sq_distances.  Results therefore equal
+    np.argmin(sq_distances(A, B), axis=1) and
+    np.argsort(sq_distances(A, B), axis=1, kind="stable") bit for bit: ties
+    go to the lowest index.
+    """
+    _check_widths(A, B)
+    n, k, d = A.shape[0], B.shape[0], A.shape[1]
+    out = np.empty((n, k) if ranked else n, dtype=np.int64)
+    step, fb_step = max(1, _BLOCK_FLOATS // k), max(1, _BLOCK_FLOATS // max(k * d, 1))
+    for start in range(0, n, step):
+        a = A[start : start + step]
+        # overflow leaves inf or nan in the GEMM form, never a certified row
+        with np.errstate(over="ignore", invalid="ignore"):
+            order, sure = _gemm_block(a, B, ranked)
+        unsure = np.flatnonzero(~sure)
+        for fb in range(0, unsure.size, fb_step):
+            idx = unsure[fb : fb + fb_step]
+            exact = sq_distances(a[idx], B)
+            if ranked:
+                order[idx] = np.argsort(exact, axis=1, kind="stable")
+            else:
+                order[idx] = np.argmin(exact, axis=1)
+        out[start : start + a.shape[0]] = order
+    return out
 
 
 def _residual_codes(Z: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +231,7 @@ def _residual_codes(Z: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
     table: (N, len(tables)) int codes and the (N, d) residual left over."""
     codes = np.zeros((Z.shape[0], len(tables)), dtype=np.int64)
     for j, table in enumerate(tables):
-        codes[:, j] = np.argmin(sq_distances(Z, table), axis=1)
+        codes[:, j] = nearest_codewords(Z, table)
         Z = Z - table[codes[:, j]]
     return codes, Z
 
@@ -202,11 +302,10 @@ def lloyd_kmeans(
     objective_trace: list[float] = []
     labels = np.zeros(X.shape[0], dtype=np.int64)
     for _ in range(max_iters):
-        d2 = sq_distances(X, centroids)
-        labels = np.argmin(d2, axis=1)
-        costs = d2[np.arange(X.shape[0]), labels]
+        labels = nearest_codewords(X, centroids)
+        # the same per-row sums the difference form gives at (i, labels[i])
+        costs = ((X - centroids[labels]) ** 2).sum(axis=1)
         objective_trace.append(float(costs.sum()))
-        costs = costs.copy()
         new_centroids = centroids.copy()
         for c in range(k):
             mask = labels == c
@@ -268,7 +367,7 @@ class QuantizerModel:
         codes = np.zeros((X.shape[0], levels), dtype=np.int64)
         for j in range(levels):
             Z = self.level_encoders[j].forward(X)
-            codes[:, j] = np.argmin(sq_distances(Z, self.codebooks.levels[j]), axis=1)
+            codes[:, j] = nearest_codewords(Z, self.codebooks.levels[j])
         return codes
 
     def assign(self, embedding: np.ndarray) -> SemanticId:
@@ -304,9 +403,7 @@ class QuantizerModel:
         else:
             Z = self.encoder.forward(X) if self.kind == "rqvae" else X
             prefixes, Z = _residual_codes(Z, self.codebooks.levels[: m - 1])
-        # stable argsort keeps equal distances in ascending-code order
-        orders = np.argsort(sq_distances(Z, self.codebooks.levels[-1]), axis=1, kind="stable")
-        return prefixes, orders
+        return prefixes, nearest_codewords(Z, self.codebooks.levels[-1], ranked=True)
 
     def reconstruct(self, embedding: np.ndarray) -> np.ndarray:
         """Decoder output for the quantized representation (rqvae only)."""
@@ -411,7 +508,7 @@ def _init_codebooks_from_latents(
     for n_j in structure.level_sizes:
         table = kmeanspp_init(residuals, n_j, rng)
         levels.append(table)
-        residuals = residuals - table[np.argmin(sq_distances(residuals, table), axis=1)]
+        residuals = residuals - table[nearest_codewords(residuals, table)]
     return CodebookStack(structure, levels)
 
 

@@ -366,6 +366,26 @@ class TestExitCodes:
         assert "'nope'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval-hr", "build-pretrain-corpus", "train-scorer"])
+    def test_sequence_item_without_sid_names_file_and_sequence(
+        self, command, toy_dir, pipeline, tmp_path, capsys
+    ):
+        sequences = tmp_path / "sequences.tsv"
+        sequences.write_text(
+            (toy_dir / "eval_sequences.tsv").read_text() + "pv9\tghost\t\ti0001\n"
+        )
+        out = tmp_path / "out.txt"
+        args = ["--sequences", str(sequences), "--assignment", str(pipeline / "knn.tsv")]
+        if command == "eval-hr":
+            args += ["--scorer", str(pipeline / "scorer.tsv"), "--beam", "10,20"]
+        else:
+            args += ["--levels", "5,4", "--code-dim", "8"]
+        code = main([command, *args, "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{sequences}: sequence 'pv9'" in err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

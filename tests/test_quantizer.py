@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidkit import quantizer
 from sidkit.autodiff import Tensor
 from sidkit.catalog import SemanticId, SidStructure
 from sidkit.errors import DataError
@@ -21,6 +22,7 @@ from sidkit.quantizer import (
     kmeanspp_init,
     lloyd_kmeans,
     load_quantizer,
+    nearest_codewords,
     random_model,
     residual_assign,
     residual_assign_batch,
@@ -114,6 +116,125 @@ class TestResidualAssign:
     def test_sq_distances_empty_table(self):
         with pytest.raises(DataError):
             sq_distances(np.ones((1, 3)), np.zeros((0, 3)))
+
+
+def kernel_case(family, seed, n, k, d):
+    """(A, B) of one data family for the decision-kernel oracle tests."""
+    rng = np.random.default_rng(seed)
+    if family == "grid":
+        # small integers: exact ties everywhere, and duplicated codewords
+        A = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        B = rng.integers(-2, 3, size=(max(1, k // 2), d)).astype(np.float64)
+        return A, B[rng.integers(B.shape[0], size=k)]
+    if family == "offset":
+        # a large common offset, where ||a||^2 - 2a.b + ||b||^2 cancels badly
+        scale = 10.0 ** rng.uniform(-3, 0)
+        return (1e6 + scale * rng.standard_normal((n, d)),
+                1e6 + scale * rng.standard_normal((k, d)))
+    return rng.standard_normal((n, d)), rng.standard_normal((k, d))
+
+
+class SqDistancesSpy:
+    """Stands in for quantizer.sq_distances and records the rows of A that
+    the decision kernel sends to its difference-form fallback, per call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, A, B):
+        self.calls.append(A.copy())
+        return sq_distances(A, B)
+
+    @property
+    def rows(self):
+        return sorted(tuple(row) for call in self.calls for row in call)
+
+
+class TestNearestCodewords:
+    @given(
+        st.sampled_from(["grid", "offset", "gaussian"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.integers(1, 12),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_difference_form_oracle(self, family, seed, n, k, d):
+        A, B = kernel_case(family, seed, n, k, d)
+        d2 = sq_distances(A, B)
+        np.testing.assert_array_equal(nearest_codewords(A, B), np.argmin(d2, axis=1))
+        np.testing.assert_array_equal(
+            nearest_codewords(A, B, ranked=True), np.argsort(d2, axis=1, kind="stable")
+        )
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_ties_take_the_fallback(self, monkeypatch, ranked):
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # rows 0 and 2 coincide
+        A = np.array([[1.0, 0.0], [0.5, 0.5], [3.0, -1.0]])
+        spy = SqDistancesSpy()
+        monkeypatch.setattr(quantizer, "sq_distances", spy)
+        got = nearest_codewords(A, B, ranked=ranked)
+        # rows 0 and 2 tie for first between codes 0 and 2; row 1 three ways
+        assert spy.rows == sorted(tuple(a) for a in A)
+        want = np.array([[0, 2, 1], [0, 1, 2], [0, 2, 1]])
+        np.testing.assert_array_equal(got, want if ranked else want[:, 0])
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_fallback_rows_are_those_within_the_documented_bound(self, monkeypatch, ranked):
+        """On integer points near a large offset both forms are exact, so the
+        fallback must take exactly the rows whose margin is at most
+        2 e_i = 16 (d + 4) u (||a_i||^2 + max_j ||b_j||^2)."""
+        rng = np.random.default_rng(5)
+        d, offset = 4, 5e6
+        A = offset + rng.integers(-6, 7, size=(400, d)).astype(np.float64)
+        B = offset + 2.0 * rng.integers(-3, 4, size=(6, d)).astype(np.float64)
+        A = np.unique(A, axis=0)
+        d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)  # exact integers
+        sorted_d2 = np.sort(d2, axis=1)
+        gaps = np.diff(sorted_d2, axis=1)
+        margin = gaps.min(axis=1) if ranked else gaps[:, 0]
+        bound = 16 * (d + 4) * np.finfo(float).eps * (
+            (A**2).sum(axis=1) + (B**2).sum(axis=1).max()
+        )
+        # rows on both sides of the bound, and rows between it and its half
+        assert (margin > bound).any() and ((margin <= bound) & (margin > bound / 2)).any()
+        spy = SqDistancesSpy()
+        monkeypatch.setattr(quantizer, "sq_distances", spy)
+        nearest_codewords(A, B, ranked=ranked)
+        assert spy.rows == sorted(tuple(a) for a in A[margin <= bound])
+
+    def test_overflowing_rows_match_the_difference_form(self):
+        # row 0 reads inf - inf = nan at codes 0 and 1 in the GEMM form, and
+        # argmin takes the first nan; a nan margin must fall back to find 1
+        A = np.array([[1e160, 0.0], [1.0, 1.0]])
+        B = np.array([[1e160, 1e160], [1e160, 0.0], [1.0, 2.0]])
+        with np.errstate(over="ignore"):
+            d2 = sq_distances(A, B)
+            codes = nearest_codewords(A, B)
+            orders = nearest_codewords(A, B, ranked=True)
+        np.testing.assert_array_equal(codes, np.argmin(d2, axis=1))
+        np.testing.assert_array_equal(orders, np.argsort(d2, axis=1, kind="stable"))
+
+    def test_blocks_bound_the_fallback_temporary(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "_BLOCK_FLOATS", 64)
+        A, B = kernel_case("grid", 3, 50, 7, 3)
+        d2 = sq_distances(A, B)
+        spy = SqDistancesSpy()
+        monkeypatch.setattr(quantizer, "sq_distances", spy)
+        np.testing.assert_array_equal(nearest_codewords(A, B), np.argmin(d2, axis=1))
+        # several blocks of 64 // 7 rows, each fallback call within 64 floats
+        assert len(spy.calls) > 1 and all(call.size * 7 <= 64 for call in spy.calls)
+
+    def test_shapes_of_empty_and_single_code_inputs(self):
+        assert nearest_codewords(np.zeros((0, 3)), np.ones((4, 3))).shape == (0,)
+        assert nearest_codewords(np.zeros((0, 3)), np.ones((4, 3)), ranked=True).shape == (0, 4)
+        np.testing.assert_array_equal(nearest_codewords(np.ones((2, 3)), np.ones((1, 3))), [0, 0])
+
+    def test_rejects_empty_codebook_and_width_mismatch(self):
+        with pytest.raises(DataError):
+            nearest_codewords(np.ones((1, 3)), np.zeros((0, 3)))
+        with pytest.raises(DataError):
+            nearest_codewords(np.ones((1, 3)), np.zeros((2, 4)))
 
 
 class TestLloydKmeans:
