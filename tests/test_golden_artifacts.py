@@ -4,6 +4,8 @@ A small fixed-seed toy world goes through tokenize (with --out-trace), every
 collision policy and eval-sid --csv, for the two quantizer kinds whose
 output involves no autodiff matrix products (rqkmeans and random); rqvae and
 multivq train through matmuls whose last bits may vary between BLAS builds.
+The rqkmeans assignment then goes through retrieval: build-pretrain-corpus,
+train-scorer, retrieve and eval-hr --out.
 Each artifact's sha256 must equal the digest recorded below, so a faster
 kernel that changes any decision, value or written float fails here.
 
@@ -54,6 +56,35 @@ GOLDEN = {
         "knn.tsv": EXIT_DATA,
         "random.tsv": EXIT_DATA,
     },
+}
+
+
+# Printed output is pinned as "<command>.stdout".  The narrow beam 2,4,4 on
+# the unseen context C0C8C16 has tied scores straddling the cut at every
+# level, so it pins which of the tied candidates a level keeps.
+RETRIEVE_RUNS = {
+    "retrieve_default": ["--context", "C3C12C17", "--k", "1200"],
+    "retrieve_full_k": ["--context", "C3C12C17", "--beam", "4,16,32", "--k", "32"],
+    "retrieve_ties": ["--context", "C0C8C16", "--beam", "2,4,4", "--k", "4"],
+    "retrieve_ties_k2": ["--context", "C0C8C16", "--beam", "2,4,4", "--k", "2"],
+}
+
+EVAL_HR_RUNS = {
+    "hr_default.csv": ["--k", "1,5,20,100"],
+    "hr_narrow.csv": ["--beam", "4,8,16", "--k", "1,5,16"],
+}
+
+RETRIEVAL_GOLDEN = {
+    "build-pretrain-corpus.stdout": "97117760c273052821a3fd504a93a71df254f2be2225ab8247801977ff8c6af0",
+    "corpus.txt": "bfc83691a47618079767210d6867b4a7b39ca4b58b2a2a188b82f22a57627410",
+    "train-scorer.stdout": "7b73e8df88d8505346d32b64ab7fe66ea50881f76426b7e949d75ef6a1375707",
+    "scorer.tsv": "2b157f0829963d215804b2b4e0c0b89626dc59c2fcc9af3277cf9ee66ed72cd0",
+    "retrieve_default.stdout": "f23977b5a3b104361d0309be17edcd25f0c83918ed27152924dec486cd62c86e",
+    "retrieve_full_k.stdout": "b4d969536447979586be3489b7febbd5310af24dfa981d66f49370c03429e9df",
+    "retrieve_ties.stdout": "ac93386d9c6165a12ecffdc51ce69a848a58561a0398266deda7ca00176743c4",
+    "retrieve_ties_k2.stdout": "9d6c120351450388a822fe270897f8d954c6f4daca06cead2bbf919afe0f7046",
+    "hr_default.csv": "b7e1403115560e18c000dd3427d5e884c05002661060e24d2e32acd77480184b",
+    "hr_narrow.csv": "4bc5887258b9220b8c1ec36971ac15769817f76fe259d4ed319dbeead27411f2",
 }
 
 
@@ -128,3 +159,47 @@ def test_toy_world_inputs_are_unchanged(world):
 def test_pipeline_artifacts_match_golden_digests(world, tmp_path, kind):
     assert _run_pipeline(world, tmp_path, kind) == GOLDEN[kind]
 
+
+
+def _run_retrieval(world, work, capsys) -> dict[str, str]:
+    """sha256 of every retrieval artifact and printed output, by name."""
+    structure = ["--levels", LEVELS, "--code-dim", "8"]
+    assert main(
+        [
+            "tokenize", "--catalog", str(world / "catalog.tsv"), "--d-in", "8", *structure,
+            "--kind", "rqkmeans", "--seed", "5", "--iters", "20",
+            "--out-assignment", str(work / "raw.tsv"), "--out-model", str(work / "model.tsv"),
+        ]
+    ) == EXIT_OK
+    capsys.readouterr()
+    digests = {}
+
+    def run(name, argv):
+        assert main(argv) == EXIT_OK
+        digests[f"{name}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    sequences = ["--sequences", str(world / "train_sequences.tsv")]
+    assignment = ["--assignment", str(work / "raw.tsv")]
+    run("build-pretrain-corpus", [
+        "build-pretrain-corpus", *structure, *sequences, *assignment,
+        "--out", str(work / "corpus.txt"),
+    ])
+    run("train-scorer", [
+        "train-scorer", *structure, "--corpus", str(work / "corpus.txt"), "--order", "2",
+        "--out", str(work / "scorer.tsv"),
+    ])
+    scorer = ["--scorer", str(work / "scorer.tsv")]
+    for name, extra in RETRIEVE_RUNS.items():
+        run(name, ["retrieve", *scorer, *extra])
+    for name, extra in EVAL_HR_RUNS.items():
+        assert main([
+            "eval-hr", *scorer, *assignment, "--sequences", str(world / "eval_sequences.tsv"),
+            *extra, "--out", str(work / name),
+        ]) == EXIT_OK
+    for name in ("corpus.txt", "scorer.tsv", *EVAL_HR_RUNS):
+        digests[name] = _sha256(work / name)
+    return digests
+
+
+def test_retrieval_artifacts_match_golden_digests(world, tmp_path, capsys):
+    assert _run_retrieval(world, tmp_path, capsys) == RETRIEVAL_GOLDEN
