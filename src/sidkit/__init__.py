@@ -87,7 +87,6 @@ from .retrieval import (
     labeled_from_stream,
     load_markov_scorer,
     masked_batch_loss,
-    rec_loss,
     save_markov_scorer,
     slice_plan,
     sliced_loss,

@@ -77,7 +77,7 @@ class SemanticId:
     codes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", tuple(int(c) for c in self.codes))
+        object.__setattr__(self, "codes", tuple(map(int, self.codes)))
 
     def validate(self, structure: SidStructure) -> "SemanticId":
         if len(self.codes) != structure.num_levels:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (
-    Header, SemanticId, SidStructure, flat_tokens_to_sid, read_rows, sid_to_flat_tokens,
-)
+from .catalog import Header, SemanticId, SidStructure, read_rows, sid_to_flat_tokens
+# not called here; perfbench/test_tracer.py checks that tracing patches and
+# restores this module's binding of it
+from .catalog import flat_tokens_to_sid  # noqa: F401
 from .collision import AssignmentTable
 from .errors import DataError
 
@@ -35,11 +36,19 @@ class SequenceScorer:
     next_token_log_probs(context) returns log-probabilities over the token
     band of the NEXT level (index within the band = the level code), inferred
     from the context length mod m.  The entries exponentiate-and-sum to 1.
+
+    next_token_log_probs_batch(contexts) scores many contexts at once: it
+    takes a (B, L) int array whose rows share one length L, hence one next
+    level, and returns a (B, band) matrix whose row i equals
+    next_token_log_probs(contexts[i]).  The beam search calls only this one.
     """
 
     structure: SidStructure
 
     def next_token_log_probs(self, context) -> np.ndarray:
+        raise NotImplementedError
+
+    def next_token_log_probs_batch(self, contexts) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -71,19 +80,30 @@ class MarkovScorer(SequenceScorer):
             slot[token] = slot.get(token, 0) + 1
 
     def next_token_log_probs(self, context) -> np.ndarray:
-        context = [int(t) for t in context]
-        for t in context:
-            if not 0 <= t < self.structure.total_tokens:
-                raise DataError(f"token {t} outside the structure's token space")
-        level = len(context) % self.structure.num_levels
+        return self.next_token_log_probs_batch([[int(t) for t in context]])[0]
+
+    def next_token_log_probs_batch(self, contexts) -> np.ndarray:
+        """One count lookup per row, then one smoothing for the whole batch."""
+        contexts = np.asarray(contexts, dtype=np.int64)
+        if contexts.ndim != 2:
+            raise DataError(f"expected a (B, L) context matrix, got shape {contexts.shape}")
+        bad = (contexts < 0) | (contexts >= self.structure.total_tokens)
+        if bad.any():
+            raise DataError(f"token {contexts[bad][0]} outside the structure's token space")
+        length = contexts.shape[1]
+        level = length % self.structure.num_levels
         offset = self.structure.offsets[level]
         band = self.structure.level_sizes[level]
-        slot = self._counts.get(tuple(context[-self.order :]), {})
-        counts = np.zeros(band)
-        for token, count in slot.items():
-            if offset <= token < offset + band:
-                counts[token - offset] = count
-        probs = (counts + self.alpha) / (counts.sum() + self.alpha * band)
+        rows, cols, values = [], [], []
+        for i, key in enumerate(contexts[:, max(0, length - self.order) :].tolist()):
+            for token, count in self._counts.get(tuple(key), {}).items():
+                if offset <= token < offset + band:
+                    rows.append(i)
+                    cols.append(token - offset)
+                    values.append(count)
+        counts = np.zeros((len(contexts), band))
+        counts[rows, cols] = values
+        probs = (counts + self.alpha) / (counts.sum(axis=1, keepdims=True) + self.alpha * band)
         return np.log(probs)
 
 
@@ -168,15 +188,6 @@ def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
     if scored == 0:
         raise DataError("no scorable position")
     return total / scored
-
-
-def rec_loss(scorer: SequenceScorer, example: LabeledSequence) -> float:
-    """Mean negative log-probability over the scored positions.
-
-    The label at position t is predicted from tokens[:t], so labels normally
-    copy the tokens with the unscored prefix replaced by the sentinel.
-    """
-    return _scored_loss(scorer, [example])
 
 
 @dataclass(frozen=True)
@@ -273,31 +284,46 @@ def dynamic_beam_search(
     Level j keeps the widths[j] best partial sequences; equal scores order by
     token tuple.  The returned log-probs are plain sums of scorer outputs, so
     with widths covering the full vocabulary this is exhaustive enumeration.
+
+    The beams are a (B, level) token matrix plus a score vector, and each
+    level scores all B contexts in one next_token_log_probs_batch call.
+    Selection partitions the B x band candidate scores for the widths[j]-th
+    best, keeps every candidate scoring at least that (so ties at the cut all
+    stay in the pool), and lexsorts only that pool by descending score, then
+    token columns left to right: the same order a full sort would give.  A
+    NaN score raises DataError naming the level; -inf is a legal score.  The
+    context must be whole SIDs, so the first decoded token is a level-0 one.
     """
     structure = scorer.structure
     schedule.validate(structure)
     if k > schedule.widths[-1]:
         raise DataError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
-    context = tuple(int(t) for t in context)
-    beams: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    context = np.asarray([int(t) for t in context], dtype=np.int64)
+    if len(context) % structure.num_levels:
+        raise DataError(f"context of {len(context)} tokens is not a whole number of SIDs")
+    beams = np.empty((1, 0), dtype=np.int64)
+    scores = np.zeros(1)
     for level, width in enumerate(schedule.widths):
         band = structure.level_sizes[level]
-        offset = structure.offsets[level]
-        scores = np.empty(len(beams) * band)
-        tokens = np.empty((len(beams) * band, level + 1), dtype=np.int64)
-        for i, (logp, partial) in enumerate(beams):
-            step = scorer.next_token_log_probs(context + partial)
-            rows = slice(i * band, (i + 1) * band)
-            scores[rows] = logp + step
-            tokens[rows, : level] = partial
-            tokens[rows, level] = np.arange(band) + offset
+        contexts = np.concatenate(
+            (np.broadcast_to(context, (len(beams), len(context))), beams), axis=1)
+        step = scorer.next_token_log_probs_batch(contexts)
+        candidates = (scores[:, None] + step).ravel()
+        if np.isnan(candidates).any():
+            raise DataError(f"scorer returned NaN log-probabilities at level {level}")
+        if len(candidates) > width:
+            cut = np.partition(candidates, len(candidates) - width)[len(candidates) - width]
+            pool = np.flatnonzero(candidates >= cut)
+        else:
+            pool = np.arange(len(candidates))
+        parent, code = np.divmod(pool, band)
+        tokens = np.concatenate((beams[parent], (code + structure.offsets[level])[:, None]), axis=1)
         # primary key: descending score; then token columns left to right
-        keys = tuple(tokens[:, j] for j in reversed(range(level + 1))) + (-scores,)
-        order = np.lexsort(keys)[:width]
-        beams = [(float(scores[i]), tuple(int(t) for t in tokens[i])) for i in order]
-    return [
-        (flat_tokens_to_sid(tokens, structure), logp) for logp, tokens in beams[:k]
-    ]
+        keys = tuple(tokens[:, j] for j in reversed(range(level + 1))) + (-candidates[pool],)
+        keep = np.lexsort(keys)[:width]
+        beams, scores = tokens[keep], candidates[pool[keep]]
+    codes = (beams[:k] - np.asarray(structure.offsets)).tolist()
+    return [(SemanticId(c), logp) for c, logp in zip(codes, scores[:k].tolist())]
 
 
 # ---------------------------------------------------------------------------

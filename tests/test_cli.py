@@ -183,6 +183,16 @@ class TestRetrieve:
         )
         assert code == EXIT_DATA
 
+    def test_partial_token_context_rejected(self, pipeline, capsys):
+        code = main(
+            [
+                "retrieve", "--scorer", str(pipeline / "scorer.tsv"),
+                "--beam", "10,20", "--k", "3", "--context", "0",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "whole number of SIDs" in capsys.readouterr().err
+
 
 class TestEvalSid:
     def test_prints_metric_table_and_csv(self, pipeline, toy_dir, tmp_path, capsys):

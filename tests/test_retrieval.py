@@ -6,11 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidkit.catalog import (
     InteractionSequence,
     SemanticId,
     SidStructure,
+    flat_tokens_to_sid,
     sid_to_flat_tokens,
 )
 from sidkit.collision import AssignmentTable
@@ -20,6 +23,7 @@ from sidkit.retrieval import (
     BeamSchedule,
     LabeledSequence,
     MarkovScorer,
+    SequenceScorer,
     SlicePlan,
     build_useraction_corpus,
     default_schedule,
@@ -29,7 +33,6 @@ from sidkit.retrieval import (
     load_corpus,
     load_markov_scorer,
     masked_batch_loss,
-    rec_loss,
     save_corpus,
     save_markov_scorer,
     sequence_context,
@@ -121,36 +124,117 @@ class TestMarkovScorer:
             MarkovScorer(two_by_two(), alpha=0.0)
 
 
+def loop_log_probs(scorer, context):
+    """Reference: one context scored with per-token count lookups and a
+    one-dimensional sum, as a single-context scorer would."""
+    structure = scorer.structure
+    level = len(context) % structure.num_levels
+    offset, band = structure.offsets[level], structure.level_sizes[level]
+    counts = np.zeros(band)
+    for token, count in scorer._counts.get(tuple(context[-scorer.order :]), {}).items():
+        if offset <= token < offset + band:
+            counts[token - offset] = count
+    return np.log((counts + scorer.alpha) / (counts.sum() + scorer.alpha * band))
+
+
+@st.composite
+def small_structures(draw):
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    return SidStructure(tuple(sizes), code_dim=2)
+
+
+@st.composite
+def count_scorers(draw, structure):
+    """A Markov scorer on a few random streams: integer counts, many contexts
+    never seen (and no counts at all when the corpus is empty)."""
+    order = draw(st.integers(1, 3), label="order")
+    alpha = draw(st.sampled_from([0.1, 1.0, 2.5]), label="alpha")
+    n_sids = draw(st.lists(st.integers(1, 3), max_size=4), label="stream lengths")
+    streams = []
+    for n in n_sids:
+        streams.append([
+            offset + draw(st.integers(0, size - 1))
+            for _ in range(n)
+            for offset, size in zip(structure.offsets, structure.level_sizes)
+        ])
+    return train_markov_scorer(streams, structure, order=order, alpha=alpha)
+
+
+class TestScorerBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_bit_equal_single_context_scoring(self, data):
+        """Contexts of any length, shorter than the order or not, seen in
+        training or not, from any band: every batch row equals the loop
+        reference and next_token_log_probs bit for bit."""
+        structure = data.draw(small_structures(), label="structure")
+        scorer = data.draw(count_scorers(structure))
+        length = data.draw(st.integers(0, 2 * structure.num_levels + 1), label="length")
+        token = st.integers(0, structure.total_tokens - 1)
+        contexts = data.draw(
+            st.lists(st.lists(token, min_size=length, max_size=length), min_size=1, max_size=6),
+            label="contexts",
+        )
+        batch = scorer.next_token_log_probs_batch(np.array(contexts, dtype=np.int64).reshape(
+            len(contexts), length))
+        level = length % structure.num_levels
+        assert batch.shape == (len(contexts), structure.level_sizes[level])
+        for row, context in zip(batch, contexts):
+            want = loop_log_probs(scorer, context)
+            assert row.tobytes() == want.tobytes()
+            assert scorer.next_token_log_probs(context).tobytes() == want.tobytes()
+
+    def test_empty_context_rows(self):
+        scorer = hand_scorer()
+        batch = scorer.next_token_log_probs_batch(np.empty((3, 0), dtype=np.int64))
+        for row in batch:
+            assert row.tobytes() == scorer.next_token_log_probs([]).tobytes()
+        np.testing.assert_allclose(np.exp(batch[0]), [2.1 / 3.2, 1.1 / 3.2], rtol=1e-12)
+
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    @pytest.mark.parametrize("bad_token", [-1, 4, 99])
+    def test_bad_token_in_any_row_rejected(self, bad_row, bad_token):
+        contexts = [[0, 2], [1, 3], [0, 3]]
+        contexts[bad_row][1] = bad_token
+        with pytest.raises(DataError, match=f"token {bad_token} outside"):
+            hand_scorer().next_token_log_probs_batch(contexts)
+
+    def test_contexts_must_be_a_matrix(self):
+        with pytest.raises(DataError, match="matrix"):
+            hand_scorer().next_token_log_probs_batch([0, 2])
+
+
 class TestRecLoss:
+    """The recommendation loss of one example: masked_batch_loss([example])."""
+
     def test_hand_computed_value(self):
         scorer = hand_scorer()
         example = labeled_from_stream([0, 2], scored_from=0)
         want = (-math.log(2.1 / 3.2) - math.log(0.5)) / 2
-        assert rec_loss(scorer, example) == pytest.approx(want, rel=1e-12)
+        assert masked_batch_loss(scorer, [example]) == pytest.approx(want, rel=1e-12)
 
     def test_untrained_scorer_gives_log_band(self):
         scorer = MarkovScorer(two_by_two(), order=2)
         example = labeled_from_stream([0, 2, 1, 3], scored_from=0)
-        assert rec_loss(scorer, example) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert masked_batch_loss(scorer, [example]) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_sentinel_prefix_skipped(self):
         scorer = hand_scorer()
         example = labeled_from_stream([0, 2], scored_from=1)
         assert example.labels == (SENTINEL, 2)
         want = -math.log(0.5)
-        assert rec_loss(scorer, example) == pytest.approx(want, rel=1e-12)
+        assert masked_batch_loss(scorer, [example]) == pytest.approx(want, rel=1e-12)
 
     def test_label_band_violation_rejected(self):
         scorer = hand_scorer()
         example = LabeledSequence(tokens=(0, 2), labels=(SENTINEL, 0))
         with pytest.raises(DataError):
-            rec_loss(scorer, example)
+            masked_batch_loss(scorer, [example])
 
     @pytest.mark.parametrize("loss", [
-        lambda scorer, ex: rec_loss(scorer, ex),
         lambda scorer, ex: masked_batch_loss(scorer, [ex]),
         lambda scorer, ex: sliced_loss(scorer, [ex]),
-    ], ids=["rec", "masked", "sliced"])
+    ], ids=["masked", "sliced"])
     def test_every_loss_rejects_label_below_band(self, loss):
         """Label 1 sits in level 0's band, not level 1's; indexing the level-1
         log-probs with 1 - offset would wrap to the last entry."""
@@ -268,6 +352,42 @@ def exhaustive_decode(scorer, context, k):
     return results[:k]
 
 
+def tuple_beam_search(scorer, context, schedule, k):
+    """Reference: the beam as a list of (score, token tuple) pairs, scored
+    one beam at a time and fully lexsorted at every level."""
+    structure = scorer.structure
+    context = tuple(int(t) for t in context)
+    beams = [(0.0, ())]
+    for level, width in enumerate(schedule.widths):
+        band = structure.level_sizes[level]
+        offset = structure.offsets[level]
+        scores = np.empty(len(beams) * band)
+        tokens = np.empty((len(beams) * band, level + 1), dtype=np.int64)
+        for i, (logp, partial) in enumerate(beams):
+            step = scorer.next_token_log_probs(context + partial)
+            rows = slice(i * band, (i + 1) * band)
+            scores[rows] = logp + step
+            tokens[rows, :level] = partial
+            tokens[rows, level] = np.arange(band) + offset
+        keys = tuple(tokens[:, j] for j in reversed(range(level + 1))) + (-scores,)
+        order = np.lexsort(keys)[:width]
+        beams = [(float(scores[i]), tuple(int(t) for t in tokens[i])) for i in order]
+    return [(flat_tokens_to_sid(tokens, structure), logp) for logp, tokens in beams[:k]]
+
+
+class StepScorer(SequenceScorer):
+    """Stub scorer: every context at level j gets the fixed row steps[j]."""
+
+    def __init__(self, structure, steps):
+        self.structure = structure
+        self.steps = [np.asarray(row, dtype=np.float64) for row in steps]
+
+    def next_token_log_probs_batch(self, contexts):
+        contexts = np.asarray(contexts)
+        level = contexts.shape[1] % self.structure.num_levels
+        return np.tile(self.steps[level], (len(contexts), 1))
+
+
 class TestDynamicBeamSearch:
     def setup_method(self):
         self.structure = SidStructure((4, 4, 4), code_dim=2)
@@ -317,6 +437,58 @@ class TestDynamicBeamSearch:
         narrow = dynamic_beam_search(self.scorer, context, BeamSchedule((1, 1, 1)), k=1)
         wide = dynamic_beam_search(self.scorer, context, BeamSchedule((4, 16, 64)), k=1)
         assert wide[0][1] >= narrow[0][1] - 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_array_beam_equals_tuple_beam(self, data):
+        """Integer-count scorers and unseen contexts give uniform rows, so
+        tied scores straddle the cut; widths fall below and above
+        beams x band, and k below the final width.  SIDs and log-probs must
+        equal the tuple-list reference exactly."""
+        structure = data.draw(small_structures(), label="structure")
+        scorer = data.draw(count_scorers(structure))
+        length = structure.num_levels * data.draw(st.integers(0, 2), label="context SIDs")
+        context = data.draw(st.lists(
+            st.integers(0, structure.total_tokens - 1), min_size=length, max_size=length),
+            label="context")
+        widths = data.draw(st.lists(
+            st.integers(1, 3 * max(structure.level_sizes) ** 2),
+            min_size=structure.num_levels, max_size=structure.num_levels), label="widths")
+        schedule = BeamSchedule(widths)
+        k = data.draw(st.integers(1, widths[-1]), label="k")
+        got = dynamic_beam_search(scorer, context, schedule, k)
+        want = tuple_beam_search(scorer, context, schedule, k)
+        assert got == want
+        assert all(type(logp) is float for _, logp in got)
+
+    def test_ties_at_the_cut_keep_the_smallest_tokens(self):
+        """Untrained: every candidate ties, so each level keeps the
+        lexicographically first widths[j] partial SIDs."""
+        scorer = MarkovScorer(self.structure, order=2)
+        got = dynamic_beam_search(scorer, [], BeamSchedule((3, 5, 7)), k=7)
+        assert [sid.codes for sid, _ in got] == [
+            (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 1), (0, 1, 2)
+        ]
+        assert got == tuple_beam_search(scorer, [], BeamSchedule((3, 5, 7)), 7)
+
+    def test_partial_sid_context_rejected(self):
+        with pytest.raises(DataError, match="whole number of SIDs"):
+            dynamic_beam_search(self.scorer, [0, 4], BeamSchedule((4, 8, 8)), k=1)
+
+    def test_nan_step_names_the_level(self):
+        steps = [np.log([0.5, 0.5]), [np.nan, 0.0], np.log([0.5, 0.5])]
+        scorer = StepScorer(SidStructure((2, 2, 2), code_dim=2), steps)
+        with pytest.raises(DataError, match="level 1"):
+            dynamic_beam_search(scorer, [], BeamSchedule((2, 2, 2)), k=2)
+
+    def test_minus_inf_is_a_legal_score(self):
+        """A -inf threshold keeps every candidate in the pool; -inf results
+        sort after every finite one, ties by tokens."""
+        steps = [[0.0, -np.inf, -np.inf], [-np.inf, -np.inf, np.log(0.5)]]
+        scorer = StepScorer(SidStructure((3, 3), code_dim=2), steps)
+        got = dynamic_beam_search(scorer, [], BeamSchedule((2, 4)), k=4)
+        assert [sid.codes for sid, _ in got] == [(0, 2), (0, 0), (0, 1), (1, 0)]
+        assert [logp for _, logp in got] == [math.log(0.5), -math.inf, -math.inf, -math.inf]
 
 
 def toy_assignment():
