@@ -175,8 +175,7 @@ class TestScorerBatch:
             st.lists(st.lists(token, min_size=length, max_size=length), min_size=1, max_size=6),
             label="contexts",
         )
-        batch = scorer.next_token_log_probs_batch(np.array(contexts, dtype=np.int64).reshape(
-            len(contexts), length))
+        batch = scorer.next_token_log_probs_batch(np.array(contexts, dtype=np.int64))
         level = length % structure.num_levels
         assert batch.shape == (len(contexts), structure.level_sizes[level])
         for row, context in zip(batch, contexts):
@@ -469,7 +468,6 @@ class TestDynamicBeamSearch:
         assert [sid.codes for sid, _ in got] == [
             (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 1), (0, 1, 2)
         ]
-        assert got == tuple_beam_search(scorer, [], BeamSchedule((3, 5, 7)), 7)
 
     def test_partial_sid_context_rejected(self):
         with pytest.raises(DataError, match="whole number of SIDs"):
