@@ -16,7 +16,6 @@ from .catalog import (
     SidStructure,
     flat_tokens_to_sid,
     format_sid_brackets,
-    level_of_token,
     load_item_catalog,
     load_sequences,
     parse_sid_brackets,
@@ -30,7 +29,6 @@ from .alignment import (
     AlignmentBatch,
     AlignmentConfig,
     ProjectionHead,
-    combined_alignment_loss,
     info_nce_loss,
     load_projection,
     save_projection,

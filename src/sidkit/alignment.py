@@ -81,23 +81,6 @@ def info_nce_loss(batch: AlignmentBatch, temperature: float = DEFAULT_TEMPERATUR
     return float(-log_softmax.diagonal().mean())
 
 
-def combined_alignment_loss(
-    text_batch: AlignmentBatch,
-    image_batch: AlignmentBatch,
-    fused_batch: AlignmentBatch,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> float:
-    """Sum of the per-modality contrastive terms (text + image + fused)."""
-    sizes = {text_batch.size, image_batch.size, fused_batch.size}
-    if len(sizes) != 1:
-        raise ValueError(f"batch sizes differ: {sorted(sizes)}")
-    return (
-        info_nce_loss(text_batch, temperature)
-        + info_nce_loss(image_batch, temperature)
-        + info_nce_loss(fused_batch, temperature)
-    )
-
-
 def projection_loss(
     weight: Tensor,
     bias: Tensor,

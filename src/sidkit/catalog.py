@@ -226,14 +226,6 @@ def flat_tokens_to_sid(tokens: Sequence[int], structure: SidStructure) -> Semant
     return SemanticId(tuple(codes))
 
 
-def level_of_token(token: int, structure: SidStructure) -> int:
-    """Level whose band contains the token."""
-    for j, (off, n) in enumerate(zip(structure.offsets, structure.level_sizes)):
-        if off <= token < off + n:
-            return j
-    raise DataError(f"token {token} outside every level band")
-
-
 def render_sid_string(sid: SemanticId, structure: SidStructure) -> str:
     """Render as `C{t_1}C{t_2}...C{t_m}` over flat tokens, no separators."""
     return "".join(f"C{t}" for t in sid_to_flat_tokens(sid, structure))

@@ -1,12 +1,14 @@
 """Bounding items-per-SID after raw assignment.
 
-Raw content-based assignment lets popular regions of embedding space pile
-many items onto one semantic id.  The policies here repair that online, item
-by item in catalog order: the knn policy walks outward through the nearest
-last-level codewords until it finds one with headroom, the random policy
+An assignment is an `AssignmentTable`: the item ids in order plus one (N, m)
+int64 code matrix whose row i is the SID of item i.  Raw content-based
+assignment lets popular regions of embedding space pile many items onto one
+SID.  Each policy here computes a whole code matrix and builds its table
+once: knn streams the items in catalog order and walks outward through the
+nearest last-level codewords until one has headroom, the random policy
 cycles the last code per prefix, merge deliberately re-concentrates small
-SIDs (the fairness-degrading inverse used for ablations), and noco leaves the
-raw table untouched.
+SIDs (the fairness-degrading inverse used for ablations), and noco leaves
+the raw table untouched.
 """
 
 from __future__ import annotations
@@ -24,81 +26,102 @@ DEFAULT_SIGMA = 25
 
 
 class AssignmentTable:
-    """item_id -> SemanticId with an occupancy count per SID.
+    """Item ids in insertion order plus one (N, m) int64 code matrix.
 
-    Insertion order is preserved.  Occupancy lives in a per-prefix index,
-    prefix -> {last-level code: count}, maintained incrementally: it always
-    equals the multiset of mapped SIDs and holds no zero counts or empty
-    prefixes, so the occupied siblings of a SID are one dict lookup away.
+    Row i is the SID of the i-th item; nothing else is stored.  Occupancy and
+    each SID's members, in ascending id, come from one stable lexsort over
+    the item id and the code columns, built on the first read after a change.
+    Codes are never packed into one integer key, so (256,) * 8 works.  The
+    constructor rejects a duplicate id or an out-of-band code with DataError.
+    `assign` copies the matrix on an insert, so it is for single edits.
     """
 
-    def __init__(self, structure: SidStructure, mapping: dict[str, SemanticId] | None = None):
+    def __init__(self, structure: SidStructure, item_ids=(), codes=()):
         self.structure = structure
-        self._map: dict[str, SemanticId] = {}
-        self._index: dict[tuple[int, ...], dict[int, int]] = {}
-        self._members: dict[tuple[int, ...], set[str]] = {}
-        if mapping:
-            for item_id, sid in mapping.items():
-                self.assign(item_id, sid)
+        ids = list(item_ids)
+        self._rows = dict(zip(ids, range(len(ids))))  # id -> matrix row, in order
+        if len(self._rows) < len(ids):
+            dup = next(item_id for i, item_id in enumerate(ids) if self._rows[item_id] != i)
+            raise DataError(f"duplicate item_id {dup!r}")
+        codes = np.array(codes, dtype=np.int64)
+        self._codes = codes.reshape(0, structure.num_levels) if codes.size == 0 else codes
+        if self._codes.shape != (len(ids), structure.num_levels):
+            raise DataError(f"expected a ({len(ids)}, {structure.num_levels}) code matrix, "
+                            f"got {codes.shape}")
+        bad = np.argwhere((self._codes < 0) | (self._codes >= structure.level_sizes))
+        if bad.size:
+            i, j = bad[0]
+            raise DataError(f"item {ids[i]!r}: code {self._codes[i, j]} out of range "
+                            f"[0, {structure.level_sizes[j]}) at level {j}")
+        self._groups = self._sids = None
 
     def assign(self, item_id: str, sid: SemanticId) -> None:
-        """Insert or move an item; occupancy follows."""
-        sid.validate(self.structure)
-        old = self._map.get(item_id)
-        if old is not None:
-            codes = old.codes
-            siblings = self._index[codes[:-1]]
-            siblings[codes[-1]] -= 1
-            self._members[codes].discard(item_id)
-            if siblings[codes[-1]] == 0:
-                del siblings[codes[-1]]
-                del self._members[codes]
-                if not siblings:
-                    del self._index[codes[:-1]]
-        self._map[item_id] = sid
-        codes = sid.codes
-        siblings = self._index.setdefault(codes[:-1], {})
-        siblings[codes[-1]] = siblings.get(codes[-1], 0) + 1
-        self._members.setdefault(codes, set()).add(item_id)
+        """Insert or move one item."""
+        codes = sid.validate(self.structure).codes
+        row = self._rows.get(item_id)
+        if row is None:
+            self._rows[item_id] = len(self._rows)
+            self._codes = np.vstack([self._codes, codes])
+        else:
+            self._codes[row] = codes
+        self._groups = self._sids = None
+
+    def _sid_list(self) -> list[SemanticId]:
+        """Row i's SID as a SemanticId, built on the first read after a change."""
+        if self._sids is None:
+            self._sids = list(map(SemanticId, self._codes.tolist()))
+        return self._sids
+
+    def _members(self) -> dict[tuple[int, ...], list[str]]:
+        """Occupied SID -> its item ids in ascending order, built on the first
+        read after a change."""
+        if self._groups is None:
+            ids = list(self._rows)
+            by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+            order = by_id[np.lexsort(self._codes[by_id].T[::-1])]
+            codes = self._codes[order]
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+            starts = np.flatnonzero(new).tolist()
+            members = [ids[i] for i in order.tolist()]
+            self._groups = {tuple(codes[a].tolist()): members[a:b]
+                            for a, b in zip(starts, starts[1:] + [len(order)])}
+        return self._groups
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._rows)
 
     def __contains__(self, item_id: str) -> bool:
-        return item_id in self._map
+        return item_id in self._rows
 
     def __iter__(self):
-        return iter(self._map)
+        return iter(self._rows)
 
     def __getitem__(self, item_id: str) -> SemanticId:
         try:
-            return self._map[item_id]
+            return self._sid_list()[self._rows[item_id]]
         except KeyError:
             raise DataError(f"item {item_id!r} has no assigned SID") from None
 
-    def items(self):
-        return self._map.items()
+    def items(self) -> list[tuple[str, SemanticId]]:
+        return list(zip(self._rows, self._sid_list()))
 
     def occupancy_of(self, sid: SemanticId | tuple[int, ...]) -> int:
         codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
-        return self._index.get(codes[:-1], {}).get(codes[-1], 0)
+        return len(self._members().get(codes, ()))
 
     @property
     def occupancy(self) -> dict[tuple[int, ...], int]:
-        """Occupied SIDs only; zeros are implicit."""
-        return {
-            prefix + (code,): count
-            for prefix, siblings in self._index.items()
-            for code, count in siblings.items()
-        }
+        """Occupied SIDs only, in ascending codes; zeros are implicit."""
+        return {codes: len(ids) for codes, ids in self._members().items()}
 
     def items_for_sid(self, sid: SemanticId | tuple[int, ...]) -> list[str]:
         """Member item ids in ascending id order."""
         codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
-        return sorted(self._members.get(codes, ()))
+        return list(self._members().get(codes, ()))
 
     def copy(self) -> "AssignmentTable":
-        return AssignmentTable(self.structure, dict(self._map))
+        return AssignmentTable(self.structure, self._rows, self._codes)
 
 
 def raw_assignment(catalog, model: QuantizerModel) -> AssignmentTable:
@@ -107,15 +130,11 @@ def raw_assignment(catalog, model: QuantizerModel) -> AssignmentTable:
     The random-baseline quantizer has no content path; its items draw uniform
     codes from the model seed instead.
     """
-    table = AssignmentTable(model.structure)
     if model.kind == "random":
-        for item_id, sid in assign_random(catalog.item_ids, model.structure, model.seed).items():
-            table.assign(item_id, sid)
-        return table
-    codes = model.assign_batch(catalog.embedding_matrix())
-    for item_id, row in zip(catalog.item_ids, codes):
-        table.assign(item_id, SemanticId(tuple(int(c) for c in row)))
-    return table
+        codes = assign_random(catalog.item_ids, model.structure, model.seed)
+    else:
+        codes = model.assign_batch(catalog.embedding_matrix())
+    return AssignmentTable(model.structure, catalog.item_ids, codes)
 
 
 def apply_noco_policy(table: AssignmentTable) -> AssignmentTable:
@@ -143,21 +162,17 @@ def apply_knn_policy(
     k = n_m if k_candidates is None else min(int(k_candidates), n_m)
     if k < 1:
         raise DataError("k_candidates must be >= 1")
-    table = AssignmentTable(model.structure)
     prefixes, orders = model.rank_last_level_batch(catalog.embedding_matrix())
-    for i, item_id in enumerate(catalog.item_ids):
-        prefix = tuple(int(c) for c in prefixes[i])
-        candidates = orders[i, :k]
-        chosen = None
-        for c in candidates:
-            if table.occupancy_of(prefix + (int(c),)) < sigma:
-                chosen = int(c)
-                break
+    loads: dict[tuple[int, ...], list[int]] = {}  # prefix -> items per last code so far
+    last = []
+    for prefix, candidates in zip(map(tuple, prefixes.tolist()), orders[:, :k].tolist()):
+        load = loads.setdefault(prefix, [0] * n_m)
+        chosen = next((c for c in candidates if load[c] < sigma), None)
         if chosen is None:
-            loads = [(table.occupancy_of(prefix + (int(c),)), int(c)) for c in candidates]
-            chosen = min(loads)[1]
-        table.assign(item_id, SemanticId(prefix + (chosen,)))
-    return table
+            chosen = min(candidates, key=lambda c: (load[c], c))
+        load[chosen] += 1
+        last.append(chosen)
+    return AssignmentTable(model.structure, catalog.item_ids, np.column_stack([prefixes, last]))
 
 
 def apply_random_policy(catalog, model: QuantizerModel) -> AssignmentTable:
@@ -170,67 +185,50 @@ def apply_random_policy(catalog, model: QuantizerModel) -> AssignmentTable:
     if structure.num_levels < 2:
         raise DataError("random policy overwrites the last level; structure needs m >= 2")
     n_m = structure.level_sizes[-1]
-    table = AssignmentTable(structure)
     prefixes, _ = model.rank_last_level_batch(catalog.embedding_matrix())
     counters: dict[tuple[int, ...], int] = {}
-    for i, item_id in enumerate(catalog.item_ids):
-        prefix = tuple(int(c) for c in prefixes[i])
+    last = []
+    for prefix in map(tuple, prefixes.tolist()):
         idx = counters.get(prefix, 0)
-        table.assign(item_id, SemanticId(prefix + (idx,)))
+        last.append(idx)
         counters[prefix] = (idx + 1) % n_m
-    return table
+    return AssignmentTable(structure, catalog.item_ids, np.column_stack([prefixes, last]))
 
 
 def apply_merge_policy(
     table: AssignmentTable, codebooks, merge_threshold: int
 ) -> AssignmentTable:
-    """Fold small SIDs into bigger siblings under the same prefix.
+    """Fold small SIDs, those holding fewer than merge_threshold items, into
+    bigger siblings under the same prefix.
 
-    Small SIDs, those whose occupancy sits in (0, merge_threshold), are
-    visited in ascending (occupancy, codes) order.  Each sends its items to
-    the nearest sibling (last-level codeword distance, ties to the lowest
-    code) whose live occupancy is at least the threshold; if no sibling
-    qualifies, the largest-occupancy sibling takes them.  A SID with no other
-    occupied sibling keeps its items.  Distinct occupied SIDs never increase.
-
-    The end state per prefix has a closed form.  Where some SID starts at
-    the threshold, small SIDs never receive items, so the fallback never
-    runs and each small SID's items land in its nearest such starting SID.
-    Where no SID starts at the threshold, each visited SID empties into one
-    not yet visited, so every item of the prefix ends in its last small SID
-    in (occupancy, codes) order, whatever the fallback picks.
-
-    Siblings come from the table's per-prefix index, so beyond copying the
-    table and sorting the small SIDs the cost is O(items moved + siblings of
-    each small SID).
+    The result is read off each prefix's counts.  If some SID of the prefix
+    holds at least the threshold, each small SID moves whole to the nearest
+    such SID (squared distance between last-level codewords, ties to the
+    lowest code).  Otherwise every item of the prefix moves to its largest
+    SID (ties to the highest code), so a lone SID keeps its items.  This is
+    the end state of visiting the small SIDs in ascending (occupancy, codes)
+    order, each moving to its nearest sibling at the threshold, else to its
+    largest sibling.  Distinct occupied SIDs never increase.
     """
-    result = table.copy()
     if merge_threshold <= 0:
-        return result
+        return table.copy()
     last_table = codebooks.levels[-1]
-    snapshot = table.occupancy
-    small = sorted(
-        (codes for codes, count in snapshot.items() if 0 < count < merge_threshold),
-        key=lambda codes: (snapshot[codes], codes),
-    )
-    for codes in small:
-        prefix, code = codes[:-1], codes[-1]
-        counts = result._index.get(prefix, {})
-        if code not in counts:
-            continue
-        siblings = [other for other in counts if other != code]
-        if not siblings:
-            continue
-        big = [s for s in siblings if counts[s] >= merge_threshold]
+    by_prefix: dict[tuple[int, ...], dict[int, int]] = {}
+    for codes, count in table.occupancy.items():
+        by_prefix.setdefault(codes[:-1], {})[codes[-1]] = count
+    dest: dict[tuple[int, ...], int] = {}  # small SID -> its new last code
+    for prefix, counts in by_prefix.items():
+        small = [c for c, n in counts.items() if n < merge_threshold]
+        big = sorted(c for c, n in counts.items() if n >= merge_threshold)
         if big:
-            d2 = {s: float(((last_table[s] - last_table[code]) ** 2).sum()) for s in big}
-            target = min(big, key=lambda s: (d2[s], s))
+            d2 = ((last_table[small][:, None] - last_table[big]) ** 2).sum(axis=2)
+            targets = [big[i] for i in d2.argmin(axis=1).tolist()]  # first minimum: lowest code
         else:
-            target = min(siblings, key=lambda s: (-counts[s], s))
-        target_sid = SemanticId(prefix + (target,))
-        for item_id in result.items_for_sid(codes):
-            result.assign(item_id, target_sid)
-    return result
+            targets = [max(counts, key=lambda c: (counts[c], c))] * len(small)
+        dest.update((prefix + (c,), t) for c, t in zip(small, targets))
+    codes = table._codes.copy()
+    codes[:, -1] = [dest.get(tuple(row), row[-1]) for row in codes.tolist()]
+    return AssignmentTable(table.structure, table, codes)
 
 
 @dataclass
@@ -264,13 +262,14 @@ def save_assignment(table: AssignmentTable, path) -> None:
 
 
 def load_assignment(path, structure: SidStructure) -> AssignmentTable:
-    """Read an assignment TSV; a duplicate item or an out-of-band code is an error."""
-    table = AssignmentTable(structure)
+    """Read an assignment TSV; a duplicate item or an out-of-band code is an
+    error that names its line."""
+    rows: dict[str, tuple[int, ...]] = {}
 
-    def assign(fields):
+    def parse(fields):
         item_id, sid = fields
-        if item_id in table:
+        if item_id in rows:
             raise DataError(f"duplicate item_id {item_id!r}")
-        table.assign(item_id, parse_sid_brackets(sid))
+        rows[item_id] = parse_sid_brackets(sid).validate(structure).codes
 
-    return read_rows(path, assign, lambda _: table)
+    return read_rows(path, parse, lambda _: AssignmentTable(structure, rows, list(rows.values())))

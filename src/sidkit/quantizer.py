@@ -405,10 +405,6 @@ class QuantizerModel:
             prefixes, Z = _residual_codes(Z, self.codebooks.levels[: m - 1])
         return prefixes, nearest_codewords(Z, self.codebooks.levels[-1], ranked=True)
 
-    def reconstruct(self, embedding: np.ndarray) -> np.ndarray:
-        """Decoder output for the quantized representation (rqvae only)."""
-        return self._reconstruct_batch(np.reshape(embedding, (1, -1)))[0]
-
     def _reconstruct_batch(self, X: np.ndarray) -> np.ndarray:
         """Encode, quantize the latents level by level, decode (rqvae only)."""
         if self.kind != "rqvae":
@@ -679,16 +675,12 @@ def train_multivq(embeddings, structure: SidStructure, config: RqvaeConfig) -> Q
 # Random baseline
 
 
-def assign_random(item_ids, structure: SidStructure, seed: int) -> dict[str, SemanticId]:
-    """Uniform independent codes per level per item; deterministic per seed."""
+def assign_random(item_ids, structure: SidStructure, seed: int) -> np.ndarray:
+    """Uniform independent codes per level per item, as an (N, m) matrix in
+    item order; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    ids = list(item_ids)
-    draws = np.stack(
-        [rng.integers(n_j, size=len(ids)) for n_j in structure.level_sizes], axis=1
-    )
-    return {
-        item_id: SemanticId(tuple(int(c) for c in row)) for item_id, row in zip(ids, draws)
-    }
+    n = len(item_ids)
+    return np.stack([rng.integers(n_j, size=n) for n_j in structure.level_sizes], axis=1)
 
 
 def random_model(structure: SidStructure, seed: int) -> QuantizerModel:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sidkit.alignment import (
     AlignmentBatch,
     AlignmentConfig,
-    combined_alignment_loss,
     info_nce_loss,
     load_projection,
     projection_loss,
@@ -64,25 +63,6 @@ class TestInfoNceValues:
     def test_batch_needs_two_rows(self):
         with pytest.raises(ValueError):
             AlignmentBatch(np.ones((1, 4)), np.ones((1, 4)))
-
-
-class TestCombinedLoss:
-    def test_sum_of_three_terms(self):
-        rng = np.random.default_rng(1)
-        batches = [
-            AlignmentBatch(rng.standard_normal((4, 5)), rng.standard_normal((4, 5)))
-            for _ in range(3)
-        ]
-        want = sum(info_nce_loss(b, 0.07) for b in batches)
-        got = combined_alignment_loss(*batches, temperature=0.07)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_mismatched_sizes_rejected(self):
-        rng = np.random.default_rng(2)
-        b4 = AlignmentBatch(rng.standard_normal((4, 5)), rng.standard_normal((4, 5)))
-        b3 = AlignmentBatch(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)))
-        with pytest.raises(ValueError):
-            combined_alignment_loss(b4, b4, b3)
 
 
 class TestProjectionLossGradient:

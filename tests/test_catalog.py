@@ -16,7 +16,6 @@ from sidkit.catalog import (
     as_embedding,
     flat_tokens_to_sid,
     format_sid_brackets,
-    level_of_token,
     load_item_catalog,
     load_sequences,
     parse_sid_brackets,
@@ -65,16 +64,6 @@ class TestSidStructure:
             SidStructure((4, 1), code_dim=4)
         with pytest.raises(ValueError):
             SidStructure((4,), code_dim=0)
-
-    def test_level_of_token_matches_bands(self):
-        s = SidStructure((3, 5, 2), code_dim=4)
-        levels = [level_of_token(t, s) for t in range(s.total_tokens)]
-        assert levels == [0, 0, 0, 1, 1, 1, 1, 1, 2, 2]
-        with pytest.raises(DataError):
-            level_of_token(10, s)
-        with pytest.raises(DataError):
-            level_of_token(-1, s)
-
 
 class TestSemanticId:
     def test_validate_checks_ranges(self):
@@ -125,7 +114,6 @@ class TestFlatTokens:
         assert flat_tokens_to_sid(tokens, structure).codes == sid.codes
         for j, t in enumerate(tokens):
             assert structure.offsets[j] <= t < structure.offsets[j] + structure.level_sizes[j]
-            assert level_of_token(t, structure) == j
 
     @settings(max_examples=200)
     @given(data=st.data())

@@ -108,6 +108,22 @@ def draw_merge_case(data):
     return table, books, threshold
 
 
+def streaming_knn(catalog, model, sigma, k):
+    """Reference knn over the same ranking: a count dict, a scan of the k
+    nearest codes for the first with headroom, else min((load, code))."""
+    prefixes, orders = model.rank_last_level_batch(catalog.embedding_matrix())
+    counts = Counter()
+    out = {}
+    for i, item_id in enumerate(catalog.item_ids):
+        prefix = tuple(int(c) for c in prefixes[i])
+        candidates = [int(c) for c in orders[i, :k]]
+        free = [c for c in candidates if counts[prefix + (c,)] < sigma]
+        code = free[0] if free else min((counts[prefix + (c,)], c) for c in candidates)[1]
+        counts[prefix + (code,)] += 1
+        out[item_id] = prefix + (code,)
+    return out
+
+
 def quadratic_merge(table, codebooks, merge_threshold):
     """Reference merge: for every small SID, scan all occupied SIDs of the
     table for its siblings."""
@@ -164,19 +180,20 @@ class TestAssignmentTable:
         ),
     )
     def test_prefix_index_matches_recount(self, m, moves):
-        """Assigns and moves in any order leave the per-prefix index equal to
-        a recount of the mapping, with no zero counts or empty prefixes."""
-        table = AssignmentTable(SidStructure((3,) * m, code_dim=2))
+        """Assigns and moves in any order leave what the table derives from
+        its code matrix, occupancy, occupancy_of and items_for_sid, equal to
+        a recount of items() after every step."""
+        structure = SidStructure((3,) * m, code_dim=2)
+        table = AssignmentTable(structure)
         for item, codes in moves:
             table.assign(f"it{item}", SemanticId(codes[:m]))
-        recount: dict[tuple[int, ...], dict[int, int]] = {}
-        for _, sid in table.items():
-            siblings = recount.setdefault(sid.codes[:-1], {})
-            siblings[sid.codes[-1]] = siblings.get(sid.codes[-1], 0) + 1
-        assert table._index == recount
-        assert all(siblings and all(n > 0 for n in siblings.values())
-                   for siblings in table._index.values())
-        assert table.occupancy == Counter(sid.codes for _, sid in table.items())
+            members: dict[tuple[int, ...], list[str]] = {}
+            for item_id, sid in table.items():
+                members.setdefault(sid.codes, []).append(item_id)
+            assert table.occupancy == {codes: len(ids) for codes, ids in members.items()}
+            for codes in itertools.product(range(3), repeat=m):
+                assert table.occupancy_of(codes) == len(members.get(codes, []))
+                assert table.items_for_sid(SemanticId(codes)) == sorted(members.get(codes, []))
 
     def test_members_listing_is_sorted(self):
         structure = SidStructure((2, 2), code_dim=2)
@@ -204,6 +221,28 @@ class TestAssignmentTable:
         table = AssignmentTable(SidStructure((2, 2), code_dim=2))
         with pytest.raises(DataError):
             table.assign("a", SemanticId((0, 5)))
+
+    def test_constructor_rejects_duplicate_id(self):
+        with pytest.raises(DataError, match="duplicate item_id 'a'"):
+            AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b", "a"],
+                            [[0, 0], [0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_constructor_rejects_out_of_band_code(self, bad):
+        with pytest.raises(DataError, match=f"item 'b': code {bad} out of range"):
+            AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b"], [[0, 0], [1, bad]])
+
+    def test_constructor_rejects_wrong_shape(self):
+        with pytest.raises(DataError, match="code matrix"):
+            AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b"], [[0, 0, 0], [1, 1, 1]])
+
+    def test_wide_structure_groups_without_packing(self):
+        """(256,) * 8 spans 2**64 SIDs, more than one int64 key can hold."""
+        structure = SidStructure((256,) * 8, code_dim=2)
+        table = AssignmentTable(structure, ["b", "a", "c"], [[255] * 8, [255] * 8, [0] * 8])
+        assert table.occupancy_of((255,) * 8) == 2
+        assert table.items_for_sid((255,) * 8) == ["a", "b"]
+        assert table.occupancy == {(0,) * 8: 1, (255,) * 8: 2}
 
 
 class TestKnnPolicy:
@@ -257,6 +296,30 @@ class TestKnnPolicy:
         knn = apply_knn_policy(catalog, model, sigma=1, k_candidates=1)
         for item_id in catalog.item_ids:
             assert knn[item_id] == raw[item_id]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_streaming_reference(self, data):
+        """Small worlds on an integer grid with k < n_m and sigma <= 3, so
+        many items share a prefix, every candidate fills up, and the
+        fallback's load ties are common."""
+        m = data.draw(st.integers(1, 2), label="m")
+        sizes = tuple(data.draw(st.lists(st.integers(2, 5), min_size=m, max_size=m)))
+        dim = data.draw(st.integers(1, 2), label="dim")
+        point = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        levels = [np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=np.float64)
+                  for n in sizes]
+        model = hand_model(sizes, levels)
+        points = data.draw(st.lists(point, min_size=1, max_size=30), label="points")
+        catalog = ItemCatalog(
+            [ItemRecord(f"i{i:02d}", np.array(p, dtype=np.float64)) for i, p in enumerate(points)],
+            d_in=dim,
+        )
+        k = data.draw(st.integers(1, sizes[-1] - 1), label="k")
+        sigma = data.draw(st.integers(1, 3), label="sigma")
+        table = apply_knn_policy(catalog, model, sigma=sigma, k_candidates=k)
+        expected = streaming_knn(catalog, model, sigma, k)
+        assert [(i, sid.codes) for i, sid in table.items()] == list(expected.items())
 
     def test_invalid_sigma_rejected(self):
         catalog = identical_catalog(2, [0.1, 0.0])
