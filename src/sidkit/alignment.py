@@ -94,20 +94,10 @@ def projection_loss(
     _checked_row_norms(positives.value, "projected positives")
     a_norm = anchors * (anchors * anchors).sum(axis=1, keepdims=True) ** -0.5
     p_norm = positives * (positives * positives).sum(axis=1, keepdims=True) ** -0.5
-    logits = (a_norm @ _transpose(p_norm)) * (1.0 / temperature)
+    logits = (a_norm @ p_norm.transpose()) * (1.0 / temperature)
     eye = Tensor(np.eye(batch.size))
     matched = (logits * eye).sum(axis=1)
     return (logsumexp_rows(logits) - matched).mean()
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.value.T, (t,))
-
-    def backward():
-        t._accumulate(out.grad.T)
-
-    out._backward = backward
-    return out
 
 
 @dataclass

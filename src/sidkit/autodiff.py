@@ -4,6 +4,9 @@ Just enough machinery for the small training loops in this package: scalar
 losses built from matmul/add/relu/exp/log/sqrt/sum chains over float64
 arrays, with broadcasting handled on the backward pass.  Not a general
 framework; every op the package needs is defined here and nothing more.
+A graph is single-use: backward runs once, and each op's closure receives
+its output's gradient and never refers to its output node, so a graph holds
+no cycle and refcounting frees it.  Gradients are never written in place.
 """
 
 from __future__ import annotations
@@ -47,10 +50,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.value.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -58,9 +58,9 @@ class Tensor:
         other = wrap(other)
         out = Tensor(self.value + other.value, (self, other))
 
-        def backward():
-            self._accumulate(out.grad)
-            other._accumulate(out.grad)
+        def backward(grad):
+            self._accumulate(grad)
+            other._accumulate(grad)
 
         out._backward = backward
         return out
@@ -80,9 +80,9 @@ class Tensor:
         other = wrap(other)
         out = Tensor(self.value * other.value, (self, other))
 
-        def backward():
-            self._accumulate(other.value * out.grad)
-            other._accumulate(self.value * out.grad)
+        def backward(grad):
+            self._accumulate(other.value * grad)
+            other._accumulate(self.value * grad)
 
         out._backward = backward
         return out
@@ -98,8 +98,8 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         out = Tensor(self.value**exponent, (self,))
 
-        def backward():
-            self._accumulate(exponent * self.value ** (exponent - 1.0) * out.grad)
+        def backward(grad):
+            self._accumulate(exponent * self.value ** (exponent - 1.0) * grad)
 
         out._backward = backward
         return out
@@ -108,9 +108,9 @@ class Tensor:
         other = wrap(other)
         out = Tensor(self.value @ other.value, (self, other))
 
-        def backward():
-            self._accumulate(out.grad @ other.value.T)
-            other._accumulate(self.value.T @ out.grad)
+        def backward(grad):
+            self._accumulate(grad @ other.value.T)
+            other._accumulate(self.value.T @ grad)
 
         out._backward = backward
         return out
@@ -120,17 +120,18 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = Tensor(np.maximum(self.value, 0.0), (self,))
 
-        def backward():
-            self._accumulate((self.value > 0.0) * out.grad)
+        def backward(grad):
+            self._accumulate((self.value > 0.0) * grad)
 
         out._backward = backward
         return out
 
     def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.value), (self,))
+        value = np.exp(self.value)
+        out = Tensor(value, (self,))
 
-        def backward():
-            self._accumulate(out.value * out.grad)
+        def backward(grad):
+            self._accumulate(value * grad)
 
         out._backward = backward
         return out
@@ -138,8 +139,8 @@ class Tensor:
     def log(self) -> "Tensor":
         out = Tensor(np.log(self.value), (self,))
 
-        def backward():
-            self._accumulate(out.grad / self.value)
+        def backward(grad):
+            self._accumulate(grad / self.value)
 
         out._backward = backward
         return out
@@ -152,8 +153,7 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def backward():
-            grad = out.grad
+        def backward(grad):
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
             self._accumulate(np.broadcast_to(grad, self.value.shape))
@@ -170,10 +170,19 @@ class Tensor:
         indices = np.asarray(indices, dtype=np.intp)
         out = Tensor(self.value[indices], (self,))
 
-        def backward():
-            grad = np.zeros_like(self.value)
-            np.add.at(grad, indices, out.grad)
-            self._accumulate(grad)
+        def backward(grad):
+            rows = np.zeros_like(self.value)
+            np.add.at(rows, indices, grad)
+            self._accumulate(rows)
+
+        out._backward = backward
+        return out
+
+    def transpose(self) -> "Tensor":
+        out = Tensor(self.value.T, (self,))
+
+        def backward(grad):
+            self._accumulate(grad.T)
 
         out._backward = backward
         return out
@@ -202,7 +211,7 @@ class Tensor:
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def wrap(x) -> Tensor:

@@ -185,7 +185,7 @@ def apply_random_policy(catalog, model: QuantizerModel) -> AssignmentTable:
     if structure.num_levels < 2:
         raise DataError("random policy overwrites the last level; structure needs m >= 2")
     n_m = structure.level_sizes[-1]
-    prefixes, _ = model.rank_last_level_batch(catalog.embedding_matrix())
+    prefixes = model.assign_batch(catalog.embedding_matrix())[:, :-1]
     counters: dict[tuple[int, ...], int] = {}
     last = []
     for prefix in map(tuple, prefixes.tolist()):

@@ -460,6 +460,7 @@ def rqvae_loss(
     codes: np.ndarray,
     commitment_beta: float,
     straight_through: bool = True,
+    z: Tensor | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Total rqvae objective for a batch under FROZEN code assignments.
 
@@ -469,10 +470,13 @@ def rqvae_loss(
     ||z - sg[r]||^2.  With straight_through=True the decoder consumes the
     quantized sum while gradients pass to the encoder unchanged; with False
     the decoder input is the differentiable gather of chosen codewords, which
-    is the configuration a finite-difference check can verify.
+    is the configuration a finite-difference check can verify.  z is the
+    encoder's graph output for X when the caller already ran it, typically
+    to assign the codes from its latents; otherwise the encoder runs here.
     """
     x_t = Tensor(X)
-    z = _forward_t(enc_weights, enc_biases, x_t)
+    if z is None:
+        z = _forward_t(enc_weights, enc_biases, x_t)
     quantized = None
     codebook_term = None
     commitment_term = None
@@ -528,26 +532,25 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
     dec_b = [Tensor(b) for b in dec.biases]
 
     batch_size = min(config.batch_size, X.shape[0])
-    first = X[:batch_size]
-    z_first = _forward_t(enc_w, enc_b, Tensor(first)).value
-    codebooks = _init_codebooks_from_latents(z_first, structure, rng)
+    codebooks = _init_codebooks_from_latents(enc.forward(X[:batch_size]), structure, rng)
     level_tensors = [Tensor(t) for t in codebooks.levels]
 
     params = enc_w + enc_b + dec_w + dec_b + level_tensors
     optimizer = AdamW(params, lr=config.learning_rate, betas=config.betas, eps=config.eps)
 
-    def encode_and_assign(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the stack views the live tables; assignment only reads them
-        z = _forward_t(enc_w, enc_b, Tensor(batch)).value
+    def batch_loss(batch: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+        # one encoder forward: its latents pick the codes, then feed the loss;
+        # the stack views the live tables, and assignment only reads them
+        z = _forward_t(enc_w, enc_b, Tensor(batch))
         stack = CodebookStack(structure, [t.value for t in level_tensors])
-        codes, _ = residual_assign_batch(z, stack)
-        return z, codes
+        codes, _ = residual_assign_batch(z.value, stack)
+        total, recon = rqvae_loss(
+            enc_w, enc_b, dec_w, dec_b, level_tensors, batch, codes, config.commitment_beta, z=z
+        )
+        return total, recon, z.value, codes
 
     def evaluate_full() -> tuple[float, float]:
-        _, codes = encode_and_assign(X)
-        total, recon = rqvae_loss(
-            enc_w, enc_b, dec_w, dec_b, level_tensors, X, codes, config.commitment_beta
-        )
+        total, recon, _, _ = batch_loss(X)
         return total.item(), recon.item()
 
     total0, recon0 = evaluate_full()
@@ -563,14 +566,10 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
         last_z, last_codes = None, None
         for start in range(0, X.shape[0], batch_size):
             idx = order[start : start + batch_size]
-            batch = X[idx]
-            z_b, codes = encode_and_assign(batch)
+            total, recon, z_b, codes = batch_loss(X[idx])
             for j in range(structure.num_levels):
                 used[j][codes[:, j]] = True
             last_z, last_codes = z_b, codes
-            total, recon = rqvae_loss(
-                enc_w, enc_b, dec_w, dec_b, level_tensors, batch, codes, config.commitment_beta
-            )
             if not np.isfinite(total.value):
                 raise NumericError(f"rqvae loss diverged at epoch {epoch}")
             optimizer.zero_grad()

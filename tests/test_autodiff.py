@@ -1,5 +1,7 @@
 """Reverse-mode gradients checked against central finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,11 @@ class TestMatmulAndReductions:
         a = rng.standard_normal((3, 4))
         check_grads(lambda x: (x.sum(axis=1, keepdims=True) * x).mean(), [a])
 
+    def test_transpose(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        check_grads(lambda x, y: ((x.transpose() @ y) ** 2.0).sum(), [a, b])
+
     def test_gather_rows_scatter_adds(self):
         """Repeated indices accumulate gradient onto the same source row."""
         rng = np.random.default_rng(7)
@@ -116,6 +123,48 @@ class TestMatmulAndReductions:
         out = (y + y).sum()
         out.backward()
         np.testing.assert_allclose(x.grad, [12.0])
+
+    def test_self_sum_doubles_the_gradient(self):
+        x = Tensor(np.array([1.5, -2.0]))
+        (x + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_shared_first_gradient_is_never_written_in_place(self, add_first):
+        """a + b hands both leaves the same gradient array; a further path
+        into a, before or after that, must leave b.grad as it was."""
+        a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))
+        paths = [(a + b).sum(), (a * 3.0).sum()]
+        (paths[0] + paths[1] if add_first else paths[1] + paths[0]).backward()
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+
+
+class TestGraphLifetime:
+    def test_no_op_leaves_a_cycle(self):
+        """A graph through every op, backpropagated or not, is freed by
+        refcount: the cyclic collector, switched off meanwhile, finds nothing."""
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(0.5, 2.0, (4, 3))
+
+        def graph():
+            x, y = Tensor(a), Tensor(b)
+            h = (x @ y).relu() + (x.transpose().gather_rows([0, 2]) ** 2.0).sum()
+            h = logsumexp_rows(h / (1.0 - x.detach().mean())) * x.exp().log().sqrt().sum()
+            return h.mean()
+
+        gc.collect()
+        gc.disable()
+        try:
+            out = graph()
+            out.backward()
+            del out
+            assert gc.collect() == 0
+            out = graph()
+            del out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAdamW:

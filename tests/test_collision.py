@@ -22,7 +22,15 @@ from sidkit.collision import (
     save_assignment,
 )
 from sidkit.errors import DataError
-from sidkit.quantizer import CodebookStack, QuantizerModel, RqkmeansConfig, train_rqkmeans
+from sidkit.quantizer import (
+    CodebookStack,
+    QuantizerModel,
+    RqkmeansConfig,
+    RqvaeConfig,
+    train_multivq,
+    train_rqkmeans,
+    train_rqvae,
+)
 from sidkit.sidmetrics import OccupancyVector, gini_coefficient
 
 from conftest import clustered_catalog
@@ -358,6 +366,25 @@ class TestRandomPolicy:
         model = hand_model((4,), [np.zeros((4, 2))])
         with pytest.raises(DataError):
             apply_random_policy(catalog, model)
+
+    @pytest.mark.parametrize("kind", ["rqkmeans", "rqvae", "multivq"])
+    def test_prefixes_equal_the_ranking_prefixes(self, kind):
+        """The policy keeps the prefixes assign_batch gives, which are the
+        ones rank_last_level_batch gives, for every content-based kind."""
+        catalog, _ = clustered_catalog(n_items=120, n_clusters=6, d_in=5, seed=4)
+        X = catalog.embedding_matrix()
+        structure = SidStructure((4, 3, 5), code_dim=3)
+        if kind == "rqkmeans":
+            model = train_rqkmeans(X, structure, RqkmeansConfig(seed=0))
+        else:
+            train = train_rqvae if kind == "rqvae" else train_multivq
+            model = train(X, structure, RqvaeConfig(epochs=3, warmup_epochs=1, batch_size=32,
+                                                    learning_rate=1e-3, hidden_dims=(8,)))
+        ranked, _ = model.rank_last_level_batch(X)
+        np.testing.assert_array_equal(model.assign_batch(X)[:, :-1], ranked)
+        table = apply_random_policy(catalog, model)
+        kept = np.array([table[item_id].codes[:-1] for item_id in catalog.item_ids])
+        np.testing.assert_array_equal(kept, ranked)
 
 
 class TestMergePolicy:

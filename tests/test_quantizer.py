@@ -1,5 +1,7 @@
 """Residual quantizers: assignment math, k-means, training, serialization."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -522,6 +524,74 @@ class TestRqvae:
         # with beta=0 the only encoder gradient is the straight-through
         # reconstruction path, so it must be non-zero
         assert np.abs(grads(True, 0.0)).max() > 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    )
+    def test_graph_forward_equals_numpy_forward_bitwise(self, seed, rows, dims):
+        """Training assigns codes from the graph forward's latents and
+        assign_batch from Mlp.forward's, so the two must be the same bits."""
+        rng = np.random.default_rng(seed)
+        weights = init_mlp(dims, rng).weights
+        mlp = Mlp(weights, [rng.standard_normal(w.shape[1]) for w in weights])
+        X = rng.standard_normal((rows, dims[0])) * 5.0
+        graph = quantizer._forward_t(
+            [Tensor(w) for w in mlp.weights], [Tensor(b) for b in mlp.biases], Tensor(X)
+        )
+        assert graph.value.tobytes() == mlp.forward(X).tobytes()
+
+    def test_one_encoder_forward_per_batch(self, monkeypatch):
+        """Each batch, and the full-data evaluation before training, runs one
+        encoder and one decoder graph forward; initialization runs none."""
+        calls = []
+        graph_forward = quantizer._forward_t
+
+        def counted(*args):
+            calls.append(args)
+            return graph_forward(*args)
+
+        monkeypatch.setattr(quantizer, "_forward_t", counted)
+        X = np.random.default_rng(32).standard_normal((24, 4))
+        cfg = RqvaeConfig(epochs=2, warmup_epochs=1, batch_size=10, hidden_dims=(8,))
+        train_rqvae(X, SidStructure((3, 2), code_dim=3), cfg)
+        assert len(calls) == 2 * (1 + 2 * 3)
+
+
+class TestGraphLifetime:
+    """With the cyclic collector off, a dropped graph must leave it nothing
+    to find: refcounting alone frees every node."""
+
+    def test_graphs_and_training_leave_no_cycles(self):
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((24, 4))
+        structure = SidStructure((3, 2), code_dim=3)
+        enc, dec = init_mlp((4, 8, 3), rng), init_mlp((3, 8, 4), rng)
+        tables = [rng.standard_normal((n, 3)) for n in structure.level_sizes]
+        codes, _ = residual_assign_batch(enc.forward(X), CodebookStack(structure, tables))
+
+        def loss():
+            params = [[Tensor(a) for a in group]
+                      for group in (enc.weights, enc.biases, dec.weights, dec.biases, tables)]
+            return rqvae_loss(*params, X, codes, 0.25)
+
+        gc.collect()
+        gc.disable()
+        try:
+            total, recon = loss()
+            total.backward()
+            del total, recon
+            assert gc.collect() == 0
+            forward_only = loss()
+            del forward_only
+            assert gc.collect() == 0
+            cfg = RqvaeConfig(epochs=2, warmup_epochs=1, batch_size=8, hidden_dims=(8,))
+            train_rqvae(X, structure, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMultiVq:
