@@ -74,6 +74,7 @@ from .sidmetrics import (
     save_pair_labels,
 )
 from .retrieval import (
+    BeamResult,
     BeamSchedule,
     LabeledSequence,
     MarkovScorer,

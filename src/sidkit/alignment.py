@@ -100,6 +100,31 @@ def projection_loss(
     return (logsumexp_rows(logits) - matched).mean()
 
 
+def projection_loss_value(
+    weight: np.ndarray,
+    bias: np.ndarray,
+    batch: AlignmentBatch,
+    temperature: float,
+) -> float:
+    """projection_loss(...).item() computed in numpy with no autodiff graph.
+
+    The same ops run in the same order, so the value is bitwise equal.  The
+    masked row sum of logits * eye is read as the diagonal: every other term
+    is a signed zero, which leaves each row's sum unchanged.
+    """
+    anchors = batch.anchors @ weight + bias
+    positives = batch.positives @ weight + bias
+    _checked_row_norms(anchors, "projected anchors")
+    _checked_row_norms(positives, "projected positives")
+    a_norm = anchors * (anchors * anchors).sum(axis=1, keepdims=True) ** -0.5
+    p_norm = positives * (positives * positives).sum(axis=1, keepdims=True) ** -0.5
+    logits = (a_norm @ p_norm.T) * (1.0 / temperature)
+    shift = logits.max(axis=1, keepdims=True)
+    shifted = logits - shift
+    log_sum_exp = np.log(np.exp(shifted, out=shifted).sum(axis=1)) + shift[:, 0]
+    return float((log_sum_exp - logits.diagonal()).sum() * (1.0 / batch.size))
+
+
 @dataclass
 class AlignmentConfig:
     """Training schedule for the projection head."""
@@ -142,7 +167,7 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
     optimizer = AdamW([weight, bias], lr=config.learning_rate)
 
     full_batch = AlignmentBatch(anchors, positives)
-    trace = [projection_loss(weight, bias, full_batch, config.temperature).item()]
+    trace = [projection_loss_value(weight.value, bias.value, full_batch, config.temperature)]
 
     n = anchors.shape[0]
     batch_size = max(2, min(config.batch_size, n))

@@ -98,10 +98,17 @@ class AssignmentTable:
         return iter(self._rows)
 
     def __getitem__(self, item_id: str) -> SemanticId:
+        return self._sid_list()[self._row(item_id)]
+
+    def _row(self, item_id: str) -> int:
         try:
-            return self._sid_list()[self._rows[item_id]]
+            return self._rows[item_id]
         except KeyError:
             raise DataError(f"item {item_id!r} has no assigned SID") from None
+
+    def codes_of(self, item_ids) -> np.ndarray:
+        """The (n, m) code rows of the given items, in the order given."""
+        return self._codes[[self._row(item_id) for item_id in item_ids]]
 
     def items(self) -> list[tuple[str, SemanticId]]:
         return list(zip(self._rows, self._sid_list()))
@@ -117,8 +124,20 @@ class AssignmentTable:
 
     def items_for_sid(self, sid: SemanticId | tuple[int, ...]) -> list[str]:
         """Member item ids in ascending id order."""
-        codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
-        return list(self._members().get(codes, ()))
+        return self.items_for_codes([sid.codes if isinstance(sid, SemanticId) else sid])
+
+    def items_for_codes(self, code_rows, limit: int | None = None) -> list[str]:
+        """The members of each code row in turn, each SID's in ascending id,
+        cut at `limit` ids (no cut when None).  Rows past the one that
+        reaches the limit are never looked up."""
+        groups = self._members()
+        rows = code_rows.tolist() if isinstance(code_rows, np.ndarray) else code_rows
+        found: list[str] = []
+        for row in rows:
+            found.extend(groups.get(tuple(row), ()))
+            if limit is not None and len(found) >= limit:
+                return found[:limit]
+        return found
 
     def copy(self) -> "AssignmentTable":
         return AssignmentTable(self.structure, self._rows, self._codes)

@@ -11,12 +11,14 @@ billion-parameter sequence model would.
 from __future__ import annotations
 
 import logging
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Header, SemanticId, SidStructure, read_rows, sid_to_flat_tokens
+from .catalog import Header, SemanticId, SidStructure, read_rows
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -273,13 +275,51 @@ def default_schedule(structure: SidStructure) -> BeamSchedule:
     return BeamSchedule(tuple(min(300 * 2**j, 1200) for j in range(m)))
 
 
+class BeamResult(Sequence):
+    """Read-only view of a decode: a (k, m) int64 code matrix and its (k,)
+    log-prob vector, best first.
+
+    It reads as the list of (SemanticId, float log-prob) pairs: len,
+    iteration, indexing and == against such a list behave as the list does,
+    and a slice is that list's slice.  A pair is built only when read, so a
+    caller that needs only the codes builds no SemanticId.
+    """
+
+    __slots__ = ("codes", "log_probs")
+
+    def __init__(self, codes: np.ndarray, log_probs: np.ndarray):
+        self.codes, self.log_probs = codes, log_probs
+        codes.flags.writeable = log_probs.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.log_probs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        return SemanticId(self.codes[index].tolist()), float(self.log_probs[index])
+
+    def __iter__(self):
+        return zip(map(SemanticId, self.codes.tolist()), self.log_probs.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, BeamResult)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def dynamic_beam_search(
     scorer: SequenceScorer,
     context,
     schedule: BeamSchedule,
     k: int,
-) -> list[tuple[SemanticId, float]]:
-    """Top-k SIDs by exact cumulative log-probability.
+) -> BeamResult:
+    """Top-k SIDs by exact cumulative log-probability, as a BeamResult view
+    that reads as a list of (SemanticId, float log-prob) pairs, best first.
 
     Level j keeps the widths[j] best partial sequences; equal scores order by
     token tuple.  The returned log-probs are plain sums of scorer outputs, so
@@ -322,20 +362,22 @@ def dynamic_beam_search(
         keys = tuple(tokens[:, j] for j in reversed(range(level + 1))) + (-candidates[pool],)
         keep = np.lexsort(keys)[:width]
         beams, scores = tokens[keep], candidates[pool[keep]]
-    codes = (beams[:k] - np.asarray(structure.offsets)).tolist()
-    return [(SemanticId(c), logp) for c, logp in zip(codes, scores[:k].tolist())]
+    return BeamResult(beams[:k] - np.asarray(structure.offsets), scores[:k])
 
 
 # ---------------------------------------------------------------------------
 # Evaluation and corpus building
 
 
+def _flat_tokens(table: AssignmentTable, item_ids) -> list[int]:
+    """The items' SIDs as one flat-token list: their code rows plus the level
+    offsets.  The table's constructor already checked every code's band."""
+    return (table.codes_of(item_ids) + np.asarray(table.structure.offsets)).ravel().tolist()
+
+
 def sequence_context(table: AssignmentTable, history) -> list[int]:
     """Concatenated flat tokens of the history items' SIDs, oldest first."""
-    context: list[int] = []
-    for item_id in history:
-        context.extend(sid_to_flat_tokens(table[item_id], table.structure))
-    return context
+    return _flat_tokens(table, history)
 
 
 def evaluate_hr(
@@ -350,7 +392,8 @@ def evaluate_hr(
     The beam decodes the top widths[-1] SIDs from the history context; each
     SID expands to all items currently assigned to it (ascending item id) and
     the expansion is truncated at K.  A sequence contributes the fraction of
-    its clicked items found in that top-K list.
+    its clicked items found in that top-K list.  The expansion reads the
+    decode's code matrix, so no SemanticId is built per decoded SID.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
@@ -365,14 +408,9 @@ def evaluate_hr(
             raise DataError(f"sequence {seq.pv_id!r} has no clicked targets")
         context = sequence_context(table, seq.history)
         decoded = dynamic_beam_search(scorer, context, schedule, k=schedule.widths[-1])
-        retrieved: list[str] = []
-        for sid, _ in decoded:
-            retrieved.extend(table.items_for_sid(sid))
-            if len(retrieved) >= max_k:
-                break
+        retrieved = table.items_for_codes(decoded.codes, limit=max_k)
         clicked = set(seq.targets)
-        for item_id in clicked:
-            table[item_id]  # unmapped target is a data error, not a zero
+        table.codes_of(clicked)  # unmapped target is a data error, not a zero
         for k in k_list:
             hits = len(set(retrieved[:k]) & clicked)
             totals[k] += hits / len(clicked)
@@ -385,12 +423,13 @@ def build_useraction_corpus(sequences, table: AssignmentTable) -> list[list[int]
     No instruction tokens, no separators; the stream is exactly the SIDs of
     the interacted items, which is what autoregressive pretraining consumes.
     """
-    corpus = []
+    sequences = list(sequences)
+    tokens = _flat_tokens(table, [i for seq in sequences for i in (*seq.history, *seq.targets)])
+    corpus, start = [], 0
     for seq in sequences:
-        stream: list[int] = []
-        for item_id in list(seq.history) + list(seq.targets):
-            stream.extend(sid_to_flat_tokens(table[item_id], table.structure))
-        corpus.append(stream)
+        end = start + (len(seq.history) + len(seq.targets)) * table.structure.num_levels
+        corpus.append(tokens[start:end])
+        start = end
     return corpus
 
 

@@ -13,6 +13,7 @@ from sidkit.alignment import (
     info_nce_loss,
     load_projection,
     projection_loss,
+    projection_loss_value,
     save_projection,
     train_projection,
 )
@@ -104,6 +105,32 @@ class TestProjectionLossGradient:
             Tensor(np.eye(4)), Tensor(np.zeros(4)), batch, temperature=0.07
         ).item()
         np.testing.assert_allclose(graph, info_nce_loss(batch, 0.07), rtol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 50.0]),
+        temperature=st.sampled_from([0.07, 0.5, 3.0]),
+    )
+    def test_numpy_forward_bit_equals_graph(self, n, d, seed, scale, temperature):
+        """The graph-free forward train_projection starts from returns the
+        bits of projection_loss(...).item()."""
+        rng = np.random.default_rng(seed)
+        batch = AlignmentBatch(scale * rng.standard_normal((n, d)),
+                               scale * rng.standard_normal((n, d)))
+        weight = np.eye(d) + rng.standard_normal((d, d))
+        bias = rng.standard_normal(d)
+        graph = projection_loss(Tensor(weight), Tensor(bias), batch, temperature).item()
+        value = projection_loss_value(weight, bias, batch, temperature)
+        assert type(value) is float
+        assert value == graph
+
+    def test_numpy_forward_names_a_zero_norm_projection(self):
+        batch = AlignmentBatch(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(DataError, match="projected anchors"):
+            projection_loss_value(np.zeros((2, 2)), np.zeros(2), batch, 0.07)
 
 
 class TestTrainProjection:

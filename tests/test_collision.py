@@ -211,6 +211,45 @@ class TestAssignmentTable:
         assert table.items_for_sid((1, 1)) == ["alpha", "mid", "zeta"]
         assert table.items_for_sid((0, 0)) == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=12),
+        limit=st.none() | st.integers(0, 12),
+    )
+    def test_items_for_codes_concatenates_members_up_to_limit(self, rows, limit):
+        """Each row's ascending members in row order, cut at the limit, on
+        a table where (2, 2) and every code-2 SID hold nobody."""
+        structure = SidStructure((3, 3), code_dim=2)
+        ids = ["k", "b", "x", "a", "q", "c"]
+        codes = [[0, 0], [1, 1], [0, 0], [0, 1], [1, 1], [0, 0]]
+        table = AssignmentTable(structure, ids, codes)
+        want = [i for row in rows for i in sorted(i for i, c in zip(ids, codes) if c == row)]
+        want = want if limit is None else want[:limit]
+        assert table.items_for_codes(np.array(rows, dtype=np.int64).reshape(-1, 2), limit) == want
+        assert table.items_for_codes(rows, limit) == want
+
+    def test_items_for_codes_stops_at_the_limit(self):
+        """Rows after the one that reaches the limit are not read."""
+        table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["b", "a", "c"],
+                                [[0, 0], [0, 0], [1, 1]])
+
+        def rows():
+            yield (1, 0)
+            yield (0, 0)
+            raise AssertionError("read past the limit")
+
+        assert table.items_for_codes(rows(), limit=1) == ["a"]
+        assert table.items_for_sid((0, 0)) == ["a", "b"]
+
+    def test_codes_of_gathers_rows_in_the_order_given(self):
+        table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a", "b", "c"],
+                                [[0, 2], [1, 0], [1, 1]])
+        np.testing.assert_array_equal(table.codes_of(["c", "a", "c"]),
+                                      [[1, 1], [0, 2], [1, 1]])
+        assert table.codes_of([]).shape == (0, 2)
+        with pytest.raises(DataError, match="item 'ghost' has no assigned SID"):
+            table.codes_of(["a", "ghost"])
+
     def test_copy_is_independent(self):
         structure = SidStructure((2, 2), code_dim=2)
         table = AssignmentTable(structure)

@@ -489,6 +489,46 @@ class TestDynamicBeamSearch:
         assert [logp for _, logp in got] == [math.log(0.5), -math.inf, -math.inf, -math.inf]
 
 
+class TestBeamResult:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_view_reads_as_the_reference_list(self, data):
+        """len, positive and negative indexing, slices, iteration and == in
+        both directions match the reference list; every log-prob is a float
+        and an index past either end raises IndexError."""
+        structure = data.draw(small_structures(), label="structure")
+        scorer = data.draw(count_scorers(structure))
+        widths = data.draw(st.lists(st.integers(1, 12), min_size=structure.num_levels,
+                                    max_size=structure.num_levels), label="widths")
+        k = data.draw(st.integers(1, widths[-1]), label="k")
+        got = dynamic_beam_search(scorer, [], BeamSchedule(widths), k)
+        want = tuple_beam_search(scorer, [], BeamSchedule(widths), k)
+        n = len(want)
+        assert len(got) == n
+        for i in range(-n, n):
+            assert got[i] == want[i]
+            assert type(got[i][1]) is float
+        window = data.draw(st.slices(n + 2), label="slice")
+        assert got[window] == want[window]
+        assert list(got) == want and got == want and want == got
+        assert all(type(logp) is float for _, logp in got)
+        assert got != want[:-1] and got != [] and got != tuple(want)
+        assert got != want[:-1] + [(want[-1][0], want[-1][1] - 1.0)]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                got[index]
+
+    def test_codes_and_log_probs_are_read_only_arrays(self):
+        scorer = MarkovScorer(two_by_two(), order=2)
+        got = dynamic_beam_search(scorer, [], BeamSchedule((2, 4)), k=3)
+        np.testing.assert_array_equal(got.codes, [[0, 0], [0, 1], [1, 0]])
+        assert got.log_probs.tolist() == pytest.approx([math.log(0.25)] * 3, rel=1e-12)
+        with pytest.raises(ValueError):
+            got.codes[0, 0] = 1
+        with pytest.raises(TypeError):
+            got[0.0]
+
+
 def toy_assignment():
     """Four items on three SIDs over a (2, 2) structure."""
     structure = two_by_two()
@@ -512,7 +552,86 @@ class TestSequenceContext:
             sequence_context(table, ["ghost"])
 
 
+def reference_hr(scorer, table, sequences, schedule, k_list):
+    """HR@K the per-SID way: the tuple-beam reference decodes a list of
+    SemanticIds, each expands through items_for_sid, checked against a scan
+    of table.items(), until max K items are found."""
+    totals = {k: 0.0 for k in k_list}
+    for seq in sequences:
+        context = [t for i in seq.history for t in sid_to_flat_tokens(table[i], table.structure)]
+        decoded = tuple_beam_search(scorer, context, schedule, schedule.widths[-1])
+        retrieved = []
+        for sid, _ in decoded:
+            members = table.items_for_sid(sid)
+            assert members == sorted(i for i, s in table.items() if s == sid)
+            retrieved.extend(members)
+            if len(retrieved) >= max(k_list):
+                break
+        clicked = set(seq.targets)
+        for k in k_list:
+            totals[k] += len(set(retrieved[:k]) & clicked) / len(clicked)
+    return {k: totals[k] / len(sequences) for k in k_list}
+
+
+@st.composite
+def hr_worlds(draw):
+    """A table in which most SIDs hold nobody, a count scorer that ties many
+    candidates, histories and targets drawn from the table's items, and
+    narrow widths."""
+    structure = draw(small_structures(), label="structure")
+    n_items = draw(st.integers(1, 8), label="items")
+    codes = [[draw(st.integers(0, size - 1)) for size in structure.level_sizes]
+             for _ in range(n_items)]
+    ids = draw(st.permutations([f"i{n}" for n in range(n_items)]), label="id order")
+    table = AssignmentTable(structure, ids, codes)
+    item = st.sampled_from(ids)
+    sequences = [
+        InteractionSequence(pv_id=f"p{n}", history=tuple(draw(st.lists(item, max_size=2))),
+                            targets=tuple(draw(st.lists(item, min_size=1, max_size=3))),
+                            query="")
+        for n in range(draw(st.integers(1, 3), label="sequences"))
+    ]
+    widths = draw(st.lists(st.integers(1, 6), min_size=structure.num_levels,
+                           max_size=structure.num_levels), label="widths")
+    return draw(count_scorers(structure)), table, sequences, BeamSchedule(widths)
+
+
 class TestEvaluateHr:
+    @settings(max_examples=200, deadline=None)
+    @given(world=hr_worlds(), k_list=st.sets(st.integers(1, 12), min_size=1, max_size=3))
+    def test_equals_per_sid_reference(self, world, k_list):
+        """Ties at the cut, empty SIDs and K above what is retrieved: the
+        code-matrix expansion gives the per-SID reference's HR exactly."""
+        scorer, table, sequences, schedule = world
+        k_list = sorted(k_list)
+        want = reference_hr(scorer, table, sequences, schedule, k_list)
+        assert evaluate_hr(scorer, table, sequences, schedule, k_list) == want
+
+    def test_query_builds_no_semantic_id(self, monkeypatch):
+        """After a first query has grouped the table, a query constructs no
+        SemanticId, though most of its decoded SIDs are empty."""
+        structure = SidStructure((4, 4, 4), code_dim=2)
+        rng = np.random.default_rng(5)
+        ids = [f"i{n:02d}" for n in range(40)]
+        table = AssignmentTable(structure, ids, rng.integers(0, 4, size=(40, 3)))
+        scorer = train_markov_scorer(random_corpus(structure, 30, 3, rng), structure)
+        seq = InteractionSequence(pv_id="p", history=("i03", "i17"), targets=("i05",),
+                                  query="")
+        schedule = BeamSchedule((4, 16, 64))
+        evaluate_hr(scorer, table, [seq], schedule, k_list=(5, 20))
+        built = []
+        original = SemanticId.__post_init__
+
+        def counting(sid):
+            built.append(sid)
+            original(sid)
+
+        monkeypatch.setattr(SemanticId, "__post_init__", counting)
+        evaluate_hr(scorer, table, [seq], schedule, k_list=(5, 20))
+        assert built == []
+        dynamic_beam_search(scorer, [], schedule, k=2)[0]  # the counter does count
+        assert len(built) == 1
+
     def make_scorer(self, table, structure, boost_sid):
         """Scorer trained so boost_sid is by far the likeliest decode."""
         stream = sid_to_flat_tokens(SemanticId(boost_sid), structure)
