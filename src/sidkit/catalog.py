@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, RowError
 
 logger = logging.getLogger(__name__)
 
@@ -277,19 +278,25 @@ def read_rows(path, parse_row, finish=lambda rows: rows):
 
     Each non-blank line, less its line ending only (a scorer row may start
     with a tab), goes split on tabs to ``parse_row``; ``finish`` makes the
-    list of results the loaded object.  A ValueError, IndexError, KeyError
-    or DataError becomes ``DataError("path:line: ...")``, or ``"path: ..."``
-    from ``finish`` (whole-file checks) or from read-ahead UTF-8 decoding.
+    list of results the loaded object.  The reader records the line each
+    result came from.  A ValueError, IndexError, KeyError, OverflowError or
+    DataError becomes ``DataError("path:line: ...")``.  From ``finish`` it
+    becomes ``"path: ..."`` (whole-file checks), unless it is a RowError
+    naming result i, which is reported at the line of result i.  Read-ahead
+    UTF-8 decoding errors become ``"path: ..."`` too.
     """
-    rows, lineno = [], 0
+    rows, lines, lineno = [], array("q"), 0
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.isspace():
                     rows.append(parse_row(line.rstrip("\n").split("\t")))
+                    lines.append(lineno)
         lineno = 0  # no single line is at fault from here on
         return finish(rows)
-    except (ValueError, IndexError, KeyError, DataError) as exc:
+    except (ValueError, IndexError, KeyError, OverflowError, DataError) as exc:
+        if isinstance(exc, RowError):
+            lineno = lines[exc.row]
         where = path if not lineno or isinstance(exc, UnicodeDecodeError) else f"{path}:{lineno}"
         raise DataError(f"{where}: {exc}") from exc
 

@@ -45,3 +45,12 @@ def clustered_catalog(
         for i in range(n_items)
     ]
     return ItemCatalog(records, d_in=d_in), labels
+
+
+def scorer_count_dicts(scorer) -> dict[tuple[int, ...], dict[int, int]]:
+    """A Markov scorer's counts as context -> {next token: count}, rebuilt from
+    its sorted table: context columns right-padded with -1, then the token."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for *context, token, count in np.column_stack((scorer._rows, scorer._counts)).tolist():
+        counts.setdefault(tuple(t for t in context if t >= 0), {})[token] = count
+    return counts

@@ -52,6 +52,8 @@ from sidkit.retrieval import (
 )
 from sidkit.sidmetrics import PairLabels, load_pair_labels, save_pair_labels
 
+from conftest import scorer_count_dicts
+
 STRUCTURE = SidStructure((3, 4), code_dim=2)
 CORPUS = [[0, 3, 1, 4, 2, 6], [1, 5], [0, 3, 0, 3, 2, 4]]
 
@@ -177,7 +179,7 @@ def test_corrupted_artifact_raises_data_error_or_loads_faithfully(kind, data, wo
     if text == original:
         assert resaved.decode() == original
     if kind == "scorer":
-        for key, slot in loaded._counts.items():
+        for key, slot in scorer_count_dicts(loaded).items():
             assert all(count >= 1 and some_stream_emits(loaded, key, t) for t, count in slot.items())
 
 

@@ -27,7 +27,7 @@ from sidkit.catalog import (
     sid_to_flat_tokens,
 )
 from sidkit import catalog as catalog_module
-from sidkit.errors import DataError
+from sidkit.errors import DataError, RowError
 
 
 def structures() -> st.SearchStrategy[SidStructure]:
@@ -313,3 +313,20 @@ class TestReadRows:
             read_rows(path, tuple, lambda rows: int("too few"))
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             read_rows(path, tuple, lambda rows: rows[5])
+
+    def test_finish_error_naming_a_row_reports_that_rows_line(self, tmp_path):
+        """Blank lines are skipped but counted, so row 2 was read from line 5."""
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\n\nb\n\nc\nd\n")
+
+        def finish(rows):
+            raise RowError(rows.index(["c"]), "bad c")
+
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: bad c$"):
+            read_rows(path, list, finish)
+
+    def test_overflow_becomes_a_data_error(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("1\n99999999999999999999\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+            read_rows(path, lambda fields: np.int64(int(fields[0])))

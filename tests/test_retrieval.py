@@ -3,12 +3,14 @@
 import logging
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidkit import retrieval
 from sidkit.catalog import (
     InteractionSequence,
     SemanticId,
@@ -40,6 +42,8 @@ from sidkit.retrieval import (
     sliced_loss,
     train_markov_scorer,
 )
+
+from conftest import scorer_count_dicts
 
 
 def two_by_two():
@@ -131,7 +135,8 @@ def loop_log_probs(scorer, context):
     level = len(context) % structure.num_levels
     offset, band = structure.offsets[level], structure.level_sizes[level]
     counts = np.zeros(band)
-    for token, count in scorer._counts.get(tuple(context[-scorer.order :]), {}).items():
+    slot = scorer_count_dicts(scorer).get(tuple(context[-scorer.order :]), {})
+    for token, count in slot.items():
         if offset <= token < offset + band:
             counts[token - offset] = count
     return np.log((counts + scorer.alpha) / (counts.sum() + scorer.alpha * band))
@@ -203,6 +208,156 @@ class TestScorerBatch:
             hand_scorer().next_token_log_probs_batch([0, 2])
 
 
+def reference_counts(streams, order):
+    """Oracle: context -> {next token: count}, counted one token at a time the
+    way a dict-of-dicts scorer counts, the context being the last `order`
+    tokens before the token in its stream."""
+    counts = {}
+    for stream in streams:
+        tokens = [int(t) for t in stream]
+        for pos, token in enumerate(tokens):
+            slot = counts.setdefault(tuple(tokens[max(0, pos - order) : pos]), {})
+            slot[token] = slot.get(token, 0) + 1
+    return counts
+
+
+def reference_first_error(streams, structure):
+    """Oracle: the message of the first stream, in order, with a token
+    outside its level's band or a length that is no whole number of SIDs."""
+    m = structure.num_levels
+    for stream in streams:
+        tokens = [int(t) for t in stream]
+        for pos, token in enumerate(tokens):
+            offset, size = structure.offsets[pos % m], structure.level_sizes[pos % m]
+            if not offset <= token < offset + size:
+                return f"token {token} at position {pos} is outside level {pos % m}'s band"
+        if len(tokens) % m:
+            return "stream length must be a whole number of SIDs"
+    return None
+
+
+def reference_scorer_text(counts, order, alpha, structure):
+    """Oracle: the scorer file of the reference counts, contexts and tokens
+    in Python's sorted order."""
+    lines = [f"#order\t{order}", f"#alpha\t{alpha!r}",
+             "#levels\t" + "\t".join(map(str, structure.level_sizes)),
+             f"#code_dim\t{structure.code_dim}"]
+    for key in sorted(counts):
+        context = ",".join(map(str, key))
+        lines += [f"{context}\t{token}\t{counts[key][token]}" for token in sorted(counts[key])]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def corpora(draw, structure):
+    """Whole-SID streams, some of them repeated, in a random order; maybe none."""
+    streams = draw(st.lists(st.lists(
+        st.tuples(*(st.integers(o, o + n - 1) for o, n in zip(structure.offsets,
+                                                               structure.level_sizes))),
+        max_size=4).map(lambda sids: [t for sid in sids for t in sid]), max_size=5),
+        label="streams")
+    repeats = draw(st.lists(st.sampled_from(streams), max_size=3) if streams else st.just([]),
+                   label="repeats")
+    return draw(st.permutations(streams + repeats), label="corpus")
+
+
+class TestCountTable:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_table_equals_reference_counter(self, data, tmp_path_factory):
+        """Orders above the stream length and above m, empty and repeated
+        streams, several chunks per corpus: training, observing stream by
+        stream, and the saved bytes all agree with the dict-of-dicts
+        reference."""
+        structure = data.draw(small_structures(), label="structure")
+        order = data.draw(st.integers(1, 2 * structure.num_levels + 2), label="order")
+        streams = data.draw(corpora(structure))
+        chunk = data.draw(st.integers(1, 12), label="chunk tokens")
+        with mock.patch.object(retrieval, "_CHUNK_TOKENS", chunk):
+            trained = train_markov_scorer(streams, structure, order=order, alpha=0.5)
+            observed = MarkovScorer(structure, order=order, alpha=0.5)
+            for stream in streams:
+                observed.observe(stream)
+        want = reference_counts(streams, order)
+        assert scorer_count_dicts(trained) == want
+        assert trained.num_contexts == len(want)
+        rows = trained._rows.tolist()
+        assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+        assert observed._rows.tolist() == rows
+        assert observed._counts.tolist() == trained._counts.tolist()
+        path = tmp_path_factory.mktemp("scorer") / "scorer.tsv"
+        save_markov_scorer(trained, path)
+        assert path.read_text() == reference_scorer_text(want, order, 0.5, structure)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_first_error_in_stream_order(self, data):
+        """Streams with a token moved out of its band or a SID cut short: the
+        error raised is the reference's first, whatever the chunking."""
+        structure = data.draw(small_structures(), label="structure")
+        streams = data.draw(corpora(structure))
+        for _ in range(data.draw(st.integers(0, 3), label="faults")):
+            if not streams:
+                break
+            i = data.draw(st.integers(0, len(streams) - 1), label="stream")
+            stream = list(streams[i])
+            if stream and data.draw(st.booleans(), label="retoken"):
+                pos = data.draw(st.integers(0, len(stream) - 1), label="position")
+                stream[pos] = data.draw(st.integers(-2, structure.total_tokens + 1), label="token")
+            else:
+                stream.append(data.draw(st.integers(0, structure.total_tokens - 1)))
+            streams[i] = stream
+        chunk = data.draw(st.integers(1, 12), label="chunk tokens")
+        want = reference_first_error(streams, structure)
+        with mock.patch.object(retrieval, "_CHUNK_TOKENS", chunk):
+            if want is None:
+                train_markov_scorer(streams, structure, order=2)
+            else:
+                with pytest.raises(DataError) as info:
+                    train_markov_scorer(streams, structure, order=2)
+                assert str(info.value) == want
+
+    def test_token_beyond_int64_is_out_of_band(self):
+        streams = [[0, 2], [0, 2**70], [5, 2]]
+        with pytest.raises(DataError, match=f"^token {2**70} at position 1 is outside level 1's"):
+            train_markov_scorer(streams, two_by_two())
+
+    def test_failed_observe_leaves_the_table_as_it_was(self):
+        scorer = hand_scorer()
+        before = scorer_count_dicts(scorer)
+        with pytest.raises(DataError):
+            scorer.observe([0, 2, 1, 9])
+        assert scorer_count_dicts(scorer) == before
+
+    @pytest.mark.parametrize("radix, room", [
+        (193, 1), (193, 156_001), (501, 1), (501, 901), (8193 * 3, 2**20), (2**31, 2**30)])
+    def test_packed_key_widths_are_the_widest_that_fit(self, radix, room):
+        widths = retrieval._key_widths(radix, 12, room)
+        assert sum(widths) == 12
+        assert all(room * radix**w < 2**63 for w in widths)
+        assert widths[0] == 12 or room * radix ** (widths[0] + 1) >= 2**63
+
+    def test_keys_wider_than_one_int64(self, tmp_path):
+        """Ten levels of 50 codes and order 9: no int64 holds a packed row,
+        so counting, the trie walk and the file round trip span several
+        keys; all still agree with the references."""
+        structure = SidStructure((50,) * 10, code_dim=2)
+        rng = np.random.default_rng(6)
+        streams = random_corpus(structure, 30, 3, rng)
+        streams += [s[:10] for s in streams[:5]]  # shared prefixes
+        scorer = train_markov_scorer(streams, structure, order=9, alpha=0.25)
+        want = reference_counts(streams, 9)
+        assert scorer_count_dicts(scorer) == want
+        contexts = [s[: 10 + k] for s in streams[:6] for k in (0, 3, 7)] + [[], streams[0][:4]]
+        for context in contexts:
+            assert scorer.next_token_log_probs(context).tobytes() == (
+                loop_log_probs(scorer, context).tobytes())
+        path = tmp_path / "scorer.tsv"
+        save_markov_scorer(scorer, path)
+        assert path.read_text() == reference_scorer_text(want, 9, 0.25, structure)
+        assert load_markov_scorer(path)._rows.tolist() == scorer._rows.tolist()
+
+
 class TestRecLoss:
     """The recommendation loss of one example: masked_batch_loss([example])."""
 
@@ -244,6 +399,56 @@ class TestRecLoss:
     def test_fully_masked_sequence_unconstructible(self):
         with pytest.raises(ValueError):
             LabeledSequence(tokens=(0, 2), labels=(SENTINEL, SENTINEL))
+
+
+def loop_scored_loss(scorer, examples):
+    """Reference: one next_token_log_probs call per scored position, summed
+    example by example, position by position."""
+    total, scored = 0.0, 0
+    for example in examples:
+        for pos, label in enumerate(example.labels):
+            if label >= 0:
+                offset = scorer.structure.offsets[pos % scorer.structure.num_levels]
+                total += -float(scorer.next_token_log_probs(example.tokens[:pos])[label - offset])
+                scored += 1
+    return total / scored
+
+
+class TestScoredLossBatches:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_batch_per_prefix_length_equals_the_loop(self, data):
+        """Examples of different lengths and masks: the masked loss equals
+        the per-position loop exactly, from one batch call per scored
+        prefix length."""
+        structure = data.draw(small_structures(), label="structure")
+        scorer = data.draw(count_scorers(structure))
+        examples = []
+        for stream in data.draw(corpora(structure)):
+            if stream:
+                scored_from = data.draw(st.integers(0, len(stream) - 1), label="scored from")
+                examples.append(labeled_from_stream(stream, scored_from))
+        if not examples:
+            return
+        calls = []
+        batch = scorer.next_token_log_probs_batch
+
+        def counting(contexts):
+            calls.append(np.shape(contexts)[1])
+            return batch(contexts)
+
+        want = loop_scored_loss(scorer, examples)
+        with mock.patch.object(scorer, "next_token_log_probs_batch", counting):
+            got = masked_batch_loss(scorer, examples)
+        assert got == want
+        scored = {pos for ex in examples for pos, label in enumerate(ex.labels) if label >= 0}
+        assert sorted(calls) == sorted(scored)
+
+    def test_batch_only_scorer_is_scored(self):
+        steps = [np.log([0.5, 0.5]), np.log([0.25, 0.75])]
+        scorer = StepScorer(two_by_two(), steps)
+        example = labeled_from_stream([0, 3], scored_from=0)
+        assert masked_batch_loss(scorer, [example]) == (-math.log(0.5) - math.log(0.75)) / 2
 
 
 class TestSlicePlan:
@@ -813,7 +1018,55 @@ class TestScorerSerialization:
     def test_header_only_file_is_an_empty_scorer(self, tmp_path):
         path = tmp_path / "scorer.tsv"
         path.write_text(self.HEADER)
-        assert load_markov_scorer(path).num_contexts == 0
+        scorer = load_markov_scorer(path)
+        assert scorer.num_contexts == 0
+        np.testing.assert_allclose(np.exp(scorer.next_token_log_probs([0, 4])), [0.25] * 4)
+        save_markov_scorer(scorer, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_text() == self.HEADER
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_in_any_order_load_to_the_same_scorer(self, tmp_path, seed):
+        """Shuffled count rows, so one context's rows lie apart: the load
+        equals the original table and saves in sorted order again."""
+        structure = SidStructure((3, 4), code_dim=2)
+        corpus = random_corpus(structure, 40, 2, np.random.default_rng(seed))
+        scorer = train_markov_scorer(corpus, structure, order=3, alpha=0.05)
+        path = tmp_path / "scorer.tsv"
+        save_markov_scorer(scorer, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header, rows = lines[:4], lines[4:]
+        np.random.default_rng(seed).shuffle(rows)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("".join(header + rows))
+        loaded = load_markov_scorer(shuffled)
+        assert loaded._rows.tolist() == scorer._rows.tolist()
+        assert loaded._counts.tolist() == scorer._counts.tolist()
+        save_markov_scorer(loaded, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+    def test_context_split_over_two_runs_loads_as_one(self, tmp_path):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(self.HEADER + "0\t5\t1\n\t0\t5\n0\t4\t2\n")
+        scorer = load_markov_scorer(path)
+        assert scorer_count_dicts(scorer) == {(): {0: 5}, (0,): {4: 2, 5: 1}}
+        save_markov_scorer(scorer, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_text() == (
+            self.HEADER + "\t0\t5\n0\t4\t2\n0\t5\t1\n")
+
+    @pytest.mark.parametrize("rows, line", [
+        # the second copy of ((0,), 4) is written differently, two rows on
+        ("\t0\t5\n0\t4\t2\n\t1\t1\n00\t4\t1\n", 8),
+        # a context longer than the order, with good rows after it
+        ("\t0\t5\n0,4,8\t1\t1\n0\t4\t2\n", 6),
+        # of several bad rows, the first in the file is named
+        ("\t0\t5\n0\t4\t2\n4,8\t0\t0\n0,4,8\t1\t1\n\t0\t1\n", 7),
+        ("\t0\t5\n0\t4\t2\n0\t4\t1\n4,8\t7\t1\n", 7),
+    ], ids=["duplicate-apart", "long-context", "first-of-three", "first-of-two"])
+    def test_bad_row_among_good_ones_is_named(self, tmp_path, rows, line):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(self.HEADER + rows)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_markov_scorer(path)
 
     def test_non_finite_alpha_rejected(self, tmp_path):
         path = tmp_path / "scorer.tsv"
