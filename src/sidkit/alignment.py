@@ -138,16 +138,13 @@ class AlignmentConfig:
 
 
 def collect_pairs(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor/positive embedding matrices from the catalog's related-item links."""
-    anchors, positives = [], []
-    for rec in catalog.records():
-        if rec.related_item is None:
-            continue
-        anchors.append(rec.embedding)
-        positives.append(catalog[rec.related_item].embedding)
-    if not anchors:
+    """Anchor/positive embedding matrices from the catalog's related-item
+    links: one row gather each from the catalog's matrix, in catalog order."""
+    anchors, positives = catalog.related_rows()
+    if not anchors.size:
         raise DataError("catalog has no resolvable related-item pairs")
-    return np.stack(anchors), np.stack(positives)
+    X = catalog.embedding_matrix()
+    return X[anchors], X[positives]
 
 
 def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> ProjectionHead:

@@ -13,6 +13,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -121,62 +122,95 @@ class ItemRecord:
     origin_group: str | None = None
 
 
-class ItemCatalog:
-    """Immutable map item_id -> ItemRecord, preserving insertion order.
+def _checked_item(rows: dict[str, int], row: int, item_id: str, embedding, d_in: int) -> np.ndarray:
+    """Item `row`'s embedding as a checked vector, once `item_id` is entered
+    in `rows` (id -> first row).  DataError if an earlier row holds the id,
+    else as :func:`as_embedding` raises."""
+    if rows.setdefault(item_id, row) != row:
+        raise DataError(f"duplicate item_id {item_id!r}")
+    return as_embedding(embedding, d_in, context=f"item {item_id}")
 
-    Safe for concurrent reads once constructed.  Related-item links are
-    validated at construction time: a dangling reference is a data error.
+
+class ItemCatalog:
+    """Item ids in insertion order, one read-only (N, d_in) float64 embedding
+    matrix whose row i is item i's, and four optional columns: SID, related
+    item, style group and origin group (None where absent).
+
+    The catalog is columnar: `catalog[item_id]` and `records()` build an
+    ItemRecord only when read, its embedding a read-only row of the matrix,
+    so editing a record leaves the catalog unchanged.  `embedding_matrix()`
+    returns the matrix itself, with no copy.  The constructor checks each
+    record in turn, a repeated id or an embedding that is not a finite
+    d_in-vector being a DataError, and then every related-item link: a
+    dangling reference is a data error too.  Safe for concurrent reads.
     """
 
     def __init__(self, records: Iterable[ItemRecord], d_in: int):
+        records = list(records)
+        rows: dict[str, int] = {}
+        matrix = np.empty((len(records), int(d_in)))
+        for i, rec in enumerate(records):
+            matrix[i] = _checked_item(rows, i, rec.item_id, rec.embedding, d_in)
+        self._set_columns(d_in, rows, matrix, [rec.sid for rec in records],
+                          [rec.related_item for rec in records],
+                          [rec.style_group for rec in records],
+                          [rec.origin_group for rec in records])
+
+    @classmethod
+    def _of_columns(cls, d_in, rows, matrix, sids, related, styles, origins) -> "ItemCatalog":
+        """A catalog over checked columns; only the related links are checked."""
+        catalog = cls.__new__(cls)
+        catalog._set_columns(d_in, rows, matrix, sids, related, styles, origins)
+        return catalog
+
+    def _set_columns(self, d_in, rows, matrix, sids, related, styles, origins) -> None:
         self.d_in = int(d_in)
-        self._records: dict[str, ItemRecord] = {}
-        for rec in records:
-            self._add(rec)
-        self._linked()
-
-    def _add(self, rec: ItemRecord) -> None:
-        if rec.item_id in self._records:
-            raise DataError(f"duplicate item_id {rec.item_id!r}")
-        rec.embedding = as_embedding(rec.embedding, self.d_in, context=f"item {rec.item_id}")
-        self._records[rec.item_id] = rec
-
-    def _linked(self) -> "ItemCatalog":
-        """The catalog itself, once every related-item link resolves."""
-        for rec in self._records.values():
-            if rec.related_item is not None and rec.related_item not in self._records:
-                raise DataError(
-                    f"item {rec.item_id!r} references unknown related item {rec.related_item!r}"
-                )
-        return self
+        self._rows = rows  # id -> matrix row, in order
+        self._ids = tuple(rows)
+        self._matrix = matrix
+        matrix.flags.writeable = False
+        self._sids, self._related, self._styles, self._origins = sids, related, styles, origins
+        for item_id, rel in zip(self._ids, related):
+            if rel is not None and rel not in rows:
+                raise DataError(f"item {item_id!r} references unknown related item {rel!r}")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     def __contains__(self, item_id: str) -> bool:
-        return item_id in self._records
+        return item_id in self._rows
 
     def __getitem__(self, item_id: str) -> ItemRecord:
         try:
-            return self._records[item_id]
+            i = self._rows[item_id]
         except KeyError:
             raise DataError(f"unknown item_id {item_id!r}") from None
+        return ItemRecord(item_id, self._matrix[i], self._related[i], self._sids[i],
+                          self._styles[i], self._origins[i])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._records)
+        return iter(self._ids)
 
     @property
     def item_ids(self) -> tuple[str, ...]:
-        return tuple(self._records)
+        return self._ids
 
     def records(self) -> Iterator[ItemRecord]:
-        return iter(self._records.values())
+        """Every item as an ItemRecord, in catalog order, each built when read."""
+        return map(ItemRecord, self._ids, self._matrix, self._related, self._sids,
+                   self._styles, self._origins)
+
+    def related_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the items that name a related item, in catalog order,
+        and the rows of the items they name."""
+        anchors = [i for i, rel in enumerate(self._related) if rel is not None]
+        partners = [self._rows[self._related[i]] for i in anchors]
+        return np.array(anchors, dtype=np.int64), np.array(partners, dtype=np.int64)
 
     def embedding_matrix(self) -> np.ndarray:
-        """All embeddings stacked in catalog order, shape (len(self), d_in)."""
-        if len(self._records) == 0:
-            return np.zeros((0, self.d_in))
-        return np.stack([rec.embedding for rec in self._records.values()])
+        """All embeddings in catalog order, shape (len(self), d_in): the
+        catalog's own read-only matrix."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -281,9 +315,9 @@ def read_rows(path, parse_row, finish=lambda rows: rows):
     list of results the loaded object.  The reader records the line each
     result came from.  A ValueError, IndexError, KeyError, OverflowError or
     DataError becomes ``DataError("path:line: ...")``.  From ``finish`` it
-    becomes ``"path: ..."`` (whole-file checks), unless it is a RowError
-    naming result i, which is reported at the line of result i.  Read-ahead
-    UTF-8 decoding errors become ``"path: ..."`` too.
+    becomes ``"path: ..."`` (whole-file checks).  A RowError naming result
+    i, from either, is reported at the line of result i.  Read-ahead UTF-8
+    decoding errors become ``"path: ..."`` too.
     """
     rows, lines, lineno = [], array("q"), 0
     try:
@@ -313,35 +347,95 @@ class Header(dict):
         return SidStructure(tuple(int(n) for n in self["levels"]), code_dim=int(code_dim))
 
 
+_BLOCK_ROWS = 1024  # rows per parse pass: bounds the str objects alive at once
+
+
+def comma_matrix(texts: list[str], width: int, convert, dtype) -> np.ndarray:
+    """Comma-separated texts of `width` values each as an (n, width) matrix of
+    `dtype`, each value converted by `convert` (float or int), in blocks of
+    _BLOCK_ROWS rows written into a preallocated matrix.  ValueError if a
+    text holds another number of values or `convert` refuses one; a value
+    the dtype cannot hold raises OverflowError."""
+    n = len(texts)
+    if n and (np.fromiter(map(str.count, texts, repeat(",")), np.int64, n) != width - 1).any():
+        raise ValueError(f"a row holds other than {width} values")
+    matrix = np.empty((n, width), dtype=dtype)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = texts[start : start + _BLOCK_ROWS]
+        values = map(convert, ",".join(block).split(","))
+        matrix[start : start + len(block)] = np.fromiter(
+            values, dtype, len(block) * width).reshape(len(block), width)
+    return matrix
+
+
 def load_item_catalog(path, d_in: int) -> ItemCatalog:
-    """Read an item-info TSV into a catalog.
+    """Read an item-info TSV into a columnar catalog.
 
     Row layout (tab separated): item_id, comma-separated embedding floats,
     then optionally a bracketed SID, a related item id, a style group and an
     origin group.  Empty trailing fields mean "absent".
+
+    Each row keeps its value text; once the file is read, every float is
+    parsed into one (N, d_in) matrix, and widths, finiteness and duplicate
+    ids are checked on the whole file.  Only when a check fails are the rows
+    walked one by one, in file order, to report the first bad one.
 
     Args:
         path: TSV file to read.
         d_in: declared embedding dimension; every row is validated against it.
 
     Raises:
-        DataError: on malformed rows, dimension mismatches or duplicate item
-            ids (reported with their line number), or dangling related items.
+        DataError: naming the line of the first bad row in file order (a
+            malformed row, a dimension mismatch, a non-finite value or a
+            duplicate item id), or naming the file for a dangling related
+            item.
     """
-    catalog = ItemCatalog((), d_in)
+    ids, texts, slots, related, styles, origins = [], [], [], [], [], []
+
+    def first_bad_row() -> None:
+        """RowError at the first row read so far that fails a row check."""
+        rows: dict[str, int] = {}
+        for i in range(len(ids)):
+            try:
+                values = list(map(float, texts[i].split(",")))
+                if slots[i]:
+                    parse_sid_brackets(slots[i])
+                _checked_item(rows, i, ids[i], values, d_in)
+            except (ValueError, DataError) as exc:
+                raise RowError(i, str(exc)) from None
 
     def add_row(fields):
-        item_id, values, *rest = (f.strip() for f in fields)
-        if not item_id:
-            raise DataError("empty item_id")
-        slot = rest.pop(0) if rest and rest[0][:1] in ("", "[") else ""  # SID slot, maybe empty
-        related, style, origin = (f or None for f in rest + [""] * (3 - len(rest)))
-        catalog._add(ItemRecord(
-            item_id, list(map(float, values.split(","))), related_item=related,
-            sid=parse_sid_brackets(slot) if slot else None, style_group=style, origin_group=origin,
-        ))
+        try:
+            item_id, values, *rest = (f.strip() for f in fields)
+            if not item_id:
+                raise DataError("empty item_id")
+            slot = rest.pop(0) if rest and rest[0][:1] in ("", "[") else ""  # SID slot, maybe empty
+            rel, style, origin = (f or None for f in rest + [""] * (3 - len(rest)))
+        except (ValueError, DataError):
+            first_bad_row()  # an earlier bad row is the one reported
+            raise
+        ids.append(item_id)
+        texts.append(values)
+        slots.append(slot)
+        related.append(rel)
+        styles.append(style)
+        origins.append(origin)
 
-    return read_rows(path, add_row, lambda _: catalog._linked())
+    def finish(_):
+        rows = dict(zip(ids, range(len(ids))))
+        try:
+            matrix = comma_matrix(texts, d_in, float, np.float64)  # the one embedding check
+            if not np.isfinite(matrix).all():
+                raise ValueError("a value is not finite")
+            sids = [parse_sid_brackets(slot) if slot else None for slot in slots]
+            if len(rows) < len(ids):
+                raise DataError("an item id repeats")
+        except (ValueError, DataError):
+            first_bad_row()
+            raise
+        return ItemCatalog._of_columns(d_in, rows, matrix, sids, related, styles, origins)
+
+    return read_rows(path, add_row, finish)
 
 
 def save_item_catalog(catalog: ItemCatalog, path) -> None:

@@ -176,6 +176,35 @@ def _assigned_sequences(args, table: collision.AssignmentTable):
     return sequences
 
 
+def _assigned_labels(args, table: collision.AssignmentTable):
+    """--labels, every item of which must hold a SID in --assignment."""
+    labels = sidmetrics.load_pair_labels(args.labels)
+    for a, b, relation in labels.pairs:
+        unknown = a if a not in table else b if b not in table else None
+        if unknown is not None:
+            raise DataError(
+                f"{args.labels}: {relation} pair ({a!r}, {b!r}) names item {unknown!r}, "
+                f"which has no SID in {args.assignment}"
+            )
+    return labels
+
+
+def _catalog_pairs(args, catalog):
+    """Hitrate pairs from --sequences: each sequence with a history gives its
+    last history item and its targets, every one of which must be in
+    --catalog."""
+    sequences = load_sequences(args.sequences)
+    for seq in sequences:
+        read = (seq.history[-1], *seq.targets) if seq.history else ()
+        unknown = next((i for i in read if i not in catalog), None)
+        if unknown is not None:
+            raise DataError(
+                f"{args.sequences}: sequence {seq.pv_id!r} names item {unknown!r}, "
+                f"which is not in {args.catalog}"
+            )
+    return sidmetrics.pairs_from_sequences(sequences)
+
+
 def cmd_tokenize(args) -> int:
     catalog = _load_catalog(args)
     structure = _structure(args)
@@ -268,14 +297,14 @@ def cmd_eval_sid(args) -> int:
             ("feature_fidelity_pct", quantizer.feature_fidelity(model, catalog.embedding_matrix()))
         )
     if args.labels:
-        labels = sidmetrics.load_pair_labels(args.labels)
+        labels = _assigned_labels(args, table)
         for relation in sidmetrics.RELATIONS:
             if labels.of_relation(relation):
                 rows.append(
                     (f"{relation}_consistency_pct", sidmetrics.consistency(table, labels, relation))
                 )
     if args.sequences:
-        pairs = sidmetrics.pairs_from_sequences(load_sequences(args.sequences))
+        pairs = _catalog_pairs(args, catalog)
         rows.append(
             (f"embedding_hr@{args.k}", sidmetrics.embedding_hitrate(catalog, pairs, args.k))
         )

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import SemanticId, SidStructure, format_sid_brackets, parse_sid_brackets, read_rows
-from .errors import DataError
+from .catalog import SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows
+from .errors import DataError, RowError
 from .quantizer import QuantizerModel, assign_random
 
 DEFAULT_SIGMA = 25
@@ -274,21 +274,60 @@ def occupancy_stats(table: AssignmentTable) -> OccupancyStats:
 
 
 def save_assignment(table: AssignmentTable, path) -> None:
-    """TSV: item_id, bracketed SID; the same shape the catalog loader accepts."""
+    """TSV: item_id, bracketed SID; the same shape the catalog loader accepts.
+    Rows are formatted straight from the code matrix."""
+    row = "%s\t[" + ",".join(["%d"] * table.structure.num_levels) + "]\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for item_id, sid in table.items():
-            fh.write(f"{item_id}\t{format_sid_brackets(sid)}\n")
+        fh.writelines(row % (item_id, *codes)
+                      for item_id, codes in zip(table, table._codes.tolist()))
+
+
+def _code_matrix(texts: list[str], m: int) -> np.ndarray:
+    """Bracketed SID texts as an (n, m) int64 matrix.  ValueError or
+    OverflowError unless every text is `[c,..]` with m codes that fit int64."""
+    bodies = [text.strip() for text in texts]
+    if not all(body[:1] == "[" and body[-1:] == "]" for body in bodies):
+        raise ValueError("a SID is not bracketed")
+    return comma_matrix([body[1:-1] for body in bodies], m, int, np.int64)
 
 
 def load_assignment(path, structure: SidStructure) -> AssignmentTable:
-    """Read an assignment TSV; a duplicate item or an out-of-band code is an
-    error that names its line."""
-    rows: dict[str, tuple[int, ...]] = {}
+    """Read an assignment TSV into a table.
+
+    Each row keeps its SID text; once the file is read, every code is parsed
+    into one (N, m) int64 matrix, and the table's constructor checks bands
+    and duplicate ids on it.  Only when a check fails are the rows walked one
+    by one, in file order: the first bad row (a duplicate item, a malformed
+    SID, a wrong level count or an out-of-band code) is the one reported, at
+    its line."""
+    ids, texts = [], []
+
+    def first_bad_row() -> None:
+        """RowError at the first row read so far that fails a row check."""
+        seen = set()
+        for i, (item_id, text) in enumerate(zip(ids, texts)):
+            try:
+                if item_id in seen:
+                    raise DataError(f"duplicate item_id {item_id!r}")
+                seen.add(item_id)
+                parse_sid_brackets(text).validate(structure)
+            except DataError as exc:
+                raise RowError(i, str(exc)) from None
 
     def parse(fields):
-        item_id, sid = fields
-        if item_id in rows:
-            raise DataError(f"duplicate item_id {item_id!r}")
-        rows[item_id] = parse_sid_brackets(sid).validate(structure).codes
+        try:
+            item_id, text = fields
+        except ValueError:
+            first_bad_row()  # an earlier bad row is the one reported
+            raise
+        ids.append(item_id)
+        texts.append(text)
 
-    return read_rows(path, parse, lambda _: AssignmentTable(structure, rows, list(rows.values())))
+    def finish(_):
+        try:
+            return AssignmentTable(structure, ids, _code_matrix(texts, structure.num_levels))
+        except (ValueError, OverflowError, DataError):
+            first_bad_row()
+            raise
+
+    return read_rows(path, parse, finish)

@@ -109,6 +109,16 @@ def pairs_from_sequences(sequences) -> list[tuple[str, tuple[str, ...]]]:
     return pairs
 
 
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable")[:k] without sorting every key: the k
+    smallest by partition, every key tied with the k-th (the tie pool at the
+    cut) kept, and only that pool sorted stably, so ties go to the lowest
+    index as in the full sort."""
+    cut = keys[np.argpartition(keys, k - 1)[k - 1]]
+    pool = np.flatnonzero(keys <= cut)
+    return pool[np.argsort(keys[pool], kind="stable")[:k]]
+
+
 def embedding_hitrate(
     catalog: ItemCatalog,
     eval_pairs,
@@ -117,8 +127,8 @@ def embedding_hitrate(
     """HR@K from raw embedding cosine similarity, no trained retriever.
 
     For each (query item, clicked items) pair the other catalog items are
-    ranked by cosine similarity to the query; the pair contributes
-    |top-K intersect clicked| / |clicked|.
+    ranked by cosine similarity to the query, ties to the earlier catalog
+    item; the pair contributes |top-K intersect clicked| / |clicked|.
     """
     if k < 1:
         raise DataError("K must be >= 1")
@@ -149,9 +159,7 @@ def embedding_hitrate(
         q = index_of[query_id]
         sims = unit @ unit[q]
         sims[q] = -np.inf
-        # stable sort on descending similarity; ties keep catalog order
-        top = np.argsort(-sims, kind="stable")[:k]
-        hits = len(set(top.tolist()) & clicked_idx)
+        hits = len(set(_top_k(-sims, k).tolist()) & clicked_idx)
         scores.append(hits / len(clicked_idx))
     return float(np.mean(scores))
 
@@ -172,16 +180,18 @@ class PairLabels:
 
 
 def consistency(table: AssignmentTable, labels: PairLabels, relation: str) -> float:
-    """Percentage of labeled pairs whose items share the identical full SID."""
+    """Percentage of labeled pairs whose items share the identical full SID.
+
+    Both items' code rows come from one gather, in pair order, so an item
+    with no SID raises for the first pair that names one."""
     if relation not in RELATIONS:
         raise DataError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
     pairs = labels.of_relation(relation)
     if not pairs:
         raise DataError(f"no pairs labeled {relation!r}")
-    shared = 0
-    for a, b in pairs:
-        if table[a].codes == table[b].codes:
-            shared += 1
+    codes = table.codes_of([item_id for pair in pairs for item_id in pair])
+    codes = codes.reshape(len(pairs), 2, -1)
+    shared = int((codes[:, 0] == codes[:, 1]).all(axis=1).sum())
     return 100.0 * shared / len(pairs)
 
 

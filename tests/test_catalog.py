@@ -223,14 +223,19 @@ class TestCatalog:
             load_item_catalog(path, d_in=2)
 
     def test_each_embedding_validated_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = catalog_module.as_embedding
+        """A valid file's embeddings are checked in one pass over all rows,
+        and never again row by row."""
+        checked, per_row = [], []
+        whole, row = catalog_module.comma_matrix, catalog_module.as_embedding
+        monkeypatch.setattr(catalog_module, "comma_matrix",
+                            lambda texts, *args: checked.append(len(texts)) or whole(texts, *args))
         monkeypatch.setattr(catalog_module, "as_embedding",
-                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+                            lambda *args, **kw: per_row.append(1) or row(*args, **kw))
         path = tmp_path / "catalog.tsv"
         path.write_text("a\t0.1,0.2\nb\t0.3,0.4\t[1,2]\ta\nc\t0.5,0.6\n")
         assert len(load_item_catalog(path, d_in=2)) == 3
-        assert len(calls) == 3
+        assert checked == [3]
+        assert per_row == []
 
     def test_identical_bytes_identical_catalog(self, tmp_path):
         path = tmp_path / "catalog.tsv"

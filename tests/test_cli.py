@@ -396,6 +396,30 @@ class TestExitCodes:
         assert f"{sequences}: sequence 'pv9'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--labels", "--sequences"])
+    def test_eval_sid_item_unknown_to_a_flag_file_names_that_file(
+        self, flag, toy_dir, pipeline, tmp_path, capsys
+    ):
+        if flag == "--labels":
+            name, row, missing_from = "labels.tsv", "item00001\tghost\tstyle\n", "knn.tsv"
+        else:
+            name, row, missing_from = "eval_sequences.tsv", "pv9\tghost\t\titem00001\n", "catalog.tsv"
+        path = tmp_path / name
+        path.write_text((toy_dir / name).read_text() + row)
+        csv_path = tmp_path / "metrics.csv"
+        code = main(
+            [
+                "eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--assignment", str(pipeline / "knn.tsv"), "--levels", "5,4", "--code-dim", "8",
+                flag, str(path), "--csv", str(csv_path),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err
+        assert "names item 'ghost'" in err and missing_from in err
+        assert not csv_path.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

@@ -202,6 +202,35 @@ class TestEmbeddingHitrate:
         with pytest.raises(DataError, match="q1"):
             embedding_hitrate(catalog, [("q0", ("q2",))], k=1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_stable_argsort_with_ties_at_the_cut(self, data):
+        """Items share a few embeddings, so whole groups tie and K cuts
+        through them; the partitioned top K must pick the same items as a
+        full stable argsort, which keeps the earlier catalog items."""
+        distinct = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any),
+            min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=12))
+        catalog = tiny_catalog([distinct[p] for p in picks])
+        n = len(picks)
+        k = data.draw(st.integers(1, n - 1))
+        item = st.integers(0, n - 1).map(lambda i: f"q{i}")
+        pairs = data.draw(st.lists(st.tuples(item, st.lists(item, min_size=1, max_size=3)
+                                             .map(tuple)), min_size=1, max_size=5))
+
+        X = catalog.embedding_matrix()
+        unit = X / np.linalg.norm(X, axis=1)[:, None]
+        scores = []
+        for query_id, clicked in pairs:
+            q = int(query_id[1:])
+            sims = unit @ unit[q]
+            sims[q] = -np.inf
+            top = set(np.argsort(-sims, kind="stable")[:k].tolist())
+            clicked_idx = {int(c[1:]) for c in clicked}
+            scores.append(len(top & clicked_idx) / len(clicked_idx))
+        assert embedding_hitrate(catalog, pairs, k) == float(np.mean(scores))
+
 
 class TestPairsFromSequences:
     def test_uses_last_history_item(self):
@@ -258,6 +287,12 @@ class TestConsistency:
         labels = PairLabels((("a", "b", "style"),))
         with pytest.raises(DataError):
             consistency(table, labels, "origin")
+
+    def test_unknown_item_named_in_pair_order(self):
+        table = self.build_table({"a": (0, 0), "b": (0, 0)})
+        labels = PairLabels((("a", "ghost1", "style"), ("ghost2", "b", "style")))
+        with pytest.raises(DataError, match="^item 'ghost1' has no assigned SID$"):
+            consistency(table, labels, "style")
 
     def test_unknown_relation_in_labels_rejected(self):
         with pytest.raises(ValueError):
