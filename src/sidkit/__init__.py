@@ -30,8 +30,6 @@ from .alignment import (
     AlignmentConfig,
     ProjectionHead,
     info_nce_loss,
-    load_projection,
-    save_projection,
     train_projection,
 )
 from .quantizer import (
@@ -44,7 +42,6 @@ from .quantizer import (
     feature_fidelity,
     load_quantizer,
     random_model,
-    residual_assign,
     residual_assign_batch,
     save_quantizer,
     train_multivq,

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, logsumexp_rows
-from .catalog import ItemCatalog, read_rows
+from .autodiff import AdamW, Tensor, logsumexp_rows, no_grad
+from .catalog import ItemCatalog
 from .errors import DataError
 
 DEFAULT_TEMPERATURE = 0.07
@@ -57,28 +57,34 @@ class ProjectionHead:
         return np.asarray(embeddings, dtype=np.float64) @ self.weight + self.bias
 
 
-def _checked_row_norms(matrix: np.ndarray, name: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
+def _check_row_norms(matrix: np.ndarray, name: str) -> None:
+    zero = np.nonzero(np.linalg.norm(matrix, axis=1) == 0.0)[0]
     if zero.size:
         raise DataError(f"zero-norm vector in {name} at row {int(zero[0])}")
-    return norms
+
+
+def _info_nce(anchors: Tensor, positives: Tensor, temperature: float, prefix: str) -> Tensor:
+    """Mean over anchors of -log softmax(cos(anchor, positive) / temperature);
+    a zero-norm row is named as the prefix's anchors or positives."""
+    _check_row_norms(anchors.value, f"{prefix}anchors")
+    _check_row_norms(positives.value, f"{prefix}positives")
+    a_norm = anchors * (anchors * anchors).sum(axis=1, keepdims=True) ** -0.5
+    p_norm = positives * (positives * positives).sum(axis=1, keepdims=True) ** -0.5
+    logits = (a_norm @ p_norm.transpose()) * (1.0 / temperature)
+    return (logsumexp_rows(logits) - logits.diagonal()).mean()
 
 
 def info_nce_loss(batch: AlignmentBatch, temperature: float = DEFAULT_TEMPERATURE) -> float:
     """Mean over anchors of -log softmax(cos(anchor, positive) / temperature).
 
     The softmax at anchor k runs over its similarities to every positive in
-    the batch; the matching index k is the labelled pair.
+    the batch; the matching index k is the labelled pair.  The value is
+    projection_loss's with no head, computed without a graph.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    a_norm = batch.anchors / _checked_row_norms(batch.anchors, "anchors")[:, None]
-    p_norm = batch.positives / _checked_row_norms(batch.positives, "positives")[:, None]
-    logits = (a_norm @ p_norm.T) / temperature
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_softmax = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-log_softmax.diagonal().mean())
+    with no_grad():
+        return _info_nce(Tensor(batch.anchors), Tensor(batch.positives), temperature, "").item()
 
 
 def projection_loss(
@@ -90,39 +96,7 @@ def projection_loss(
     """Differentiable InfoNCE of the batch pushed through a linear head."""
     anchors = Tensor(batch.anchors) @ weight + bias
     positives = Tensor(batch.positives) @ weight + bias
-    _checked_row_norms(anchors.value, "projected anchors")
-    _checked_row_norms(positives.value, "projected positives")
-    a_norm = anchors * (anchors * anchors).sum(axis=1, keepdims=True) ** -0.5
-    p_norm = positives * (positives * positives).sum(axis=1, keepdims=True) ** -0.5
-    logits = (a_norm @ p_norm.transpose()) * (1.0 / temperature)
-    eye = Tensor(np.eye(batch.size))
-    matched = (logits * eye).sum(axis=1)
-    return (logsumexp_rows(logits) - matched).mean()
-
-
-def projection_loss_value(
-    weight: np.ndarray,
-    bias: np.ndarray,
-    batch: AlignmentBatch,
-    temperature: float,
-) -> float:
-    """projection_loss(...).item() computed in numpy with no autodiff graph.
-
-    The same ops run in the same order, so the value is bitwise equal.  The
-    masked row sum of logits * eye is read as the diagonal: every other term
-    is a signed zero, which leaves each row's sum unchanged.
-    """
-    anchors = batch.anchors @ weight + bias
-    positives = batch.positives @ weight + bias
-    _checked_row_norms(anchors, "projected anchors")
-    _checked_row_norms(positives, "projected positives")
-    a_norm = anchors * (anchors * anchors).sum(axis=1, keepdims=True) ** -0.5
-    p_norm = positives * (positives * positives).sum(axis=1, keepdims=True) ** -0.5
-    logits = (a_norm @ p_norm.T) * (1.0 / temperature)
-    shift = logits.max(axis=1, keepdims=True)
-    shifted = logits - shift
-    log_sum_exp = np.log(np.exp(shifted, out=shifted).sum(axis=1)) + shift[:, 0]
-    return float((log_sum_exp - logits.diagonal()).sum() * (1.0 / batch.size))
+    return _info_nce(anchors, positives, temperature, "projected ")
 
 
 @dataclass
@@ -163,8 +137,9 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
     bias = Tensor(np.zeros(d))
     optimizer = AdamW([weight, bias], lr=config.learning_rate)
 
-    full_batch = AlignmentBatch(anchors, positives)
-    trace = [projection_loss_value(weight.value, bias.value, full_batch, config.temperature)]
+    with no_grad():
+        trace = [projection_loss(weight, bias, AlignmentBatch(anchors, positives),
+                                 config.temperature).item()]
 
     n = anchors.shape[0]
     batch_size = max(2, min(config.batch_size, n))
@@ -190,21 +165,3 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
         loss_trace=trace,
     )
 
-
-def save_projection(head: ProjectionHead, path) -> None:
-    """Write the head as TSV rows: the weight matrix rows, then the bias row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in head.weight:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
-        fh.write("\t".join(repr(float(x)) for x in head.bias) + "\n")
-
-
-def load_projection(path, temperature: float = DEFAULT_TEMPERATURE) -> ProjectionHead:
-    """Read a head written by save_projection: d rows of d weights, then d biases."""
-
-    def finish(rows):
-        if len(rows) < 2 or {len(row) for row in rows} != {len(rows) - 1}:
-            raise DataError(f"expected d rows of d weights, then d biases; got {len(rows)} rows")
-        return ProjectionHead(np.array(rows[:-1]), np.array(rows[-1]), temperature)
-
-    return read_rows(path, lambda fields: list(map(float, fields)), finish)

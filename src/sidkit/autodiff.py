@@ -7,11 +7,31 @@ framework; every op the package needs is defined here and nothing more.
 A graph is single-use: backward runs once, and each op's closure receives
 its output's gradient and never refers to its output node, so a graph holds
 no cycle and refcounting frees it.  Gradients are never written in place.
+Under ``with no_grad():`` every op returns a leaf of the same value, so a
+forward-only pass runs the training code and records no graph; with the
+fused logsumexp_rows and diagonal, an InfoNCE over B pairs then holds at
+most two (B, B) arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops build no graph; the previous state returns on
+    exit, by an exception too, so blocks nest."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -29,10 +49,10 @@ class Tensor:
 
     __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, _parents=()):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = _parents
+        self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
     # -- helpers -----------------------------------------------------------
@@ -56,14 +76,12 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = wrap(other)
-        out = Tensor(self.value + other.value, (self, other))
 
         def backward(grad):
             self._accumulate(grad)
             other._accumulate(grad)
 
-        out._backward = backward
-        return out
+        return _node(self.value + other.value, (self, other), backward)
 
     __radd__ = __add__
 
@@ -78,14 +96,12 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = wrap(other)
-        out = Tensor(self.value * other.value, (self, other))
 
         def backward(grad):
             self._accumulate(other.value * grad)
             other._accumulate(self.value * grad)
 
-        out._backward = backward
-        return out
+        return _node(self.value * other.value, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -96,54 +112,41 @@ class Tensor:
         return wrap(other) * self**-1.0
 
     def __pow__(self, exponent: float) -> "Tensor":
-        out = Tensor(self.value**exponent, (self,))
-
         def backward(grad):
             self._accumulate(exponent * self.value ** (exponent - 1.0) * grad)
 
-        out._backward = backward
-        return out
+        return _node(self.value**exponent, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = wrap(other)
-        out = Tensor(self.value @ other.value, (self, other))
 
         def backward(grad):
             self._accumulate(grad @ other.value.T)
             other._accumulate(self.value.T @ grad)
 
-        out._backward = backward
-        return out
+        return _node(self.value @ other.value, (self, other), backward)
 
     # -- elementwise nonlinearities ------------------------------------------
 
     def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.value, 0.0), (self,))
-
         def backward(grad):
             self._accumulate((self.value > 0.0) * grad)
 
-        out._backward = backward
-        return out
+        return _node(np.maximum(self.value, 0.0), (self,), backward)
 
     def exp(self) -> "Tensor":
         value = np.exp(self.value)
-        out = Tensor(value, (self,))
 
         def backward(grad):
             self._accumulate(value * grad)
 
-        out._backward = backward
-        return out
+        return _node(value, (self,), backward)
 
     def log(self) -> "Tensor":
-        out = Tensor(np.log(self.value), (self,))
-
         def backward(grad):
             self._accumulate(grad / self.value)
 
-        out._backward = backward
-        return out
+        return _node(np.log(self.value), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self**0.5
@@ -151,15 +154,12 @@ class Tensor:
     # -- reductions / indexing ------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,))
-
         def backward(grad):
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
             self._accumulate(np.broadcast_to(grad, self.value.shape))
 
-        out._backward = backward
-        return out
+        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.value.size if axis is None else self.value.shape[axis]
@@ -168,24 +168,29 @@ class Tensor:
     def gather_rows(self, indices) -> "Tensor":
         """Select rows by integer index; gradients scatter-add back."""
         indices = np.asarray(indices, dtype=np.intp)
-        out = Tensor(self.value[indices], (self,))
 
         def backward(grad):
             rows = np.zeros_like(self.value)
             np.add.at(rows, indices, grad)
             self._accumulate(rows)
 
-        out._backward = backward
-        return out
+        return _node(self.value[indices], (self,), backward)
+
+    def diagonal(self) -> "Tensor":
+        """The main diagonal of a 2-D tensor; gradients land on it."""
+
+        def backward(grad):
+            full = np.zeros_like(self.value)
+            np.fill_diagonal(full, grad)
+            self._accumulate(full)
+
+        return _node(self.value.diagonal().copy(), (self,), backward)
 
     def transpose(self) -> "Tensor":
-        out = Tensor(self.value.T, (self,))
-
         def backward(grad):
             self._accumulate(grad.T)
 
-        out._backward = backward
-        return out
+        return _node(self.value.T, (self,), backward)
 
     # -- driver ---------------------------------------------------------------
 
@@ -214,14 +219,35 @@ class Tensor:
                 node._backward(node.grad)
 
 
+def _node(value, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output: a graph node, or a plain leaf under no_grad."""
+    out = Tensor(value)
+    if _grad_enabled:
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
 def wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:
-    """Row-wise log-sum-exp of a 2-D tensor, max-shifted for stability."""
-    shift = Tensor(x.value.max(axis=1, keepdims=True))
-    return (x - shift).exp().sum(axis=1).log() + Tensor(shift.value[:, 0])
+    """Row-wise log-sum-exp of a 2-D tensor, max-shifted for stability.
+
+    One op, with the operands of (x - shift).exp().sum(1).log() + shift in
+    the same order, so values and gradients are that chain's bits; the
+    shifted copy is exped in place and kept for the backward.
+    """
+    shift = x.value.max(axis=1, keepdims=True)
+    e = x.value - shift
+    np.exp(e, out=e)
+    s = e.sum(axis=1)
+
+    def backward(grad):
+        x._accumulate(e * (grad / s)[:, None])
+
+    return _node(np.log(s) + shift[:, 0], (x,), backward)
 
 
 class AdamW:

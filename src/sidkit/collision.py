@@ -108,7 +108,11 @@ class AssignmentTable:
 
     def codes_of(self, item_ids) -> np.ndarray:
         """The (n, m) code rows of the given items, in the order given."""
-        return self._codes[[self._row(item_id) for item_id in item_ids]]
+        rows = self._rows
+        try:
+            return self._codes[[rows[item_id] for item_id in item_ids]]
+        except KeyError as missing:
+            raise DataError(f"item {missing.args[0]!r} has no assigned SID") from None
 
     def items(self) -> list[tuple[str, SemanticId]]:
         return list(zip(self._rows, self._sid_list()))

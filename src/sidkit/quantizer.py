@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, cosine_warmup_lr
-from .catalog import Header, SemanticId, SidStructure, read_rows
+from .autodiff import AdamW, Tensor, cosine_warmup_lr, no_grad
+from .catalog import Header, SidStructure, read_rows
 from .errors import DataError, NumericError
 
 
@@ -54,17 +54,16 @@ class Mlp:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The training graph's forward pass, run under no_grad: the same bits."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1] != self.weights[0].shape[0]:
             raise DataError(
                 f"input width {h.shape[-1]} does not match the net's input dim "
                 f"{self.weights[0].shape[0]}"
             )
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
-        return h
+        with no_grad():
+            return _forward_t(list(map(Tensor, self.weights)), list(map(Tensor, self.biases)),
+                              Tensor(h)).value
 
 
 def init_mlp(dims, rng: np.random.Generator) -> Mlp:
@@ -236,25 +235,9 @@ def _residual_codes(Z: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
     return codes, Z
 
 
-def residual_assign(z1: np.ndarray, codebooks: CodebookStack) -> tuple[SemanticId, list[np.ndarray]]:
-    """Greedy per-level quantization of z1 and its running residuals.
-
-    Level j picks the codeword nearest the current residual, which is then
-    subtracted.  Returns the code tuple and the residual trace z_1 .. z_{m+1};
-    the chosen codewords plus the final residual telescope back to z1 exactly.
-    """
-    z = np.asarray(z1, dtype=np.float64)
-    if z.ndim != 1:
-        raise DataError(f"expected one vector, got shape {z.shape}")
-    codes, _ = residual_assign_batch(z[None, :], codebooks)
-    residuals = [z]
-    for table, c in zip(codebooks.levels, codes[0]):
-        residuals.append(residuals[-1] - table[c])
-    return SemanticId(tuple(int(c) for c in codes[0])), residuals
-
-
 def residual_assign_batch(Z: np.ndarray, codebooks: CodebookStack) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized residual_assign: (N, m) int codes and (N, d) final residuals."""
+    """Greedy per-level quantization of each row: (N, m) int codes and the
+    (N, d) final residuals, which plus the chosen codewords give back Z."""
     return _residual_codes(np.asarray(Z, dtype=np.float64), codebooks.levels)
 
 
@@ -369,11 +352,6 @@ class QuantizerModel:
             Z = self.level_encoders[j].forward(X)
             codes[:, j] = nearest_codewords(Z, self.codebooks.levels[j])
         return codes
-
-    def assign(self, embedding: np.ndarray) -> SemanticId:
-        """Content-based semantic id for one embedding."""
-        codes = self.assign_batch(np.reshape(embedding, (1, -1)))
-        return SemanticId(tuple(int(c) for c in codes[0]))
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
         """Codes for a matrix of embeddings, shape (N, m)."""

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sidkit
-from sidkit.alignment import ProjectionHead, load_projection, save_projection
 from sidkit.catalog import (
     InteractionSequence,
     ItemCatalog,
@@ -94,11 +93,6 @@ ARTIFACTS = {
                  InteractionSequence("pv2", (), ("i3", "i4"), query="red tea")],
         save_sequences,
         load_sequences,
-    ),
-    "projection": (
-        lambda: ProjectionHead(weight=_embeddings()[:3], bias=_embeddings()[3]),
-        save_projection,
-        load_projection,
     ),
     "assignment": (_assignment, save_assignment, lambda p: load_assignment(p, STRUCTURE)),
     "model-rqkmeans": (
@@ -281,5 +275,5 @@ def test_only_the_row_reader_opens_files_for_reading():
             if func.name.startswith("load_"):
                 loaders[func.name] = {getattr(c.func, "id", None) for c in calls}
     assert readers == ["catalog.py:read_rows"]
-    assert len(loaders) == 8
+    assert len(loaders) == 7
     assert all("read_rows" in called for called in loaders.values()), loaders

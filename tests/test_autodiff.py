@@ -1,11 +1,18 @@
 """Reverse-mode gradients checked against central finite differences."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sidkit.autodiff import AdamW, Tensor, cosine_warmup_lr, logsumexp_rows
+from sidkit import autodiff
+from sidkit.alignment import AlignmentConfig, collect_pairs, train_projection
+from sidkit.autodiff import AdamW, Tensor, cosine_warmup_lr, logsumexp_rows, no_grad
+
+from conftest import clustered_catalog
 
 
 def finite_difference(f, arrays, h=1e-6):
@@ -112,6 +119,30 @@ class TestMatmulAndReductions:
         x = rng.standard_normal((3, 4))
         check_grads(lambda t: logsumexp_rows(t).sum(), [x])
 
+    def test_logsumexp_fused_bit_equals_the_chain(self):
+        """The fused op returns the bits, value and gradient, of the op chain
+        it replaced, on rows from 1e-3 to 1e3 in scale."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((6, 9)) * np.logspace(-3, 3, 6)[:, None]
+        weights = rng.standard_normal(6)
+
+        def chain(t):
+            shift = Tensor(t.value.max(axis=1, keepdims=True))
+            return (t - shift).exp().sum(axis=1).log() + Tensor(shift.value[:, 0])
+
+        grads = []
+        for lse in (logsumexp_rows, chain):
+            t = Tensor(x.copy())
+            out = lse(t)
+            (out * weights).sum().backward()
+            grads.append((out.value.tobytes(), t.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    def test_diagonal_gradient(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((4, 4))
+        check_grads(lambda x: (x.diagonal() ** 2.0).sum() + (x * 0.5).sum(), [a])
+
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros((2, 2))).backward()
@@ -140,6 +171,14 @@ class TestMatmulAndReductions:
         np.testing.assert_array_equal(a.grad, [4.0, 4.0])
 
 
+def composite(a, b):
+    """A scalar through every op of the engine."""
+    x, y = Tensor(a), Tensor(b)
+    h = (x @ y).relu() + (x.transpose().gather_rows([0, 2]) ** 2.0).sum()
+    h = logsumexp_rows(h / (1.0 - x.detach().mean())) * x.exp().log().sqrt().sum()
+    return h.mean() + (x @ y).diagonal().sum()
+
+
 class TestGraphLifetime:
     def test_no_op_leaves_a_cycle(self):
         """A graph through every op, backpropagated or not, is freed by
@@ -147,24 +186,68 @@ class TestGraphLifetime:
         rng = np.random.default_rng(11)
         a, b = rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(0.5, 2.0, (4, 3))
 
-        def graph():
-            x, y = Tensor(a), Tensor(b)
-            h = (x @ y).relu() + (x.transpose().gather_rows([0, 2]) ** 2.0).sum()
-            h = logsumexp_rows(h / (1.0 - x.detach().mean())) * x.exp().log().sqrt().sum()
-            return h.mean()
-
         gc.collect()
         gc.disable()
         try:
-            out = graph()
+            out = composite(a, b)
             out.backward()
             del out
             assert gc.collect() == 0
-            out = graph()
+            out = composite(a, b)
             del out
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestNoGrad:
+    def test_ops_return_leaves(self):
+        a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with no_grad():
+            outs = [a + 1.0, a * a, a**2.0, a @ a, a.relu(), a.exp(), a.log(), a.sum(axis=0),
+                    a.gather_rows([1]), a.transpose(), a.diagonal(), logsumexp_rows(a),
+                    a - a, a / 2.0, a.mean()]
+        for out in outs:
+            assert out._parents == () and out._backward is None
+        assert (a + 1.0)._parents  # recording resumes after the block
+
+    def test_state_is_restored_after_nesting_and_exceptions(self):
+        assert autodiff._grad_enabled
+        with no_grad():
+            with no_grad():
+                assert not autodiff._grad_enabled
+            assert not autodiff._grad_enabled
+        assert autodiff._grad_enabled
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert autodiff._grad_enabled
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_values_do_not_depend_on_recording(self, seed, scale):
+        """The composite's every node has the same bits with and without a graph."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(0.5, 2.0, (4, 3)) * scale
+        graph = composite(a, b)
+        with no_grad():
+            value = composite(a, b)
+        assert graph._parents and not value._parents
+        assert value.value.tobytes() == graph.value.tobytes()
+
+    def test_starting_projection_loss_holds_two_pair_matrices(self):
+        """train_projection's starting loss over all B pairs keeps no graph:
+        its tracemalloc peak stays under 2.2 (B, B) float64 arrays."""
+        catalog, _ = clustered_catalog(n_items=1000, n_clusters=10, d_in=8, seed=12)
+        pairs = collect_pairs(catalog)[0].shape[0]
+        assert pairs == 1000
+        tracemalloc.start()
+        try:
+            train_projection(catalog, AlignmentConfig(epochs=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * pairs**2 * 8
 
 
 class TestAdamW:

@@ -26,7 +26,6 @@ from sidkit.quantizer import (
     load_quantizer,
     nearest_codewords,
     random_model,
-    residual_assign,
     residual_assign_batch,
     rqvae_loss,
     save_quantizer,
@@ -71,17 +70,22 @@ def train_kind(kind, X, structure):
 class TestResidualAssign:
     def test_exact_codeword_gives_zero_residual(self):
         stack = small_stack()
-        z = stack.levels[0][2].copy()
-        sid, residuals = residual_assign(z, stack)
-        assert sid.codes[0] == 2
+        Z = np.stack([stack.levels[0][2], stack.levels[0][0] + stack.levels[1][1]])
+        codes, residuals = residual_assign_batch(Z, stack)
+        assert codes[0, 0] == 2
+        np.testing.assert_array_equal(codes[1], [0, 1])
         np.testing.assert_allclose(residuals[1], 0.0, atol=1e-15)
+        one, _ = residual_assign_batch(Z[:1], stack)
+        assert one[0, 0] == 2
 
     def test_tie_breaks_to_lowest_code(self):
         structure = SidStructure((3,), code_dim=2)
         table = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         stack = CodebookStack(structure, [table])
-        sid, _ = residual_assign(np.array([1.0, 0.0]), stack)
-        assert sid.codes == (0,)
+        codes, _ = residual_assign_batch(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), stack)
+        np.testing.assert_array_equal(codes[:, 0], [0, 2, 0])
+        one, _ = residual_assign_batch(np.array([[1.0, 0.0]]), stack)
+        assert one.tolist() == [[0]]
 
     def test_matches_brute_force_oracle_on_500_inputs(self):
         stack = small_stack(seed=1, sizes=(6, 5, 4), dim=4)
@@ -90,30 +94,32 @@ class TestResidualAssign:
         batch_codes, batch_res = residual_assign_batch(Z, stack)
         for i in range(Z.shape[0]):
             want_codes, want_res = brute_force_codes(Z[i], stack.levels)
-            sid, residuals = residual_assign(Z[i], stack)
-            assert sid.codes == want_codes
-            np.testing.assert_allclose(residuals[-1], want_res, atol=1e-12)
+            codes, residual = residual_assign_batch(Z[i : i + 1], stack)
+            assert tuple(codes[0]) == want_codes
+            np.testing.assert_allclose(residual[0], want_res, atol=1e-12)
             assert tuple(batch_codes[i]) == want_codes
             np.testing.assert_allclose(batch_res[i], want_res, atol=1e-12)
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
-    def test_codewords_plus_final_residual_telescope(self, seed):
+    def test_codewords_plus_final_residual_telescope(self, seed, rows):
         """Chosen codewords and the final residual reassemble the input."""
         rng = np.random.default_rng(seed)
         stack = small_stack(seed=seed % 1000, sizes=(4, 3, 5), dim=6)
-        z1 = rng.standard_normal(6) * 3.0
-        sid, residuals = residual_assign(z1, stack)
-        rebuilt = residuals[-1].copy()
-        for j, c in enumerate(sid.codes):
-            rebuilt = rebuilt + stack.levels[j][c]
-        np.testing.assert_allclose(rebuilt, z1, atol=1e-9)
-        assert len(residuals) == len(stack.levels) + 1
-        sid.validate(stack.structure)
+        Z = rng.standard_normal((rows, 6)) * 3.0
+        codes, residuals = residual_assign_batch(Z, stack)
+        assert codes.shape == (rows, 3) and residuals.shape == (rows, 6)
+        rebuilt = residuals.copy()
+        for j, table in enumerate(stack.levels):
+            rebuilt = rebuilt + table[codes[:, j]]
+        np.testing.assert_allclose(rebuilt, Z, atol=1e-9)
+        for row in codes:
+            SemanticId(tuple(row.tolist())).validate(stack.structure)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            residual_assign(np.ones(3), small_stack(dim=5))
+        for rows in (1, 4):
+            with pytest.raises(DataError):
+                residual_assign_batch(np.ones((rows, 3)), small_stack(dim=5))
 
     def test_sq_distances_empty_table(self):
         with pytest.raises(DataError):
@@ -533,7 +539,8 @@ class TestRqvae:
     )
     def test_graph_forward_equals_numpy_forward_bitwise(self, seed, rows, dims):
         """Training assigns codes from the graph forward's latents and
-        assign_batch from Mlp.forward's, so the two must be the same bits."""
+        assign_batch from Mlp.forward's (the same forward under no_grad), so
+        the two must be the same bits."""
         rng = np.random.default_rng(seed)
         weights = init_mlp(dims, rng).weights
         mlp = Mlp(weights, [rng.standard_normal(w.shape[1]) for w in weights])
@@ -545,13 +552,17 @@ class TestRqvae:
 
     def test_one_encoder_forward_per_batch(self, monkeypatch):
         """Each batch, and the full-data evaluation before training, runs one
-        encoder and one decoder graph forward; initialization runs none."""
+        encoder and one decoder graph forward; initialization runs none.
+        Mlp.forward's calls run under no_grad and build no graph, so they are
+        not counted."""
         calls = []
         graph_forward = quantizer._forward_t
 
         def counted(*args):
-            calls.append(args)
-            return graph_forward(*args)
+            out = graph_forward(*args)
+            if out._parents:
+                calls.append(args)
+            return out
 
         monkeypatch.setattr(quantizer, "_forward_t", counted)
         X = np.random.default_rng(32).standard_normal((24, 4))
@@ -618,9 +629,13 @@ class TestMultiVq:
             hidden_dims=(8,), seed=1,
         )
         model = train_multivq(X, SidStructure((3, 3), code_dim=4), cfg)
-        sid = model.assign(X[0])
-        sid.validate(model.structure)
-        np.testing.assert_array_equal(model.assign_batch(X[:1])[0], np.array(sid.codes))
+        codes = model.assign_batch(X[:1])
+        SemanticId(tuple(codes[0].tolist())).validate(model.structure)
+        assert codes.shape == (1, 2)
+        for j in range(2):
+            own = nearest_codewords(model.level_encoders[j].forward(X[:1]),
+                                    model.codebooks.levels[j])
+            assert codes[0, j] == own[0]
 
 
 class TestAssignOneRow:
@@ -631,9 +646,7 @@ class TestAssignOneRow:
         model = train_kind(kind, X, SidStructure((4, 3), code_dim=4))
         batch = model.assign_batch(X)
         for i in range(X.shape[0]):
-            sid = model.assign(X[i])
-            sid.validate(model.structure)
-            assert sid.codes == tuple(batch[i])
+            np.testing.assert_array_equal(model.assign_batch(X[i : i + 1]), batch[i : i + 1])
 
 
 class TestRandomBaseline:
@@ -674,7 +687,7 @@ class TestRandomBaseline:
     def test_random_model_cannot_assign_by_content(self):
         model = random_model(SidStructure((4, 4), code_dim=4), seed=0)
         with pytest.raises(DataError):
-            model.assign(np.ones(4))
+            model.assign_batch(np.ones((1, 4)))
 
 
 class TestRankLastLevel:
