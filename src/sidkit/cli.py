@@ -14,13 +14,12 @@ from pathlib import Path
 from . import collision, quantizer, retrieval, sidmetrics, toydata
 from .catalog import (
     SidStructure,
+    flat_tokens_to_sid,
     load_item_catalog,
     load_sequences,
-    parse_sid_string,
     render_sid_string,
     save_item_catalog,
     save_sequences,
-    sid_to_flat_tokens,
 )
 from .errors import DataError, NumericError
 
@@ -116,7 +115,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("retrieve", help="decode top-K SIDs for a context")
     p.add_argument("--scorer", required=True)
-    p.add_argument("--context", default="", help="SID string like C12C8200C16400, or empty")
+    p.add_argument("--context", default="",
+                   help="whole SIDs as flat tokens, C12C8200C16400 or 12,8200,16400; or empty")
     p.add_argument("--beam", type=_int_list, default=None, help="per-level widths, e.g. 300,600,1200")
     p.add_argument("--k", type=int, default=10)
 
@@ -154,55 +154,48 @@ def _load_catalog(args):
     return load_item_catalog(args.catalog, d_in=args.d_in)
 
 
-def _catalog_assignment(args, catalog, structure) -> collision.AssignmentTable:
-    """--assignment, every item of which must be in --catalog."""
+def _check_known(path, owned_items, known, known_path) -> None:
+    """DataError at the first item, in file order, that `known` lacks.
+
+    `owned_items` holds the (owner, item ids) pairs read from `path`; the
+    message names that file, the owner, the item and `known_path`, the file
+    that lacks the item."""
+    for owner, item_ids in owned_items:
+        unknown = next((i for i in item_ids if i not in known), None)
+        if unknown is not None:
+            raise DataError(f"{path}: {owner} names item {unknown!r}, "
+                            f"which is not in {known_path}")
+
+
+def _sequences_and_table(args, structure: SidStructure):
+    """--sequences and --assignment, every sequence item holding a SID."""
     table = collision.load_assignment(args.assignment, structure)
-    unknown = next((item_id for item_id in table if item_id not in catalog), None)
-    if unknown is not None:
-        raise DataError(f"{args.assignment}: item {unknown!r} is not in {args.catalog}")
-    return table
-
-
-def _assigned_sequences(args, table: collision.AssignmentTable):
-    """--sequences, every item of which must hold a SID in --assignment."""
     sequences = load_sequences(args.sequences)
-    for seq in sequences:
-        unknown = next((i for i in (*seq.history, *seq.targets) if i not in table), None)
-        if unknown is not None:
-            raise DataError(
-                f"{args.sequences}: sequence {seq.pv_id!r} names item {unknown!r}, "
-                f"which has no SID in {args.assignment}"
-            )
-    return sequences
+    _check_known(args.sequences,
+                 ((f"sequence {s.pv_id!r}", (*s.history, *s.targets)) for s in sequences),
+                 table, args.assignment)
+    return sequences, table
 
 
-def _assigned_labels(args, table: collision.AssignmentTable):
-    """--labels, every item of which must hold a SID in --assignment."""
-    labels = sidmetrics.load_pair_labels(args.labels)
-    for a, b, relation in labels.pairs:
-        unknown = a if a not in table else b if b not in table else None
-        if unknown is not None:
-            raise DataError(
-                f"{args.labels}: {relation} pair ({a!r}, {b!r}) names item {unknown!r}, "
-                f"which has no SID in {args.assignment}"
-            )
-    return labels
+def _schedule(args, scorer) -> retrieval.BeamSchedule:
+    """--beam, or the scorer's default widths."""
+    if args.beam:
+        return retrieval.BeamSchedule(args.beam)
+    return retrieval.default_schedule(scorer.structure)
 
 
-def _catalog_pairs(args, catalog):
-    """Hitrate pairs from --sequences: each sequence with a history gives its
-    last history item and its targets, every one of which must be in
-    --catalog."""
-    sequences = load_sequences(args.sequences)
-    for seq in sequences:
-        read = (seq.history[-1], *seq.targets) if seq.history else ()
-        unknown = next((i for i in read if i not in catalog), None)
-        if unknown is not None:
-            raise DataError(
-                f"{args.sequences}: sequence {seq.pv_id!r} names item {unknown!r}, "
-                f"which is not in {args.catalog}"
-            )
-    return sidmetrics.pairs_from_sequences(sequences)
+def _write_csv(path, header: str, rows) -> None:
+    """A result table to `path`, or to stdout when path is None.  Floats are
+    written with repr, so equal runs give equal bytes."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def cmd_tokenize(args) -> int:
@@ -228,17 +221,13 @@ def cmd_tokenize(args) -> int:
     table = collision.raw_assignment(catalog, model)
     quantizer.save_quantizer(model, args.out_model)
     collision.save_assignment(table, args.out_assignment)
-    if args.out_trace:
-        with open(args.out_trace, "w", encoding="utf-8") as fh:
-            if model.kind == "rqvae":
-                fh.write("epoch,total_loss,recon_loss\n")
-                for e, (t, r) in enumerate(zip(model.loss_trace, model.recon_trace)):
-                    fh.write(f"{e},{repr(t)},{repr(r)}\n")
-            else:
-                fh.write("level,step,objective\n")
-                for level, trace in enumerate(model.objective_traces):
-                    for step, value in enumerate(trace):
-                        fh.write(f"{level},{step},{repr(float(value))}\n")
+    if args.out_trace and model.kind == "rqvae":
+        _write_csv(args.out_trace, "epoch,total_loss,recon_loss",
+                   ((e, *pair) for e, pair in enumerate(zip(model.loss_trace, model.recon_trace))))
+    elif args.out_trace:
+        _write_csv(args.out_trace, "level,step,objective",
+                   ((level, step, value) for level, trace in enumerate(model.objective_traces)
+                    for step, value in enumerate(trace)))
     print(f"tokenize: {len(table)} items assigned, kind={model.kind}")
     return EXIT_OK
 
@@ -253,11 +242,11 @@ def cmd_collide(args) -> int:
     elif args.policy == "random":
         table = collision.apply_random_policy(catalog, model)
     else:
-        base = (
-            _catalog_assignment(args, catalog, model.structure)
-            if args.assignment
-            else collision.raw_assignment(catalog, model)
-        )
+        if args.assignment:
+            base = collision.load_assignment(args.assignment, model.structure)
+            _check_known(args.assignment, [("assignment", base)], catalog, args.catalog)
+        else:
+            base = collision.raw_assignment(catalog, model)
         if args.policy == "merge":
             table = collision.apply_merge_policy(base, model.codebooks, args.merge_threshold)
         else:
@@ -274,13 +263,11 @@ def cmd_collide(args) -> int:
 def cmd_eval_sid(args) -> int:
     catalog = _load_catalog(args)
     model = quantizer.load_quantizer(args.model) if args.model else None
-    if model is not None:
-        structure = model.structure
-    elif args.levels:
-        structure = SidStructure(_int_list(args.levels), code_dim=args.code_dim)
-    else:
+    if model is None and not args.levels:
         raise DataError("eval-sid needs --model or --levels for the SID structure")
-    table = _catalog_assignment(args, catalog, structure)
+    table = collision.load_assignment(
+        args.assignment, model.structure if model is not None else _structure(args))
+    _check_known(args.assignment, [("assignment", table)], catalog, args.catalog)
     occ = sidmetrics.OccupancyVector.from_table(table)
     if args.occupied_only:
         occ = sidmetrics.OccupancyVector(
@@ -297,14 +284,23 @@ def cmd_eval_sid(args) -> int:
             ("feature_fidelity_pct", quantizer.feature_fidelity(model, catalog.embedding_matrix()))
         )
     if args.labels:
-        labels = _assigned_labels(args, table)
+        labels = sidmetrics.load_pair_labels(args.labels)
+        _check_known(args.labels,
+                     ((f"{r} pair ({a!r}, {b!r})", (a, b)) for a, b, r in labels.pairs),
+                     table, args.assignment)
         for relation in sidmetrics.RELATIONS:
             if labels.of_relation(relation):
                 rows.append(
                     (f"{relation}_consistency_pct", sidmetrics.consistency(table, labels, relation))
                 )
     if args.sequences:
-        pairs = _catalog_pairs(args, catalog)
+        sequences = load_sequences(args.sequences)
+        # a hitrate pair reads the last history item and the targets
+        _check_known(args.sequences,
+                     ((f"sequence {s.pv_id!r}", (s.history[-1], *s.targets) if s.history else ())
+                      for s in sequences),
+                     catalog, args.catalog)
+        pairs = sidmetrics.pairs_from_sequences(sequences)
         rows.append(
             (f"embedding_hr@{args.k}", sidmetrics.embedding_hitrate(catalog, pairs, args.k))
         )
@@ -313,10 +309,7 @@ def cmd_eval_sid(args) -> int:
     for name, value in rows:
         print(f"{name:<{width}}  {value:.4f}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("metric,value\n")
-            for name, value in rows:
-                fh.write(f"{name},{repr(float(value))}\n")
+        _write_csv(args.csv, "metric,value", rows)
     return EXIT_OK
 
 
@@ -325,8 +318,7 @@ def cmd_train_scorer(args) -> int:
     if args.corpus:
         corpus = retrieval.load_corpus(args.corpus)
     elif args.sequences and args.assignment:
-        table = collision.load_assignment(args.assignment, structure)
-        corpus = retrieval.build_useraction_corpus(_assigned_sequences(args, table), table)
+        corpus = retrieval.build_useraction_corpus(*_sequences_and_table(args, structure))
     else:
         raise DataError("train-scorer needs --corpus, or --sequences with --assignment")
     scorer = retrieval.train_markov_scorer(corpus, structure, order=args.order, alpha=args.alpha)
@@ -336,37 +328,29 @@ def cmd_train_scorer(args) -> int:
 
 
 def _parse_context(text: str, structure: SidStructure) -> list[int]:
-    """Either a concatenation of SID strings (C12C8200..) or comma tokens."""
+    """Flat tokens from SID strings (C12C8200..) or comma tokens (12,8200,..).
+
+    Every whole SID must keep each token in its level's band; a partial last
+    SID is left for the beam search to reject."""
     text = text.strip()
-    if not text:
-        return []
     if text.startswith("C"):
-        raw = re.findall(r"C\d+", text)
-        if "".join(raw) != text:
+        if not re.fullmatch(r"(?:C\d+)+", text):
             raise DataError(f"cannot parse context {text!r}")
-        m = structure.num_levels
-        if len(raw) % m != 0:
-            raise DataError("context must contain whole SIDs")
-        tokens: list[int] = []
-        for i in range(0, len(raw), m):
-            sid = parse_sid_string("".join(raw[i : i + m]), structure)
-            tokens.extend(sid_to_flat_tokens(sid, structure))
-        return tokens
+        text = text[1:].replace("C", ",")
     try:
-        return [int(t) for t in text.split(",") if t]
+        tokens = [int(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise DataError(f"cannot parse context {text!r}: {exc}") from exc
+    m = structure.num_levels
+    for start in range(0, len(tokens) - m + 1, m):
+        flat_tokens_to_sid(tokens[start : start + m], structure)
+    return tokens
 
 
 def cmd_retrieve(args) -> int:
     scorer = retrieval.load_markov_scorer(args.scorer)
-    schedule = (
-        retrieval.BeamSchedule(args.beam)
-        if args.beam
-        else retrieval.default_schedule(scorer.structure)
-    )
     context = _parse_context(args.context, scorer.structure)
-    results = retrieval.dynamic_beam_search(scorer, context, schedule, k=args.k)
+    results = retrieval.dynamic_beam_search(scorer, context, _schedule(args, scorer), k=args.k)
     print("rank,sid,log_prob")
     for rank, (sid, logp) in enumerate(results, start=1):
         print(f"{rank},{render_sid_string(sid, scorer.structure)},{repr(logp)}")
@@ -375,30 +359,15 @@ def cmd_retrieve(args) -> int:
 
 def cmd_eval_hr(args) -> int:
     scorer = retrieval.load_markov_scorer(args.scorer)
-    table = collision.load_assignment(args.assignment, scorer.structure)
-    sequences = _assigned_sequences(args, table)
-    schedule = (
-        retrieval.BeamSchedule(args.beam)
-        if args.beam
-        else retrieval.default_schedule(scorer.structure)
-    )
+    sequences, table = _sequences_and_table(args, scorer.structure)
+    schedule = _schedule(args, scorer)
     results = retrieval.evaluate_hr(scorer, table, sequences, schedule, k_list=args.k)
-    lines = ["stage,k,hr"]
-    for k in sorted(results):
-        lines.append(f"{args.stage},{k},{repr(results[k])}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, "stage,k,hr", ((args.stage, k, results[k]) for k in sorted(results)))
     return EXIT_OK
 
 
 def cmd_build_pretrain_corpus(args) -> int:
-    structure = _structure(args)
-    table = collision.load_assignment(args.assignment, structure)
-    corpus = retrieval.build_useraction_corpus(_assigned_sequences(args, table), table)
+    corpus = retrieval.build_useraction_corpus(*_sequences_and_table(args, _structure(args)))
     retrieval.save_corpus(corpus, args.out)
     print(f"build-pretrain-corpus: {len(corpus)} streams")
     return EXIT_OK

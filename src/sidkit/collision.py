@@ -53,7 +53,7 @@ class AssignmentTable:
             i, j = bad[0]
             raise DataError(f"item {ids[i]!r}: code {self._codes[i, j]} out of range "
                             f"[0, {structure.level_sizes[j]}) at level {j}")
-        self._groups = self._sids = None
+        self._groups = None
 
     def assign(self, item_id: str, sid: SemanticId) -> None:
         """Insert or move one item."""
@@ -64,13 +64,7 @@ class AssignmentTable:
             self._codes = np.vstack([self._codes, codes])
         else:
             self._codes[row] = codes
-        self._groups = self._sids = None
-
-    def _sid_list(self) -> list[SemanticId]:
-        """Row i's SID as a SemanticId, built on the first read after a change."""
-        if self._sids is None:
-            self._sids = list(map(SemanticId, self._codes.tolist()))
-        return self._sids
+        self._groups = None
 
     def _members(self) -> dict[tuple[int, ...], list[str]]:
         """Occupied SID -> its item ids in ascending order, built on the first
@@ -98,7 +92,7 @@ class AssignmentTable:
         return iter(self._rows)
 
     def __getitem__(self, item_id: str) -> SemanticId:
-        return self._sid_list()[self._row(item_id)]
+        return SemanticId(self._codes[self._row(item_id)].tolist())
 
     def _row(self, item_id: str) -> int:
         try:
@@ -115,7 +109,7 @@ class AssignmentTable:
             raise DataError(f"item {missing.args[0]!r} has no assigned SID") from None
 
     def items(self) -> list[tuple[str, SemanticId]]:
-        return list(zip(self._rows, self._sid_list()))
+        return list(zip(self._rows, map(SemanticId, self._codes.tolist())))
 
     def occupancy_of(self, sid: SemanticId | tuple[int, ...]) -> int:
         codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)

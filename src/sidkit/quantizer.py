@@ -344,25 +344,26 @@ class QuantizerModel:
     def structure(self) -> SidStructure:
         return self.codebooks.structure
 
-    def _multivq_codes(self, X: np.ndarray, levels: int) -> np.ndarray:
-        """(N, levels) codes of the first multivq levels, each the nearest
-        codeword to that level's own encoding of X."""
-        codes = np.zeros((X.shape[0], levels), dtype=np.int64)
-        for j in range(levels):
-            Z = self.level_encoders[j].forward(X)
-            codes[:, j] = nearest_codewords(Z, self.codebooks.levels[j])
-        return codes
-
-    def assign_batch(self, X: np.ndarray) -> np.ndarray:
-        """Codes for a matrix of embeddings, shape (N, m)."""
+    def _prefix_walk(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, m-1) prefix codes and the rows the last level quantizes: the
+        running residual for rqvae and rqkmeans, the last level encoder's
+        output for multivq."""
         X = np.asarray(X, dtype=np.float64)
         if self.kind == "random":
             raise DataError("random quantizer assigns by item id, not content; use assign_random")
-        if self.kind == "multivq":
-            return self._multivq_codes(X, self.structure.num_levels)
-        Z = self.encoder.forward(X) if self.kind == "rqvae" else X
-        codes, _ = residual_assign_batch(Z, self.codebooks)
-        return codes
+        levels = self.codebooks.levels
+        if self.kind != "multivq":
+            return _residual_codes(self.encoder.forward(X) if self.kind == "rqvae" else X,
+                                   levels[:-1])
+        prefixes = np.zeros((X.shape[0], len(levels) - 1), dtype=np.int64)
+        for j, table in enumerate(levels[:-1]):
+            prefixes[:, j] = nearest_codewords(self.level_encoders[j].forward(X), table)
+        return prefixes, self.level_encoders[-1].forward(X)
+
+    def assign_batch(self, X: np.ndarray) -> np.ndarray:
+        """Codes for a matrix of embeddings, shape (N, m)."""
+        prefixes, Z = self._prefix_walk(X)
+        return np.column_stack((prefixes, nearest_codewords(Z, self.codebooks.levels[-1])))
 
     def rank_last_level_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, m-1) prefix codes plus (N, n_m) last-level codes ordered by
@@ -371,16 +372,7 @@ class QuantizerModel:
         The collision-repair policies walk this ranking; ties in distance
         resolve to the lower code so the order is total and reproducible.
         """
-        X = np.asarray(X, dtype=np.float64)
-        m = self.structure.num_levels
-        if self.kind == "random":
-            raise DataError("random quantizer cannot rank codewords by content")
-        if self.kind == "multivq":
-            prefixes = self._multivq_codes(X, m - 1)
-            Z = self.level_encoders[-1].forward(X)
-        else:
-            Z = self.encoder.forward(X) if self.kind == "rqvae" else X
-            prefixes, Z = _residual_codes(Z, self.codebooks.levels[: m - 1])
+        prefixes, Z = self._prefix_walk(X)
         return prefixes, nearest_codewords(Z, self.codebooks.levels[-1], ranked=True)
 
     def _reconstruct_batch(self, X: np.ndarray) -> np.ndarray:

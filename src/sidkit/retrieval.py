@@ -542,10 +542,13 @@ def dynamic_beam_search(
     stay in the pool), and lexsorts only that pool by descending score, then
     token columns left to right: the same order a full sort would give.  A
     NaN score raises DataError naming the level; -inf is a legal score.  The
-    context must be whole SIDs, so the first decoded token is a level-0 one.
+    context must be whole SIDs, so the first decoded token is a level-0 one,
+    and k must lie in [1, widths[-1]].
     """
     structure = scorer.structure
     schedule.validate(structure)
+    if k < 1:
+        raise DataError(f"k={k} must be positive")
     if k > schedule.widths[-1]:
         raise DataError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
     context = np.asarray([int(t) for t in context], dtype=np.int64)

@@ -193,6 +193,26 @@ class TestRetrieve:
         assert code == EXIT_DATA
         assert "whole number of SIDs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("context", ["5,5,5", "C5C5C5"])
+    def test_out_of_band_context_rejected_in_either_form(self, context, tmp_path, capsys):
+        scorer = tmp_path / "scorer.tsv"
+        scorer.write_text("#order\t2\n#alpha\t0.1\n#levels\t4\t4\t4\n#code_dim\t2\n")
+        code = main(["retrieve", "--scorer", str(scorer), "--k", "3", "--context", context])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "token 5 outside level-0 band [0, 4)" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_rejected(self, k, pipeline, capsys):
+        code = main(
+            ["retrieve", "--scorer", str(pipeline / "scorer.tsv"), "--beam", "10,20", "--k", k]
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"k={k} must be positive" in captured.err
+        assert captured.out == ""
+
 
 class TestEvalSid:
     def test_prints_metric_table_and_csv(self, pipeline, toy_dir, tmp_path, capsys):
@@ -359,66 +379,55 @@ class TestExitCodes:
         assert main(["retrieve", "--scorer", str(scorer), "--k", "3"]) == EXIT_DATA
         assert f"{scorer}:5: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval-sid", "noco", "merge"])
-    def test_assignment_item_missing_from_catalog(
-        self, command, toy_dir, pipeline, tmp_path, capsys
+    @pytest.mark.parametrize("case", [
+        "eval-sid", "noco", "merge",  # --assignment vs --catalog
+        "eval-hr", "build-pretrain-corpus", "train-scorer",  # --sequences vs --assignment
+        "labels",  # eval-sid --labels vs --assignment
+        "eval-sid-sequences",  # eval-sid --sequences vs --catalog
+    ])
+    def test_item_unknown_to_another_file(
+        self, case, toy_dir, pipeline, tmp_path, capsys
     ):
-        assignment = tmp_path / "assignment.tsv"
-        assignment.write_text((pipeline / "knn.tsv").read_text() + "nope\t[0,0]\n")
-        out = tmp_path / "out.tsv"
-        args = ["--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
-                "--model", str(pipeline / "model.tsv"), "--assignment", str(assignment)]
-        if command == "eval-sid":
-            code = main(["eval-sid", *args])
+        """Each cross-file rule exits 2 naming the file at fault, the owner,
+        the item and the file that lacks it, and writes no output."""
+        catalog, assignment = toy_dir / "catalog.tsv", pipeline / "knn.tsv"
+        if case in ("eval-sid", "noco", "merge"):
+            source, row, owner, lacking = assignment, "ghost\t[0,0]\n", "assignment", catalog
+        elif case == "labels":
+            source, row, lacking = toy_dir / "labels.tsv", "item00001\tghost\tstyle\n", assignment
+            owner = "style pair ('item00001', 'ghost')"
         else:
-            code = main(["collide", *args, "--policy", command, "--out", str(out)])
-        assert code == EXIT_DATA
-        assert "'nope'" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["eval-hr", "build-pretrain-corpus", "train-scorer"])
-    def test_sequence_item_without_sid_names_file_and_sequence(
-        self, command, toy_dir, pipeline, tmp_path, capsys
-    ):
-        sequences = tmp_path / "sequences.tsv"
-        sequences.write_text(
-            (toy_dir / "eval_sequences.tsv").read_text() + "pv9\tghost\t\ti0001\n"
-        )
+            source, row = toy_dir / "eval_sequences.tsv", "pv9\tghost\t\titem00001\n"
+            owner = "sequence 'pv9'"
+            lacking = catalog if case == "eval-sid-sequences" else assignment
+        bad = tmp_path / source.name
+        bad.write_text(source.read_text() + row)
         out = tmp_path / "out.txt"
-        args = ["--sequences", str(sequences), "--assignment", str(pipeline / "knn.tsv")]
-        if command == "eval-hr":
-            args += ["--scorer", str(pipeline / "scorer.tsv"), "--beam", "10,20"]
-        else:
-            args += ["--levels", "5,4", "--code-dim", "8"]
-        code = main([command, *args, "--out", str(out)])
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"{sequences}: sequence 'pv9'" in err
+        base = ["--catalog", str(catalog), "--d-in", "8"]
+        model = ["--model", str(pipeline / "model.tsv")]
+        structure = ["--levels", "5,4", "--code-dim", "8"]
+        argv = {
+            "eval-sid": ["eval-sid", *base, *model, "--assignment", bad, "--csv", out],
+            "noco": ["collide", *base, *model, "--assignment", bad, "--policy", "noco",
+                     "--out", out],
+            "merge": ["collide", *base, *model, "--assignment", bad, "--policy", "merge",
+                      "--out", out],
+            "eval-hr": ["eval-hr", "--scorer", pipeline / "scorer.tsv", "--beam", "10,20",
+                        "--assignment", assignment, "--sequences", bad, "--out", out],
+            "build-pretrain-corpus": ["build-pretrain-corpus", *structure,
+                                      "--assignment", assignment, "--sequences", bad,
+                                      "--out", out],
+            "train-scorer": ["train-scorer", *structure, "--assignment", assignment,
+                             "--sequences", bad, "--out", out],
+            "labels": ["eval-sid", *base, *structure, "--assignment", assignment,
+                       "--labels", bad, "--csv", out],
+            "eval-sid-sequences": ["eval-sid", *base, *structure, "--assignment", assignment,
+                                   "--sequences", bad, "--csv", out],
+        }[case]
+        assert main([str(a) for a in argv]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"sidkit: data error: {bad}: {owner} names item 'ghost', which is not in {lacking}\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--labels", "--sequences"])
-    def test_eval_sid_item_unknown_to_a_flag_file_names_that_file(
-        self, flag, toy_dir, pipeline, tmp_path, capsys
-    ):
-        if flag == "--labels":
-            name, row, missing_from = "labels.tsv", "item00001\tghost\tstyle\n", "knn.tsv"
-        else:
-            name, row, missing_from = "eval_sequences.tsv", "pv9\tghost\t\titem00001\n", "catalog.tsv"
-        path = tmp_path / name
-        path.write_text((toy_dir / name).read_text() + row)
-        csv_path = tmp_path / "metrics.csv"
-        code = main(
-            [
-                "eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
-                "--assignment", str(pipeline / "knn.tsv"), "--levels", "5,4", "--code-dim", "8",
-                flag, str(path), "--csv", str(csv_path),
-            ]
-        )
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"data error: {path}: " in err
-        assert "names item 'ghost'" in err and missing_from in err
-        assert not csv_path.exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -635,6 +635,12 @@ class TestDynamicBeamSearch:
         with pytest.raises(DataError):
             dynamic_beam_search(self.scorer, [], BeamSchedule((4, 8, 8)), k=9)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_must_be_positive(self, k):
+        """A negative k would slice rows off the end of the beam."""
+        with pytest.raises(DataError, match=f"k={k}"):
+            dynamic_beam_search(self.scorer, [], BeamSchedule((2, 4, 8)), k=k)
+
     def test_wider_beam_never_scores_worse(self):
         """The best SID found can only improve as widths grow."""
         context = [2, 4, 8]
