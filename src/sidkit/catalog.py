@@ -8,6 +8,7 @@ UTF-8 TSV so that fixtures stay diff-friendly.
 
 from __future__ import annotations
 
+import io
 import logging
 import re
 from array import array
@@ -313,26 +314,37 @@ def read_rows(path, parse_row, finish=lambda rows: rows):
     Each non-blank line, less its line ending only (a scorer row may start
     with a tab), goes split on tabs to ``parse_row``; ``finish`` makes the
     list of results the loaded object.  The reader records the line each
-    result came from.  A ValueError, IndexError, KeyError, OverflowError or
+    result came from.  In the whole-file form, ``parse_row`` is None and
+    ``finish`` gets the file's text instead; result i is then the i-th
+    non-blank line.  A ValueError, IndexError, KeyError, OverflowError or
     DataError becomes ``DataError("path:line: ...")``.  From ``finish`` it
     becomes ``"path: ..."`` (whole-file checks).  A RowError naming result
     i, from either, is reported at the line of result i.  Read-ahead UTF-8
     decoding errors become ``"path: ..."`` too.
     """
-    rows, lines, lineno = [], array("q"), 0
+    rows, lines, lineno, text = [], array("q"), 0, ""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.isspace():
-                    rows.append(parse_row(line.rstrip("\n").split("\t")))
-                    lines.append(lineno)
+            if parse_row is None:
+                text = fh.read()
+            else:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.isspace():
+                        rows.append(parse_row(line.rstrip("\n").split("\t")))
+                        lines.append(lineno)
         lineno = 0  # no single line is at fault from here on
-        return finish(rows)
+        return finish(text if parse_row is None else rows)
     except (ValueError, IndexError, KeyError, OverflowError, DataError) as exc:
         if isinstance(exc, RowError):
-            lineno = lines[exc.row]
+            lineno = _nonblank_lines(text)[exc.row] if parse_row is None else lines[exc.row]
         where = path if not lineno or isinstance(exc, UnicodeDecodeError) else f"{path}:{lineno}"
         raise DataError(f"{where}: {exc}") from exc
+
+
+def _nonblank_lines(text: str) -> list[int]:
+    """The numbers of the lines of `text` that read_rows hands on, in order."""
+    return [n for n, line in enumerate(io.StringIO(text, newline="\n"), start=1)
+            if not line.isspace()]
 
 
 class Header(dict):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import collision, quantizer, retrieval, sidmetrics, toydata
@@ -154,16 +155,21 @@ def _load_catalog(args):
     return load_item_catalog(args.catalog, d_in=args.d_in)
 
 
-def _check_known(path, owned_items, known, known_path) -> None:
+def _check_known(path, rows, items_of, owner_of, known, known_path) -> None:
     """DataError at the first item, in file order, that `known` lacks.
 
-    `owned_items` holds the (owner, item ids) pairs read from `path`; the
-    message names that file, the owner, the item and `known_path`, the file
-    that lacks the item."""
-    for owner, item_ids in owned_items:
-        unknown = next((i for i in item_ids if i not in known), None)
+    `rows` are what `path` holds, `items_of(row)` gives a row's item ids and
+    `known` is a catalog or a table.  All ids are checked against its id
+    dict in one set operation; only when one is missing are the rows walked
+    to name that file, the row's owner, `owner_of(row)`, the item and
+    `known_path`, the file that lacks the item."""
+    known_ids = known._rows.keys()  # id -> row, in a catalog and in a table
+    if known_ids >= set(chain.from_iterable(map(items_of, rows))):
+        return
+    for row in rows:
+        unknown = next((i for i in items_of(row) if i not in known_ids), None)
         if unknown is not None:
-            raise DataError(f"{path}: {owner} names item {unknown!r}, "
+            raise DataError(f"{path}: {owner_of(row)} names item {unknown!r}, "
                             f"which is not in {known_path}")
 
 
@@ -171,9 +177,8 @@ def _sequences_and_table(args, structure: SidStructure):
     """--sequences and --assignment, every sequence item holding a SID."""
     table = collision.load_assignment(args.assignment, structure)
     sequences = load_sequences(args.sequences)
-    _check_known(args.sequences,
-                 ((f"sequence {s.pv_id!r}", (*s.history, *s.targets)) for s in sequences),
-                 table, args.assignment)
+    _check_known(args.sequences, sequences, lambda s: (*s.history, *s.targets),
+                 lambda s: f"sequence {s.pv_id!r}", table, args.assignment)
     return sequences, table
 
 
@@ -244,7 +249,8 @@ def cmd_collide(args) -> int:
     else:
         if args.assignment:
             base = collision.load_assignment(args.assignment, model.structure)
-            _check_known(args.assignment, [("assignment", base)], catalog, args.catalog)
+            _check_known(args.assignment, [base], list, lambda _: "assignment", catalog,
+                         args.catalog)
         else:
             base = collision.raw_assignment(catalog, model)
         if args.policy == "merge":
@@ -265,9 +271,12 @@ def cmd_eval_sid(args) -> int:
     model = quantizer.load_quantizer(args.model) if args.model else None
     if model is None and not args.levels:
         raise DataError("eval-sid needs --model or --levels for the SID structure")
-    table = collision.load_assignment(
-        args.assignment, model.structure if model is not None else _structure(args))
-    _check_known(args.assignment, [("assignment", table)], catalog, args.catalog)
+    structure = model.structure if model is not None else _structure(args)
+    if model is not None and args.levels and _int_list(args.levels) != structure.level_sizes:
+        raise DataError(f"--levels {args.levels} disagrees with the levels "
+                        f"{','.join(map(str, structure.level_sizes))} of --model {args.model}")
+    table = collision.load_assignment(args.assignment, structure)
+    _check_known(args.assignment, [table], list, lambda _: "assignment", catalog, args.catalog)
     occ = sidmetrics.OccupancyVector.from_table(table)
     if args.occupied_only:
         occ = sidmetrics.OccupancyVector(
@@ -285,8 +294,8 @@ def cmd_eval_sid(args) -> int:
         )
     if args.labels:
         labels = sidmetrics.load_pair_labels(args.labels)
-        _check_known(args.labels,
-                     ((f"{r} pair ({a!r}, {b!r})", (a, b)) for a, b, r in labels.pairs),
+        _check_known(args.labels, labels.pairs, lambda pair: pair[:2],
+                     lambda pair: f"{pair[2]} pair ({pair[0]!r}, {pair[1]!r})",
                      table, args.assignment)
         for relation in sidmetrics.RELATIONS:
             if labels.of_relation(relation):
@@ -296,10 +305,9 @@ def cmd_eval_sid(args) -> int:
     if args.sequences:
         sequences = load_sequences(args.sequences)
         # a hitrate pair reads the last history item and the targets
-        _check_known(args.sequences,
-                     ((f"sequence {s.pv_id!r}", (s.history[-1], *s.targets) if s.history else ())
-                      for s in sequences),
-                     catalog, args.catalog)
+        _check_known(args.sequences, sequences,
+                     lambda s: (s.history[-1], *s.targets) if s.history else (),
+                     lambda s: f"sequence {s.pv_id!r}", catalog, args.catalog)
         pairs = sidmetrics.pairs_from_sequences(sequences)
         rows.append(
             (f"embedding_hr@{args.k}", sidmetrics.embedding_hitrate(catalog, pairs, args.k))
@@ -315,6 +323,11 @@ def cmd_eval_sid(args) -> int:
 
 def cmd_train_scorer(args) -> int:
     structure = _structure(args)
+    others = [f"--{name} {path}" for name, path in
+              (("sequences", args.sequences), ("assignment", args.assignment)) if path]
+    if args.corpus and others:
+        raise DataError(f"train-scorer got --corpus {args.corpus} and {' and '.join(others)}; "
+                        "give --corpus, or --sequences with --assignment, not both")
     if args.corpus:
         corpus = retrieval.load_corpus(args.corpus)
     elif args.sequences and args.assignment:
@@ -416,7 +429,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"sidkit: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as exc:

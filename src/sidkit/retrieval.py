@@ -10,6 +10,7 @@ billion-parameter sequence model would.
 
 from __future__ import annotations
 
+import io
 import logging
 import operator
 from array import array
@@ -23,7 +24,7 @@ from .catalog import Header, SemanticId, SidStructure, read_rows
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
-from .collision import AssignmentTable
+from .collision import AssignmentTable, _ContextIndex, _key_widths, _pack, _radix_powers
 from .errors import DataError, RowError
 
 logger = logging.getLogger(__name__)
@@ -139,56 +140,6 @@ class MarkovScorer(SequenceScorer):
         return np.log(probs)
 
 
-class _ContextIndex:
-    """The distinct contexts of a sorted table, as a trie of dense prefix ids.
-
-    A trie level spans a few context columns.  Its node ids number the
-    distinct prefixes that end with those columns, in sorted order, and its
-    sorted keys hold parent_id * radix**width + the level's columns packed
-    base radix (see _packed_keys).  So a node's id is its position in those
-    keys and one searchsorted per level walks a batch down the trie.  Each
-    level spans as many columns as keep every key below 2**63 for this
-    table, so no key overflows however many columns it has; at desk scale
-    one level spans them all.  The keys end in a sentinel no key equals.  A
-    miss moves to the node one past the real ones, whose keys sort past
-    every real key at the next level, so it stays missed.  starts[n] is the
-    first row of context n; the missing context gets an empty row range.
-    """
-
-    def __init__(self, contexts: np.ndarray, total_tokens: int):
-        self.radix, self.order = total_tokens + 1, contexts.shape[1]
-        new = np.zeros(len(contexts), dtype=bool)
-        new[:1] = True
-        parent = np.zeros(len(contexts), dtype=np.int64)
-        self.levels, lo = [], 0  # (first column, radix powers, radix**width, keys)
-        for width in _key_widths(self.radix, self.order, room=len(contexts) + 1):
-            for column in contexts[:, lo : lo + width].T:
-                new[1:] |= column[1:] != column[:-1]
-            at = np.flatnonzero(new)
-            powers = _radix_powers(self.radix, width)
-            span = self.radix**width
-            keys = parent[at] * span + _pack(contexts[at, lo : lo + width], powers)
-            self.levels.append((lo, powers, span, np.append(keys, np.iinfo(np.int64).max)))
-            np.cumsum(new, out=parent)
-            parent -= 1
-            lo += width
-        self.starts = np.append(np.flatnonzero(new), [len(contexts)] * 2)
-        self.num_contexts = len(self.starts) - 2
-
-    def rows_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row range [start, stop) of each row's context; keys narrower than
-        the order are contexts right-padded with -1, the start of a stream."""
-        if keys.shape[1] < self.order:
-            padding = np.full((len(keys), self.order - keys.shape[1]), -1, dtype=np.int64)
-            keys = np.concatenate((keys, padding), axis=1)
-        node = 0
-        for lo, powers, span, level_keys in self.levels:
-            key = _pack(keys[:, lo : lo + len(powers)], powers) + node * span
-            at = np.searchsorted(level_keys, key)
-            node = np.where(level_keys[at] == key, at, len(level_keys) - 1)
-        return self.starts[node], self.starts[node + 1]
-
-
 # about how many tokens _count cuts into windows at a time
 _CHUNK_TOKENS = 1 << 16
 
@@ -252,15 +203,6 @@ def _windows(tokens: np.ndarray, positions: np.ndarray, order: int) -> np.ndarra
     return windows
 
 
-def _key_widths(radix: int, width: int, room: int = 1) -> list[int]:
-    """How many of `width` columns each packed key holds, left to right: as
-    many as keep room * radix**columns below 2**63."""
-    per = 1
-    while room * radix ** (per + 1) < 2**63:
-        per += 1
-    return [min(per, width - lo) for lo in range(0, width, per)]
-
-
 def _packed_keys(rows: np.ndarray, radix: int) -> list[np.ndarray]:
     """The rows' columns packed by _pack into as few int64 keys as hold them,
     most significant first: the keys' lexicographic order is the rows' tuple
@@ -271,17 +213,6 @@ def _packed_keys(rows: np.ndarray, radix: int) -> list[np.ndarray]:
         keys.append(_pack(rows[:, lo : lo + width], _radix_powers(radix, width)))
         lo += width
     return keys
-
-
-def _radix_powers(radix: int, width: int) -> np.ndarray:
-    """radix**(width - 1), ..., radix, 1 as int64."""
-    return radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def _pack(columns: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Each row's columns as one int64, written base radix with each column
-    as its value + 1, so the -1 padding is digit 0."""
-    return (columns + 1) @ powers
 
 
 def _unpacked(keys: list[np.ndarray], radix: int, width: int) -> np.ndarray:
@@ -535,15 +466,17 @@ def dynamic_beam_search(
     token tuple.  The returned log-probs are plain sums of scorer outputs, so
     with widths covering the full vocabulary this is exhaustive enumeration.
 
-    The beams are a (B, level) token matrix plus a score vector, and each
-    level scores all B contexts in one next_token_log_probs_batch call.
-    Selection partitions the B x band candidate scores for the widths[j]-th
-    best, keeps every candidate scoring at least that (so ties at the cut all
-    stay in the pool), and lexsorts only that pool by descending score, then
-    token columns left to right: the same order a full sort would give.  A
-    NaN score raises DataError naming the level; -inf is a legal score.  The
-    context must be whole SIDs, so the first decoded token is a level-0 one,
-    and k must lie in [1, widths[-1]].
+    The beams are a (B, level) token matrix, a score vector and each beam's
+    rank in token-tuple order, and each level scores all B contexts in one
+    next_token_log_probs_batch call.  Candidate i = parent * band + code has
+    the tuple-order key rank[parent] * band + code, so ties cut on one
+    integer: selection partitions the B x band scores for the widths[j]-th
+    best, keeps every candidate above it and, of those equal to it, the ones
+    with the smallest keys, then orders the kept by descending score, then
+    key: the same order a full sort by score and token columns would give.
+    A NaN score raises DataError naming the level; -inf is a legal score.
+    The context must be whole SIDs, so the first decoded token is a level-0
+    one, and k must lie in [1, widths[-1]].
     """
     structure = scorer.structure
     schedule.validate(structure)
@@ -556,6 +489,7 @@ def dynamic_beam_search(
         raise DataError(f"context of {len(context)} tokens is not a whole number of SIDs")
     beams = np.empty((1, 0), dtype=np.int64)
     scores = np.zeros(1)
+    rank = np.zeros(1, dtype=np.int64)  # each beam's place in token-tuple order
     for level, width in enumerate(schedule.widths):
         band = structure.level_sizes[level]
         contexts = np.concatenate(
@@ -564,17 +498,23 @@ def dynamic_beam_search(
         candidates = (scores[:, None] + step).ravel()
         if np.isnan(candidates).any():
             raise DataError(f"scorer returned NaN log-probabilities at level {level}")
+        keys = (rank[:, None] * band + np.arange(band)).ravel()
         if len(candidates) > width:
             cut = np.partition(candidates, len(candidates) - width)[len(candidates) - width]
-            pool = np.flatnonzero(candidates >= cut)
+            above = np.flatnonzero(candidates > cut)
+            tied = np.flatnonzero(candidates == cut)
+            need = width - len(above)
+            if need < len(tied):
+                tied = tied[np.argpartition(keys[tied], need - 1)[:need]]
+            pool = np.concatenate((above, tied))
         else:
             pool = np.arange(len(candidates))
-        parent, code = np.divmod(pool, band)
-        tokens = np.concatenate((beams[parent], (code + structure.offsets[level])[:, None]), axis=1)
-        # primary key: descending score; then token columns left to right
-        keys = tuple(tokens[:, j] for j in reversed(range(level + 1))) + (-candidates[pool],)
-        keep = np.lexsort(keys)[:width]
-        beams, scores = tokens[keep], candidates[pool[keep]]
+        keep = pool[np.lexsort((keys[pool], -candidates[pool]))]
+        parent, code = np.divmod(keep, band)
+        beams = np.concatenate((beams[parent], (code + structure.offsets[level])[:, None]), axis=1)
+        scores = candidates[keep]
+        rank = np.empty(len(keep), dtype=np.int64)
+        rank[np.argsort(keys[keep])] = np.arange(len(keep))
     return BeamResult(beams[:k] - np.asarray(structure.offsets), scores[:k])
 
 
@@ -667,30 +607,48 @@ def load_corpus(path) -> list[list[int]]:
     return read_rows(path, parse)
 
 
-# contexts formatted per write in save_markov_scorer
-_SAVE_CONTEXTS = 1 << 13
+# count rows formatted per write in save_markov_scorer
+_SAVE_ROWS = 1 << 14
 
 
 def save_markov_scorer(scorer: MarkovScorer, path) -> None:
     """Header (order, alpha, structure) then one count row per (context, next),
-    in the table's row order.  Each token's and each context's text is
-    formatted once; rows go out a block of contexts at a time."""
-    structure, order, rows = scorer.structure, scorer.order, scorer._rows
-    names = [str(t) for t in range(structure.total_tokens)]
-    starts = scorer._context_index().starts[:-1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#order\t{order}\n")
-        fh.write(f"#alpha\t{repr(scorer.alpha)}\n")
-        fh.write("#levels\t" + "\t".join(str(n) for n in structure.level_sizes) + "\n")
-        fh.write(f"#code_dim\t{structure.code_dim}\n")
-        for first in range(0, len(starts) - 1, _SAVE_CONTEXTS):
-            block = starts[first : first + _SAVE_CONTEXTS + 1]
-            lo, hi = block[0], block[-1]
-            contexts = [",".join([names[t] for t in key if t >= 0])
-                        for key in rows[block[:-1], :order].tolist()]
-            of_row = np.repeat(np.arange(len(contexts)), np.diff(block)).tolist()
-            fh.write("".join([f"{contexts[i]}\t{names[t]}\t{c}\n" for i, t, c in zip(
-                of_row, rows[lo:hi, order].tolist(), scorer._counts[lo:hi].tolist())]))
+    in the table's row order, formatted a block of rows at a time as bytes
+    (see _count_row_bytes)."""
+    structure, rows, counts = scorer.structure, scorer._rows, scorer._counts
+    with open(path, "wb") as fh:
+        levels = "\t".join(str(n) for n in structure.level_sizes)
+        fh.write(f"#order\t{scorer.order}\n#alpha\t{repr(scorer.alpha)}\n#levels\t{levels}\n"
+                 f"#code_dim\t{structure.code_dim}\n".encode())
+        for lo in range(0, len(rows), _SAVE_ROWS):
+            fh.write(_count_row_bytes(rows[lo : lo + _SAVE_ROWS], counts[lo : lo + _SAVE_ROWS]))
+
+
+def _count_row_bytes(rows: np.ndarray, counts: np.ndarray) -> bytes:
+    """Count rows as text: each row's context tokens (its -1 padding left
+    out) joined by commas, a tab, the next token, a tab, the count and a
+    newline, every number written as str() writes it.  Each number's digits
+    and the separator after it are written into one byte buffer."""
+    if not len(rows):
+        return b""
+    order = rows.shape[1] - 1
+    values = np.column_stack((rows, counts))  # row-major, in the order they are written
+    digits = (values >= 0).astype(np.int64)  # 0 for the padding, which writes nothing
+    for power in 10 ** np.arange(1, 19, dtype=np.int64):
+        if power > values.max():
+            break
+        digits += values >= power
+    sep = np.zeros(values.shape, dtype=np.uint8)  # the byte after each number; 0: none
+    sep[:, : order - 1] = np.where(values[:, 1:order] >= 0, ord(","), 0)
+    sep[:, order - 1 :] = np.frombuffer(b"\t\t\n", dtype=np.uint8)
+    has_sep = sep > 0
+    last_digit = np.cumsum(digits + has_sep).reshape(values.shape) - has_sep - 1
+    out = np.empty(int(last_digit[-1, -1]) + 2, dtype=np.uint8)
+    out[(last_digit + 1)[has_sep]] = sep[has_sep]
+    for j in range(int(digits.max())):  # the digit that stands for 10**j
+        live = digits > j
+        out[last_digit[live] - j] = values[live] // 10**j % 10 + ord("0")
+    return out.tobytes()
 
 
 def load_markov_scorer(path) -> MarkovScorer:
@@ -700,44 +658,146 @@ def load_markov_scorer(path) -> MarkovScorer:
     order, then a token of the next level (level 0 after an empty context),
     counted at least once, and no (context, token) twice.
 
-    Rows parse into int buffers.  A context text is parsed when it differs
-    from the row before's, so once per context in a saved file; the checks
-    then run on the whole table and name the line of the first row that
-    fails."""
-    header, scorer, last = Header(), None, None
-    context_tokens, context_widths = array("q"), array("q")  # contexts end to end
-    run_starts, tokens, counts = array("q"), array("q"), array("q")
-    add_token, add_count = tokens.append, counts.append
+    Every integer of a count row is written as the saver writes one: ASCII
+    digits only.  A row that spells one otherwise (a sign, spaces, `_`,
+    non-ASCII digits) is a DataError at its line.  The file is read whole;
+    the count rows are parsed with numpy over the bytes when each is
+    `context<TAB>token<TAB>count`, the context comma-separated, every number
+    of 1 to _MAX_DIGITS digits.  Otherwise they are parsed row by row, the
+    first that does not parse being named.  The checks then run on the whole
+    table and name the line of the first row that fails."""
+    return read_rows(path, None, _parsed_scorer)
 
-    def parse(fields):
-        nonlocal scorer, last
-        if scorer is None:
-            if fields[0][:1] == "#":
-                header[fields[0][1:]] = fields[1:]
-                return
-            scorer = _header_scorer(header)
-        text, token, count = fields
-        if text != last:  # a new run of rows that share a context
-            key = text.split(",") if text else ()
-            context_tokens.extend(map(int, key))
-            context_widths.append(len(key))
-            run_starts.append(len(tokens))
-            last = text
-        add_token(int(token))
-        add_count(int(count))
 
-    def finish(rows):
-        loaded = scorer or _header_scorer(header)
-        widths = np.frombuffer(context_widths, dtype=np.int64)
-        run_lengths = np.diff(np.append(np.frombuffer(run_starts, dtype=np.int64), len(tokens)))
-        loaded._set_table(*_checked_table(
-            loaded, np.frombuffer(context_tokens, dtype=np.int64), widths,
+def _parsed_scorer(text: str) -> MarkovScorer:
+    """The scorer a whole scorer file's text holds: header rows (`#name`,
+    tab-separated values) up to the first other non-blank line, then count
+    rows.  A RowError names the non-blank line at fault."""
+    header, row, pos = Header(), 0, 0  # row: non-blank lines before pos
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        line = text[pos:end]
+        if not line.isspace():
+            if line[:1] != "#":
+                break
+            fields = line.rstrip("\n").split("\t")
+            header[fields[0][1:]] = fields[1:]
+            row += 1
+        pos = end
+    if pos == len(text):
+        return _header_scorer(header)
+    try:
+        scorer = _header_scorer(header)
+    except (ValueError, IndexError, KeyError, OverflowError, DataError) as exc:
+        raise RowError(row, str(exc)) from exc  # at the first count row, as read
+    columns = _byte_columns(text[pos:]) or _walked_columns(text[pos:], row)
+    scorer._set_table(*_checked_table(scorer, *columns, first_row=row))
+    return scorer
+
+
+_ROW_BYTES = b"0123456789,\t\n"  # the bytes a count row is written in
+_MAX_DIGITS = 18  # the most digits of a number the byte parse reads: below 2**63
+_BLOCK_BYTES = 1 << 18  # about how much of the file the byte parse takes at a time
+
+
+def _byte_columns(body: str):
+    """Count rows as _checked_table's (context tokens end to end, context
+    widths, each row's context, tokens, counts), parsed with numpy over the
+    bytes a block of whole lines at a time; a context is shared by a run of
+    rows that hold it.  None unless every line is empty (a blank line) or
+    `c,..,c<TAB>token<TAB>count` with zero or more context tokens, every
+    number 1 to _MAX_DIGITS ASCII digits."""
+    raw = (body if body.endswith("\n") else body + "\n").encode()
+    if raw.translate(None, _ROW_BYTES):
+        return None
+    blocks, start = [], 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _BLOCK_BYTES) + 1 or len(raw)
+        blocks.append(_block_columns(np.frombuffer(raw, np.uint8, stop - start, start)))
+        if blocks[-1] is None:
+            return None
+        start = stop
+    context_tokens, widths, run_lengths, tokens, counts = map(np.concatenate, zip(*blocks))
+    return (context_tokens, widths, np.repeat(np.arange(len(widths)), run_lengths),
+            tokens, counts)
+
+
+def _block_columns(data: np.ndarray):
+    """One block of _byte_columns, whole lines of bytes that end in a
+    newline: (context tokens of each run end to end, each run's context
+    width, rows in each run, tokens, counts), or None."""
+    ends = np.flatnonzero(data < 48)  # the separators; each ends one number
+    kind = data[ends]
+    lengths = np.diff(ends, prepend=-1) - 1
+    newline = kind == 10
+    starts_line = np.concatenate(([True], newline[:-1]))  # the number begins its line
+    blank = newline & (lengths == 0) & starts_line
+    if blank.any():  # what follows a blank line begins its line too
+        keep = ~blank
+        ends, kind, lengths, newline, starts_line = (
+            ends[keep], kind[keep], lengths[keep], newline[keep], starts_line[keep])
+    rows = np.flatnonzero(newline)  # a row's count ends at its newline, its token at
+    tab = kind == 9                 # the tab before, its context at the tab before that
+    if (rows[:1] < 2).any() or tab.sum() != 2 * len(rows) or not (
+            tab[rows - 1] & tab[rows - 2]).all():
+        return None
+    context_ends = rows - 2
+    empty_context = np.zeros(len(kind), dtype=bool)  # the one number that may be empty
+    empty_context[context_ends] = starts_line[context_ends]
+    if ((lengths == 0) & ~empty_context).any() or lengths.max(initial=0) > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(ends), dtype=np.int64)
+    for j in range(lengths.max(initial=0)):  # the digits that stand for 10**j
+        values += (lengths > j) * (data[ends - 1 - j] - np.int64(48)) * 10**j
+    in_context = kind == 44
+    in_context[context_ends] = lengths[context_ends] > 0
+    context, width = values[in_context], np.diff(np.cumsum(in_context)[rows], prepend=0)
+    # a row starts a run unless its context is the row before's: as wide, and
+    # each token equal to the one `width` places back
+    first = np.cumsum(width) - width
+    changed = np.cumsum(context != context[np.arange(len(context)) - np.repeat(width, width)])
+    changed = np.concatenate(([0], changed))
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = width[1:] != width[:-1]
+    new |= changed[first + width] > changed[first]
+    runs = np.flatnonzero(new)
+    return (context[np.repeat(new, width)], width[runs], np.diff(runs, append=len(rows)),
+            values[rows - 1], values[rows])
+
+
+def _walked_columns(body: str, first_row: int):
+    """_byte_columns' arrays, read row by row, one context per run of rows
+    that share its text.  The first row that does not parse raises RowError
+    at its index, first_row being the first count row's."""
+    context_tokens, widths, run_starts, tokens, counts = (array("q") for _ in range(5))
+    last = None
+    lines = (line for line in io.StringIO(body, newline="\n") if not line.isspace())
+    for row, line in enumerate(lines, start=first_row):
+        try:
+            text, token, count = line.rstrip("\n").split("\t")
+            if text != last:
+                key = text.split(",") if text else ()
+                context_tokens.extend(map(_saved_int, key))
+                widths.append(len(key))
+                run_starts.append(len(tokens))
+                last = text
+            tokens.append(_saved_int(token))
+            counts.append(_saved_int(count))
+        except (ValueError, OverflowError, DataError) as exc:
+            raise RowError(row, str(exc)) from exc
+    run_lengths = np.diff(np.append(np.frombuffer(run_starts, dtype=np.int64), len(tokens)))
+    return (np.frombuffer(context_tokens, dtype=np.int64), np.frombuffer(widths, dtype=np.int64),
             np.repeat(np.arange(len(widths)), run_lengths),
-            np.frombuffer(tokens, dtype=np.int64), np.frombuffer(counts, dtype=np.int64),
-            first_row=len(rows) - len(tokens)))
-        return loaded
+            np.frombuffer(tokens, dtype=np.int64), np.frombuffer(counts, dtype=np.int64))
 
-    return read_rows(path, parse, finish)
+
+def _saved_int(text: str) -> int:
+    """The integer `text` spells in ASCII digits.  Text int() refuses raises
+    its ValueError; an integer spelt another way raises DataError."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    int(text)
+    raise DataError(f"{text!r} is not an integer written in ASCII digits")
 
 
 def _header_scorer(header: Header) -> MarkovScorer:

@@ -330,6 +330,22 @@ class TestReadRows:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: bad c$"):
             read_rows(path, list, finish)
 
+    def test_whole_file_form_reports_a_row_at_its_line(self, tmp_path):
+        """finish gets the text; blank, whitespace-only and CRLF lines read
+        as the per-line form reads them, so row i is the i-th other line."""
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"a\r\n\r\n \t\nb\n\nc\nd")
+        assert read_rows(path, None, str.splitlines) == ["a", "", " \t", "b", "", "c", "d"]
+
+        def finish(text):
+            rows = [line for line in text.split("\n") if line.strip()]
+            raise RowError(rows.index("c"), "bad c")
+
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:6: bad c$"):
+            read_rows(path, None, finish)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*'too few'$"):
+            read_rows(path, None, lambda text: int("too few"))
+
     def test_overflow_becomes_a_data_error(self, tmp_path):
         path = tmp_path / "rows.tsv"
         path.write_text("1\n99999999999999999999\n")

@@ -249,6 +249,26 @@ class TestEvalSid:
         assert code == EXIT_OK
         assert "gini" in capsys.readouterr().out
 
+    def test_levels_that_disagree_with_the_model_are_rejected(self, pipeline, toy_dir, capsys):
+        """--levels must name the model's structure when both are given; the
+        message names both.  Agreeing levels change nothing."""
+        base = ["eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--assignment", str(pipeline / "knn.tsv"), "--model", str(pipeline / "model.tsv")]
+        assert main(base + ["--levels", "9,9,9"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"sidkit: data error: --levels 9,9,9 disagrees with the levels 5,4 of "
+            f"--model {pipeline / 'model.tsv'}\n")
+        assert main(base) == EXIT_OK
+        alone = capsys.readouterr().out
+        assert main(base + ["--levels", "5,4"]) == EXIT_OK
+        assert capsys.readouterr().out == alone
+
+    def test_malformed_levels_are_a_usage_error(self, pipeline, toy_dir, capsys):
+        code = main(["eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                     "--assignment", str(pipeline / "knn.tsv"), "--levels", "5,x"])
+        assert code == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_structure_required(self, pipeline, toy_dir, capsys):
         code = main(
             [
@@ -296,6 +316,23 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("other", [["--sequences"], ["--assignment"],
+                                       ["--sequences", "--assignment"]])
+    def test_train_scorer_takes_one_source(self, other, pipeline, tmp_path, capsys):
+        """--corpus with --sequences or --assignment exits 2 naming both
+        sources, even when the other file does not exist, and writes nothing."""
+        out = tmp_path / "scorer.tsv"
+        missing = tmp_path / "nonexistent.tsv"
+        argv = ["train-scorer", "--levels", "5,4", "--code-dim", "8",
+                "--corpus", str(pipeline / "corpus.txt"), "--out", str(out)]
+        for flag in other:
+            argv += [flag, str(missing)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"--corpus {pipeline / 'corpus.txt'}" in err
+        assert all(f"{flag} {missing}" in err for flag in other)
+        assert not out.exists()
 
     def test_catalog_narrower_than_kmeans_model_is_data_error(
         self, pipeline, tmp_path, capsys

@@ -228,18 +228,57 @@ class TestAssignmentTable:
         assert table.items_for_codes(np.array(rows, dtype=np.int64).reshape(-1, 2), limit) == want
         assert table.items_for_codes(rows, limit) == want
 
-    def test_items_for_codes_stops_at_the_limit(self):
-        """Rows after the one that reaches the limit are not read."""
+    def test_items_for_codes_cuts_at_the_limit_inside_a_sid(self):
+        """A limit inside a SID keeps that SID's smallest ids, rows after the
+        one that reaches it add nothing, and the members are unchanged."""
         table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["b", "a", "c"],
                                 [[0, 0], [0, 0], [1, 1]])
-
-        def rows():
-            yield (1, 0)
-            yield (0, 0)
-            raise AssertionError("read past the limit")
-
-        assert table.items_for_codes(rows(), limit=1) == ["a"]
+        assert table.items_for_codes([(1, 0), (0, 0), (1, 1)], limit=1) == ["a"]
+        assert table.items_for_codes(np.array([[0, 0], [1, 1]]), limit=2) == ["a", "b"]
+        assert table.items_for_codes([(1, 1), (0, 0)], limit=3) == ["c", "a", "b"]
         assert table.items_for_sid((0, 0)) == ["a", "b"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_items_for_codes_equals_the_dict_walk(self, data):
+        """The index lookup gives what a walk of the rows through the SID ->
+        members dict gives: absent SIDs, out-of-band codes, repeated rows,
+        limits inside a SID, no rows at all, and (256,) * 8, which no int64
+        key holds."""
+        structure = data.draw(st.sampled_from([
+            SidStructure((2, 3), code_dim=2), SidStructure((3, 2, 4), code_dim=2),
+            SidStructure((256,) * 8, code_dim=2)]), label="structure")
+        sizes = structure.level_sizes
+        code = st.tuples(*(st.sampled_from([0, 1, n - 1]) for n in sizes))
+        n_items = data.draw(st.integers(0, 10), label="items")
+        codes = [data.draw(code) for _ in range(n_items)]
+        ids = data.draw(st.permutations([f"i{n}" for n in range(n_items)]), label="id order")
+        table = AssignmentTable(structure, ids, np.array(codes).reshape(n_items, len(sizes)))
+        # far out of band, a code's flat token would carry into another column
+        far = 3 * structure.total_tokens
+        row = code | st.tuples(*(st.integers(-far, far) for _ in sizes))
+        rows = data.draw(st.lists(row, max_size=12), label="rows")
+        limit = data.draw(st.none() | st.integers(0, 12), label="limit")
+        groups, want = table._members(), []
+        for codes_ in rows:  # the walk items_for_codes used to make
+            want.extend(groups.get(tuple(codes_), ()))
+            if limit is not None and len(want) >= limit:
+                want = want[:limit]
+                break
+        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes))
+        assert table.items_for_codes(matrix, limit) == want
+        assert table.items_for_codes(rows, limit) == want
+
+    def test_items_for_codes_out_of_band_row_holds_nobody(self):
+        """(-1, 6) on (2, 3) packs to the key of (0, 0): its level-1 token
+        carries into the level-0 column.  It still holds nobody."""
+        table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a"], [[0, 0]])
+        assert table.items_for_codes([(-1, 6), (0, 0)]) == ["a"]
+
+    def test_items_for_codes_rejects_rows_of_another_length(self):
+        table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["a"], [[0, 1]])
+        with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):
+            table.items_for_codes([(0, 1, 0)])
 
     def test_codes_of_gathers_rows_in_the_order_given(self):
         table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a", "b", "c"],

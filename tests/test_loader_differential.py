@@ -1,23 +1,28 @@
-"""The array-based catalog and assignment loaders against the per-row
-reference loaders in `reference_loaders.py`.
+"""The array-based catalog, assignment and scorer loaders against the
+per-row reference loaders in `reference_loaders.py`.
 
 On a valid file both give the same ids, a bit-equal matrix and the same
-optional columns; on a corrupted one both raise DataError with the same
-text, so among several bad rows the first in file order is reported.
+optional columns (the same count table, for a scorer); on a corrupted one
+both raise DataError with the same text, so among several bad rows the first
+in file order is reported.  The one exception is a scorer integer spelt
+other than in ASCII digits, which only the array-based loader rejects.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidkit import retrieval
 from sidkit.catalog import SidStructure, load_item_catalog
 from sidkit.collision import load_assignment
 from sidkit.errors import DataError
+from sidkit.retrieval import load_markov_scorer, save_markov_scorer, train_markov_scorer
 
-from reference_loaders import load_assignment_rows, load_item_catalog_rows
+from reference_loaders import load_assignment_rows, load_item_catalog_rows, load_markov_scorer_rows
 
 D_IN = 3
 STRUCTURE = SidStructure((3, 4), code_dim=2)
@@ -185,3 +190,157 @@ def test_assignment_reports_the_first_bad_row(tmp_path, text, line):
     with pytest.raises(DataError) as want:
         load_assignment_rows(path, STRUCTURE)
     assert str(got.value) == str(want.value)
+
+
+SCORER_STRUCTURE = SidStructure((3, 4, 2), code_dim=2)
+SCORER_HEADER = ["#order\t{order}", "#alpha\t0.5", "#levels\t3\t4\t2", "#code_dim\t2"]
+# what a count row's field may become: "lead0" writes a leading zero and
+# "big count" a count of 19 digits, both valid; the rest are refused by int()
+# or by the table checks ("0" as a count, "999" as a token, a context too
+# long), or spell an integer too big for int64
+VALID_SPELLINGS = [None, "lead0", "big count"]
+FIELD_DEFECTS = VALID_SPELLINGS + ["x", "", "0", "999", "4,5", "1.5", "0,,3", "3,",
+                                   "0,3,7,8,1", "9223372036854775808", "drop", "add"]
+# a line put before a row: blank and whitespace-only ones are skipped, a
+# header row or a repeated row among the count rows is an error
+VALID_LINES = [None, "", "  ", "\t\t", "\t"]
+LINE_DEFECTS = VALID_LINES + ["#order\t2", "repeat"]
+SID = st.tuples(*(st.integers(o, o + n - 1) for o, n in zip(SCORER_STRUCTURE.offsets,
+                                                         SCORER_STRUCTURE.level_sizes)))
+
+
+@st.composite
+def scorer_texts(draw, field_choices, line_choices):
+    """A scorer file: the count rows of a trained scorer, maybe shuffled, a
+    few of them edited (a field and the line before the row drawn from the
+    choices), maybe blank lines at the end, with "\n" or "\r\n" line ends
+    and maybe no final one."""
+    order = draw(st.integers(1, 4), label="order")
+    streams = draw(st.lists(st.lists(SID, max_size=4), min_size=1, max_size=6), label="streams")
+    scorer = train_markov_scorer([[t for sid in s for t in sid] for s in streams],
+                                 SCORER_STRUCTURE, order=order, alpha=0.5)
+    rows = [[",".join(str(t) for t in row[:order] if t >= 0), str(row[order]), str(count)]
+            for row, count in zip(scorer._rows.tolist(), scorer._counts.tolist())]
+    if draw(st.booleans(), label="shuffle"):
+        rows = draw(st.permutations(rows), label="row order")
+    edits = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 2),
+                                    st.sampled_from(field_choices), st.sampled_from(line_choices)),
+                          max_size=3) if rows else st.just([]), label="edits")
+    texts, before = ["\t".join(fields) for fields in rows], {}
+    for row, at, defect, line in edits:
+        fields = texts[row].split("\t")
+        at = min(at, len(fields) - 1)
+        if defect == "drop":
+            del fields[at]
+        elif defect == "add":
+            fields.insert(at, "1")
+        elif defect == "lead0":
+            fields[at] = "0" + fields[at] if fields[at] else ""
+        elif defect == "big count":
+            fields[-1] = str(10**18)
+        elif defect is not None:
+            fields[at] = defect
+        texts[row] = "\t".join(fields)
+        if line == "repeat":
+            line = texts[draw(st.integers(0, len(texts) - 1), label="repeated row")]
+        if line is not None:
+            before[row] = line
+    lines = [line.format(order=order) for line in SCORER_HEADER]
+    for row, text in enumerate(texts):
+        lines += [before[row], text] if row in before else [text]
+    lines += draw(st.lists(st.sampled_from(["", "", "  "]), max_size=2), label="last lines")
+    end = draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+    return end.join(lines) + draw(st.sampled_from([end, ""]), label="last line end")
+
+
+def scorer_outcome(load, path):
+    got = outcome(load, path)
+    if got[0] == "error":
+        return got
+    scorer = got[1]
+    return ("loaded", scorer.order, scorer.alpha, scorer.structure, scorer._rows.tolist(),
+            scorer._counts.tolist())
+
+
+def load_in_blocks_of(block):
+    def load(path):
+        with mock.patch.object(retrieval, "_BLOCK_BYTES", block):
+            return load_markov_scorer(path)
+    return load
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=scorer_texts(VALID_SPELLINGS, VALID_LINES), block=st.integers(1, 64))
+def test_scorer_loader_matches_the_per_row_reference(workdir, text, block):
+    """Shuffled rows, blank and whitespace-only lines, leading zeros, counts
+    of 19 digits, CRLF line ends, the byte parse in blocks of any size: the
+    same table as the per-row reference."""
+    path = workdir / "scorer.tsv"
+    path.write_bytes(text.encode())
+    got = scorer_outcome(load_in_blocks_of(block), path)
+    assert got[0] == "loaded", got
+    assert got == scorer_outcome(load_markov_scorer_rows, path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=scorer_texts(FIELD_DEFECTS, LINE_DEFECTS), block=st.integers(1, 64))
+def test_corrupted_scorer_gives_the_reference_error(workdir, text, block):
+    """Fields int() refuses, a field too few or too many, rows the table
+    checks refuse, a header row or a repeated row among the count rows: the
+    same DataError text, naming the same line, as the per-row reference."""
+    path = workdir / "scorer.tsv"
+    path.write_bytes(text.encode())
+    assert scorer_outcome(load_in_blocks_of(block), path) == (
+        scorer_outcome(load_markov_scorer_rows, path))
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("3,\t0\t1\n0\t3\t1\n", 5),     # a context that ends in a comma, first in the file
+    ("\t0\t5\n0,\t3\t1\n", 6),      # ... and after a good row
+    ("\t0\t5\n\n,0\t3\t1\n", 7),   # one that starts with a comma, after a blank line
+    ("\t0\t5\n0\t3\t\n", 6),        # an empty count
+    ("\t0\t5\n0\t\t1\n", 6),        # an empty token
+])
+@pytest.mark.parametrize("block", [1, 1 << 18])
+def test_scorer_reports_the_first_bad_row(tmp_path, rows, line, block):
+    """An empty number is allowed only as a whole context, whatever row of
+    a block it is in."""
+    path = tmp_path / "scorer.tsv"
+    path.write_text("\n".join(SCORER_HEADER).format(order=2) + "\n" + rows, encoding="utf-8")
+    got = scorer_outcome(load_in_blocks_of(block), path)
+    assert got[0] == "error" and got[1].startswith(f"{path}:{line}: "), got
+    assert got == scorer_outcome(load_markov_scorer_rows, path)
+
+
+@pytest.mark.parametrize("spelling", ["+4", " 4", "4 ", "0_4", "\u0664", "-0", "\uff14"])
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_integer_not_in_ascii_digits_is_named(tmp_path, spelling, field):
+    """int() reads each of these as an integer, the reference loader too;
+    a scorer row must spell it in ASCII digits, as the saver does."""
+    rows = [["", "0", "5"], ["0", "4", "2"], ["0,4", "8", "1"]]
+    rows[1][field] = spelling
+    path = tmp_path / "scorer.tsv"
+    path.write_text("\n".join(SCORER_HEADER + ["\t".join(row) for row in rows]).format(order=2)
+                    + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as got:
+        load_markov_scorer(path)
+    assert str(got.value) == (
+        f"{path}:6: {spelling!r} is not an integer written in ASCII digits")
+
+
+def test_a_saved_scorer_is_parsed_from_its_bytes(tmp_path):
+    """The row-by-row parse is only for files the byte parse refuses: a
+    whitespace-only line is one."""
+    corpus = [[0, 3, 7, 1, 4, 8], [2, 6, 7], [0, 3, 8]]
+    scorer = train_markov_scorer(corpus, SCORER_STRUCTURE, order=2)
+    path = tmp_path / "scorer.tsv"
+    save_markov_scorer(scorer, path)
+    path.write_text(path.read_text().replace("\n", "\n\n", 6))
+    with mock.patch.object(retrieval, "_walked_columns", side_effect=AssertionError("walked")):
+        loaded = load_markov_scorer(path)
+    assert loaded._rows.tolist() == scorer._rows.tolist()
+    assert loaded._counts.tolist() == scorer._counts.tolist()
+    path.write_text(path.read_text() + "  \n")
+    with mock.patch.object(retrieval, "_walked_columns", side_effect=AssertionError("walked")):
+        with pytest.raises(AssertionError, match="walked"):
+            load_markov_scorer(path)

@@ -592,6 +592,37 @@ class StepScorer(SequenceScorer):
         return np.tile(self.steps[level], (len(contexts), 1))
 
 
+class ContextStepScorer(SequenceScorer):
+    """Stub scorer: the row of each context is given by a dict."""
+
+    def __init__(self, structure, rows):
+        self.structure, self.rows = structure, rows
+
+    def next_token_log_probs_batch(self, contexts):
+        return np.array([self.rows[tuple(c)] for c in np.asarray(contexts).tolist()])
+
+    def next_token_log_probs(self, context):
+        return self.next_token_log_probs_batch([list(context)])[0]
+
+
+class TieScorer(SequenceScorer):
+    """Stub scorer: each (context, code) draws its log-prob from a few
+    values, seeded by the context, so most candidates tie."""
+
+    def __init__(self, structure, values, seed):
+        self.structure, self.values, self.seed = structure, np.asarray(values), seed
+
+    def next_token_log_probs_batch(self, contexts):
+        contexts = np.asarray(contexts, dtype=np.int64)
+        band = self.structure.level_sizes[contexts.shape[1] % self.structure.num_levels]
+        rows = [self.values[np.random.default_rng([self.seed, *row]).integers(
+            len(self.values), size=band)] for row in contexts.tolist()]
+        return np.array(rows).reshape(len(contexts), band)
+
+    def next_token_log_probs(self, context):
+        return self.next_token_log_probs_batch([list(context)])[0]
+
+
 class TestDynamicBeamSearch:
     def setup_method(self):
         self.structure = SidStructure((4, 4, 4), code_dim=2)
@@ -670,6 +701,39 @@ class TestDynamicBeamSearch:
         want = tuple_beam_search(scorer, context, schedule, k)
         assert got == want
         assert all(type(logp) is float for _, logp in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cuts_through_tie_blocks_like_the_tuple_beam(self, data):
+        """Scores from at most three values, -inf among them, or a corpus of
+        at most one stream, so ties fill most of every level, and widths
+        anywhere up to the level's candidates, so the cut falls inside a tie
+        block.  SIDs and log-probs equal the tuple-list reference exactly."""
+        sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3), label="sizes")
+        structure = SidStructure(tuple(sizes), code_dim=2)
+        if data.draw(st.booleans(), label="tie scorer"):
+            values = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.5, -math.inf]),
+                                        min_size=1, max_size=3, unique=True), label="values")
+            scorer = TieScorer(structure, values, data.draw(st.integers(0, 2**16), label="seed"))
+        else:
+            corpus = random_corpus(structure, data.draw(st.integers(0, 1), label="streams"),
+                                   1, np.random.default_rng(data.draw(st.integers(0, 99))))
+            scorer = train_markov_scorer(corpus, structure, order=data.draw(st.integers(1, 3)))
+        widths = [data.draw(st.integers(1, math.prod(sizes[: j + 1])), label=f"width {j}")
+                  for j in range(len(sizes))]
+        context = list(structure.offsets) * data.draw(st.integers(0, 1), label="context")
+        k = data.draw(st.integers(1, widths[-1]), label="k")
+        got = dynamic_beam_search(scorer, context, BeamSchedule(widths), k)
+        assert got == tuple_beam_search(scorer, context, BeamSchedule(widths), k)
+
+    def test_tie_across_parents_goes_to_the_smaller_token_tuple(self):
+        """(1, 0) and (0, 0) tie at the cut, and the beam ranks parent (1,)
+        before (0,) by score; the smaller token tuple still wins."""
+        rows = {(): [-2.0, -1.0], (0,): [-1.0, -5.0], (1,): [-2.0, -5.0]}
+        scorer = ContextStepScorer(two_by_two(), rows)
+        got = dynamic_beam_search(scorer, [], BeamSchedule((2, 1)), k=1)
+        assert [(sid.codes, logp) for sid, logp in got] == [((0, 0), -3.0)]
+        assert got == tuple_beam_search(scorer, [], BeamSchedule((2, 1)), k=1)
 
     def test_ties_at_the_cut_keep_the_smallest_tokens(self):
         """Untrained: every candidate ties, so each level keeps the
@@ -976,6 +1040,19 @@ class TestScorerSerialization:
         save_markov_scorer(scorer, a)
         save_markov_scorer(scorer, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_saves_in_blocks_write_the_same_bytes(self, tmp_path, block):
+        """Rows are formatted a block at a time; a block edge anywhere, even
+        inside a context's rows, leaves the bytes as one block writes them."""
+        structure = SidStructure((3, 4), code_dim=2)
+        scorer = train_markov_scorer(random_corpus(structure, 20, 2, np.random.default_rng(8)),
+                                     structure, order=3, alpha=0.05)
+        save_markov_scorer(scorer, tmp_path / "one.tsv")
+        with mock.patch.object(retrieval, "_SAVE_ROWS", block):
+            save_markov_scorer(scorer, tmp_path / "blocks.tsv")
+        assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "one.tsv").read_bytes()
+        assert len(scorer._rows) > 10
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "scorer.tsv"
