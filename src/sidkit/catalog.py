@@ -46,6 +46,8 @@ class SidStructure:
             raise ValueError(f"every level needs >= 2 codewords, got {self.level_sizes}")
         if self.code_dim < 1:
             raise ValueError("code_dim must be positive")
+        if self.total_tokens + 1 > 2**31:  # so one flat token packs into a key (sidkit.rows)
+            raise ValueError(f"the levels hold {self.total_tokens} tokens; at most 2**31 - 1 fit")
 
     @property
     def num_levels(self) -> int:

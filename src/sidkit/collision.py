@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rows
 from .catalog import SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows
 from .errors import DataError, RowError
 from .quantizer import QuantizerModel, assign_random
@@ -28,14 +29,14 @@ DEFAULT_SIGMA = 25
 class AssignmentTable:
     """Item ids in insertion order plus one (N, m) int64 code matrix.
 
-    Row i is the SID of the i-th item; nothing else is stored.  Occupancy and
-    each SID's members, in ascending id, come from one stable lexsort over
-    the item id and the code columns, built on the first read after a change,
-    together with an index that looks many SIDs up at once.  Codes are never
-    packed into one integer key; the index packs as many columns per key as
-    fit (see _ContextIndex), so (256,) * 8 works.  The constructor rejects a
-    duplicate id or an out-of-band code with DataError.  `assign` copies the
-    matrix on an insert, so it is for single edits.
+    Row i is the SID of the i-th item; nothing else is stored.  On the first
+    read after a change, one stable sort of the SIDs' flat-token rows (see
+    sidkit.rows) over the items in ascending id gives the member order (every
+    item, by SID, then id) and an index over the distinct SIDs whose row
+    ranges are their members' positions in that order.  Occupancy is a
+    SID -> count dict read off the index on its first use.  The constructor
+    rejects a duplicate id or an out-of-band code with DataError.  `assign`
+    copies the matrix on an insert, so it is for single edits.
     """
 
     def __init__(self, structure: SidStructure, item_ids=(), codes=()):
@@ -55,7 +56,7 @@ class AssignmentTable:
             i, j = bad[0]
             raise DataError(f"item {ids[i]!r}: code {self._codes[i, j]} out of range "
                             f"[0, {structure.level_sizes[j]}) at level {j}")
-        self._groups = self._index = self._ordered = None
+        self._index = self._counts = None
 
     def assign(self, item_id: str, sid: SemanticId) -> None:
         """Insert or move one item."""
@@ -66,25 +67,29 @@ class AssignmentTable:
             self._codes = np.vstack([self._codes, codes])
         else:
             self._codes[row] = codes
-        self._groups = None
+        self._index = self._counts = None
 
-    def _members(self) -> dict[tuple[int, ...], list[str]]:
-        """Occupied SID -> its item ids in ascending order, built on the first
-        read after a change.  The same lexsort gives the member order (every
-        item id, by SID, then id) and an index over the SIDs' flat-token rows
-        whose row ranges are the members' positions in it."""
-        if self._groups is None:
+    def _sid_index(self) -> rows.Index:
+        """The index over the distinct SIDs, built with the member order: row
+        indices `_order` and item ids `_ordered`."""
+        if self._index is None:
             ids = list(self._rows)
             by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-            order = by_id[np.lexsort(self._codes[by_id].T[::-1])]
-            codes = self._codes[order]
-            self._index = _ContextIndex(codes + np.asarray(self.structure.offsets),
-                                        self.structure.total_tokens)
-            self._ordered = [ids[i] for i in order.tolist()]
-            starts = self._index.starts[:-1].tolist()
-            self._groups = {tuple(codes[a].tolist()): self._ordered[a:b]
-                            for a, b in zip(starts, starts[1:])}
-        return self._groups
+            tokens = self._codes[by_id] + np.asarray(self.structure.offsets)
+            radix = self.structure.total_tokens + 1
+            order, _ = rows.sort(rows.pack(tokens, radix), kind="stable")
+            self._order = by_id[order]
+            self._ordered = [ids[i] for i in self._order.tolist()]
+            self._index = rows.Index(tokens[order], radix)
+        return self._index
+
+    def _occupancy(self) -> dict[tuple[int, ...], int]:
+        """Occupied SID -> item count, in ascending codes."""
+        if self._counts is None:
+            starts = self._sid_index().starts
+            sids = self._codes[self._order[starts[:-1]]].tolist()
+            self._counts = dict(zip(map(tuple, sids), np.diff(starts).tolist()))
+        return self._counts
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -106,9 +111,9 @@ class AssignmentTable:
 
     def codes_of(self, item_ids) -> np.ndarray:
         """The (n, m) code rows of the given items, in the order given."""
-        rows = self._rows
+        at = self._rows
         try:
-            return self._codes[[rows[item_id] for item_id in item_ids]]
+            return self._codes[[at[item_id] for item_id in item_ids]]
         except KeyError as missing:
             raise DataError(f"item {missing.args[0]!r} has no assigned SID") from None
 
@@ -116,114 +121,40 @@ class AssignmentTable:
         return list(zip(self._rows, map(SemanticId, self._codes.tolist())))
 
     def occupancy_of(self, sid: SemanticId | tuple[int, ...]) -> int:
+        """Items holding the SID; a SID of the wrong length raises DataError."""
         codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
-        return len(self._members().get(codes, ()))
+        count = self._occupancy().get(codes)
+        if count is None and len(codes) != self.structure.num_levels:
+            self.items_for_codes([codes])  # raises the shape error
+        return count or 0
 
     @property
     def occupancy(self) -> dict[tuple[int, ...], int]:
         """Occupied SIDs only, in ascending codes; zeros are implicit."""
-        return {codes: len(ids) for codes, ids in self._members().items()}
+        return dict(self._occupancy())
 
     def items_for_sid(self, sid: SemanticId | tuple[int, ...]) -> list[str]:
         """Member item ids in ascending id order."""
-        codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
-        return list(self._members().get(codes, ()))
+        return self.items_for_codes([sid.codes if isinstance(sid, SemanticId) else sid])
 
     def items_for_codes(self, code_rows, limit: int | None = None) -> list[str]:
         """The members of each code row in turn, each SID's in ascending id,
         cut at `limit` ids (no cut when None).  The rows, an (n, m) array or
         a list of code rows, are looked up at once in the SID index; a row
         with a code out of its level's band holds nobody."""
-        self._members()
         m = self.structure.num_levels
         codes = np.asarray(code_rows, dtype=np.int64)
-        codes = codes.reshape(0, m) if codes.size == 0 else codes
+        codes = codes.reshape(0, m) if codes.shape == (0,) else codes
         if codes.ndim != 2 or codes.shape[1] != m:
             raise DataError(f"expected an (n, {m}) code matrix, got shape {codes.shape}")
-        start, stop = self._index.rows_of(codes + np.asarray(self.structure.offsets))
+        start, stop = self._sid_index().rows_of(codes + np.asarray(self.structure.offsets))
         in_band = ((codes >= 0) & (codes < self.structure.level_sizes)).all(axis=1)
-        sizes = np.where(in_band, stop - start, 0)
-        ends = np.cumsum(sizes)
-        total = int(ends[-1]) if len(ends) else 0
-        found = np.arange(total if limit is None else min(total, limit))
-        row = np.searchsorted(ends, found, side="right")
+        found, _ = rows.expand(start, np.where(in_band, stop, start))
         ordered = self._ordered
-        return [ordered[i] for i in (start[row] + found - (ends[row] - sizes[row])).tolist()]
+        return [ordered[i] for i in found[:limit].tolist()]
 
     def copy(self) -> "AssignmentTable":
         return AssignmentTable(self.structure, self._rows, self._codes)
-
-
-class _ContextIndex:
-    """The distinct rows of a sorted int table, as a trie of dense prefix ids:
-    one "find these rows" for the scorer's contexts and a table's SIDs.
-
-    A trie level spans a few context columns.  Its node ids number the
-    distinct prefixes that end with those columns, in sorted order, and its
-    sorted keys hold parent_id * radix**width + the level's columns packed
-    base radix (see _pack).  So a node's id is its position in those
-    keys and one searchsorted per level walks a batch down the trie.  Each
-    level spans as many columns as keep every key below 2**63 for this
-    table, so no key overflows however many columns it has; at desk scale
-    one level spans them all.  The keys end in a sentinel no key equals.  A
-    miss moves to the node one past the real ones, whose keys sort past
-    every real key at the next level, so it stays missed.  starts[n] is the
-    first row of context n; the missing context gets an empty row range.
-    """
-
-    def __init__(self, contexts: np.ndarray, total_tokens: int):
-        self.radix, self.order = total_tokens + 1, contexts.shape[1]
-        new = np.zeros(len(contexts), dtype=bool)
-        new[:1] = True
-        parent = np.zeros(len(contexts), dtype=np.int64)
-        self.levels, lo = [], 0  # (first column, radix powers, radix**width, keys)
-        for width in _key_widths(self.radix, self.order, room=len(contexts) + 1):
-            for column in contexts[:, lo : lo + width].T:
-                new[1:] |= column[1:] != column[:-1]
-            at = np.flatnonzero(new)
-            powers = _radix_powers(self.radix, width)
-            span = self.radix**width
-            keys = parent[at] * span + _pack(contexts[at, lo : lo + width], powers)
-            self.levels.append((lo, powers, span, np.append(keys, np.iinfo(np.int64).max)))
-            np.cumsum(new, out=parent)
-            parent -= 1
-            lo += width
-        self.starts = np.append(np.flatnonzero(new), [len(contexts)] * 2)
-        self.num_contexts = len(self.starts) - 2
-
-    def rows_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row range [start, stop) of each row's context; keys narrower than
-        the order are contexts right-padded with -1, the start of a stream."""
-        if keys.shape[1] < self.order:
-            padding = np.full((len(keys), self.order - keys.shape[1]), -1, dtype=np.int64)
-            keys = np.concatenate((keys, padding), axis=1)
-        node = 0
-        for lo, powers, span, level_keys in self.levels:
-            key = _pack(keys[:, lo : lo + len(powers)], powers) + node * span
-            at = np.searchsorted(level_keys, key)
-            node = np.where(level_keys[at] == key, at, len(level_keys) - 1)
-        return self.starts[node], self.starts[node + 1]
-
-
-def _key_widths(radix: int, width: int, room: int = 1) -> list[int]:
-    """How many of `width` columns each packed key holds, left to right: as
-    many as keep room * radix**columns below 2**63."""
-    per = 1
-    while room * radix ** (per + 1) < 2**63:
-        per += 1
-    return [min(per, width - lo) for lo in range(0, width, per)]
-
-
-def _radix_powers(radix: int, width: int) -> np.ndarray:
-    """radix**(width - 1), ..., radix, 1 as int64."""
-    return radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def _pack(columns: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Each row's columns as one int64, written base radix with each column
-    as its value + 1, so the -1 padding is digit 0."""
-    return (columns + 1) @ powers
-
 
 
 def raw_assignment(catalog, model: QuantizerModel) -> AssignmentTable:
@@ -288,12 +219,10 @@ def apply_random_policy(catalog, model: QuantizerModel) -> AssignmentTable:
         raise DataError("random policy overwrites the last level; structure needs m >= 2")
     n_m = structure.level_sizes[-1]
     prefixes = model.assign_batch(catalog.embedding_matrix())[:, :-1]
-    counters: dict[tuple[int, ...], int] = {}
-    last = []
-    for prefix in map(tuple, prefixes.tolist()):
-        idx = counters.get(prefix, 0)
-        last.append(idx)
-        counters[prefix] = (idx + 1) % n_m
+    order, keys = rows.sort(rows.pack(prefixes, structure.total_tokens + 1), kind="stable")
+    starts, counts = rows.distinct(keys)
+    last = np.empty(len(order), dtype=np.int64)
+    last[order] = (np.arange(len(order)) - np.repeat(starts, counts)) % n_m  # rank in prefix
     return AssignmentTable(structure, catalog.item_ids, np.column_stack([prefixes, last]))
 
 

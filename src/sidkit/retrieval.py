@@ -20,11 +20,12 @@ from itertools import chain
 
 import numpy as np
 
+from . import rows
 from .catalog import Header, SemanticId, SidStructure, read_rows
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
-from .collision import AssignmentTable, _ContextIndex, _key_widths, _pack, _radix_powers
+from .collision import AssignmentTable
 from .errors import DataError, RowError
 
 logger = logging.getLogger(__name__)
@@ -66,9 +67,9 @@ class MarkovScorer(SequenceScorer):
     first tokens) is right-padded with -1, which sorts below every token, so
     the lexsorted rows are in Python's tuple order of (context, token): the
     order a save writes them in.  Counting cuts a stream's windows with numpy
-    and sorts them once as packed keys.  A lookup walks the context columns
-    as a trie of dense prefix ids (see _ContextIndex), which is built on the
-    first lookup after the counts change.
+    and sorts them once as packed keys (see sidkit.rows).  A lookup walks the
+    context columns as a trie of dense prefix ids (rows.Index), which is
+    built on the first lookup after the counts change.
     """
 
     def __init__(self, structure: SidStructure, order: int = 2, alpha: float = DEFAULT_ALPHA):
@@ -84,15 +85,15 @@ class MarkovScorer(SequenceScorer):
     def _set_table(self, rows: np.ndarray, counts: np.ndarray) -> None:
         self._rows, self._counts, self._index = rows, counts, None
 
-    def _context_index(self) -> "_ContextIndex":
+    def _context_index(self) -> rows.Index:
         if self._index is None:
-            self._index = _ContextIndex(self._rows[:, : self.order], self.structure.total_tokens)
+            self._index = rows.Index(self._rows[:, : self.order], self.structure.total_tokens + 1)
         return self._index
 
     @property
     def num_contexts(self) -> int:
         """Distinct contexts seen in training."""
-        return self._context_index().num_contexts
+        return len(self._context_index().starts) - 1
 
     def observe(self, stream) -> None:
         """Accumulate (context, next-token) counts from one flat-token stream;
@@ -105,12 +106,19 @@ class MarkovScorer(SequenceScorer):
         keys; one sort then counts the copies of each row.  The first bad
         stream raises and leaves the table as it was."""
         radix = self.structure.total_tokens + 1
-        keys = [_packed_keys(self._rows, radix)]
+        keys = [rows.pack(self._rows, radix)]
         for tokens, positions in _checked_chunks(streams, self.structure):
-            keys.append(_packed_keys(_windows(tokens, positions, self.order), radix))
+            keys.append(rows.pack(_windows(tokens, positions, self.order), radix))
         keys = [np.concatenate(group) for group in zip(*keys)]
-        keys, counts = _distinct(keys, self._counts)
-        self._set_table(_unpacked(keys, radix, self.order + 1), counts)
+        order, keys = rows.sort(keys)
+        starts, counts = rows.distinct(keys)
+        # each of the table's own rows stands for its count of copies
+        table_rows = np.flatnonzero(order < len(self._counts))
+        counts[np.searchsorted(starts, table_rows, side="right") - 1] += (
+            self._counts[order[table_rows]] - 1)
+        del order  # only the distinct rows stay alive while they are unpacked
+        keys = [key[starts] for key in keys]
+        self._set_table(rows.unpack(keys, radix, self.order + 1), counts)
 
     def next_token_log_probs(self, context) -> np.ndarray:
         return self.next_token_log_probs_batch([[int(t) for t in context]])[0]
@@ -129,9 +137,7 @@ class MarkovScorer(SequenceScorer):
         offset = self.structure.offsets[level]
         band = self.structure.level_sizes[level]
         start, stop = self._context_index().rows_of(contexts[:, max(0, length - self.order) :])
-        sizes = stop - start
-        batch_row = np.repeat(np.arange(len(contexts)), sizes)
-        picked = np.repeat(stop - np.cumsum(sizes), sizes) + np.arange(len(batch_row))
+        picked, batch_row = rows.expand(start, stop)
         code = self._rows[:, self.order][picked] - offset
         keep = (code >= 0) & (code < band)
         counts = np.zeros((len(contexts), band))
@@ -194,66 +200,7 @@ def _windows(tokens: np.ndarray, positions: np.ndarray, order: int) -> np.ndarra
     """One (context, next token) row per token: the `order` tokens before it
     in its stream, right-padded with -1 where the stream has fewer."""
     width = np.minimum(positions, order)
-    first = np.arange(len(tokens)) - width
-    windows = np.full((len(tokens), order + 1), -1, dtype=np.int64)
-    windows[:, order] = tokens
-    for j in range(order):
-        has = np.flatnonzero(width > j)
-        windows[has, j] = tokens[first[has] + j]
-    return windows
-
-
-def _packed_keys(rows: np.ndarray, radix: int) -> list[np.ndarray]:
-    """The rows' columns packed by _pack into as few int64 keys as hold them,
-    most significant first: the keys' lexicographic order is the rows' tuple
-    order.  A value outside [-1, radix - 1) gives a key that may equal
-    another row's."""
-    keys, lo = [], 0
-    for width in _key_widths(radix, rows.shape[1]):
-        keys.append(_pack(rows[:, lo : lo + width], _radix_powers(radix, width)))
-        lo += width
-    return keys
-
-
-def _unpacked(keys: list[np.ndarray], radix: int, width: int) -> np.ndarray:
-    """The rows that _packed_keys packed into `keys`."""
-    rows = np.empty((len(keys[0]), width), dtype=np.int64)
-    lo = 0
-    for key, key_width in zip(keys, _key_widths(radix, width)):
-        for j in reversed(range(lo, lo + key_width)):
-            key, digit = np.divmod(key, radix)
-            rows[:, j] = digit - 1
-        lo += key_width
-    return rows
-
-
-def _tuple_order(keys: list[np.ndarray], kind=None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The permutation that sorts rows by their packed keys, and the keys
-    permuted by it; kind="stable" keeps equal rows in their input order."""
-    order = np.argsort(keys[0], kind=kind) if len(keys) == 1 else np.lexsort(keys[::-1])
-    return order, [key[order] for key in keys]
-
-
-def _first_copies(keys: list[np.ndarray]) -> np.ndarray:
-    """Of rows sorted by their packed keys, which differ from the row before."""
-    first = np.zeros(len(keys[0]), dtype=bool)
-    first[:1] = True
-    for key in keys:
-        first[1:] |= key[1:] != key[:-1]
-    return first
-
-
-def _distinct(keys: list[np.ndarray], table_counts: np.ndarray):
-    """The distinct rows among packed `keys`, sorted, and the copies of each.
-    The first len(table_counts) rows are a table's, each standing for its
-    count of copies; every other row is one copy."""
-    order, keys = _tuple_order(keys)
-    starts = np.flatnonzero(_first_copies(keys))
-    counts = np.diff(np.append(starts, len(order)))
-    table_rows = np.flatnonzero(order < len(table_counts))
-    counts[np.searchsorted(starts, table_rows, side="right") - 1] += (
-        table_counts[order[table_rows]] - 1)
-    return [key[starts] for key in keys], counts
+    return np.column_stack((_padded(tokens, np.arange(len(tokens)) - width, width, order), tokens))
 
 
 def train_markov_scorer(
@@ -812,16 +759,16 @@ def _checked_table(scorer, context_tokens, widths, contexts, tokens, counts, fir
     that follows the context, its count is below 1, or an earlier row has
     the same context and token."""
     order, structure = scorer.order, scorer.structure
-    padded = _padded(context_tokens, widths, order)
+    padded = _padded(context_tokens, np.cumsum(widths) - widths, widths, order)
     valid, low, high = _next_bands(padded, widths, structure)
     ok = valid[contexts] & (tokens >= low[contexts]) & (tokens < high[contexts]) & (counts >= 1)
-    # a stable sort on (context rank, token) puts a repeat after its first
-    # copy.  An out-of-range value makes its row bad and may give it another
-    # row's key: the earlier of the two is reported either way
+    # a stable sort of the packed (context, token) rows puts a repeat after
+    # its first copy.  An out-of-range value makes its row bad and may give
+    # it another row's key: the earlier of the two is reported either way
     radix = structure.total_tokens + 1
-    sort, (key,) = _tuple_order([_ranks(padded, radix)[contexts] * radix + tokens + 1],
-                                kind="stable")
-    ok[sort[~_first_copies([key])]] = False
+    sort, keys = rows.sort(rows.pack(np.column_stack((padded[contexts], tokens)), radix),
+                           kind="stable")
+    ok[np.delete(sort, rows.distinct(keys)[0])] = False
     if not ok.all():
         row = int(np.argmin(ok))
         context = int(contexts[row])
@@ -832,22 +779,18 @@ def _checked_table(scorer, context_tokens, widths, contexts, tokens, counts, fir
                            f"context {text!r} is not a slice of a stream of whole SIDs")
         raise RowError(first_row + row, f"after {text!r} expected a new token in "
                        f"[{low[context]}, {high[context]}), count >= 1")
-    del key, ok
-    table = np.empty((len(tokens), order + 1), dtype=np.int64)
-    sorted_contexts = contexts[sort]
-    for j in range(order):
-        table[:, j] = padded[sorted_contexts, j]
-    table[:, order] = tokens[sort]
-    return table, counts[sort]
+    counts = counts[sort]
+    del ok, sort  # only the sorted keys stay alive while they are unpacked
+    return rows.unpack(keys, radix, order + 1), counts
 
 
-def _padded(tokens: np.ndarray, widths: np.ndarray, order: int) -> np.ndarray:
-    """Contexts stored end to end (`widths` tokens each) as rows right-padded
-    with -1 to the order; a longer context is cut short."""
-    column = np.arange(len(tokens)) - np.repeat(np.cumsum(widths) - widths, widths)
-    fits = column < order
+def _padded(tokens: np.ndarray, first: np.ndarray, widths: np.ndarray, order: int) -> np.ndarray:
+    """Row i is tokens[first[i] : first[i] + widths[i]], cut to the order and
+    right-padded with -1 to it."""
     padded = np.full((len(widths), order), -1, dtype=np.int64)
-    padded[np.repeat(np.arange(len(widths)), widths)[fits], column[fits]] = tokens[fits]
+    for j in range(order):
+        has = np.flatnonzero(widths > j)
+        padded[has, j] = tokens[first[has] + j]
     return padded
 
 
@@ -866,10 +809,3 @@ def _next_bands(padded: np.ndarray, widths: np.ndarray, structure: SidStructure)
     following = (first_level + widths) % len(sizes)
     return valid, offsets[following], offsets[following] + sizes[following]
 
-
-def _ranks(rows: np.ndarray, radix: int) -> np.ndarray:
-    """Each row's rank among the distinct rows in tuple order; copies share one."""
-    by_value, keys = _tuple_order(_packed_keys(rows, radix))
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[by_value] = np.cumsum(_first_copies(keys)) - 1
-    return rank

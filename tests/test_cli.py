@@ -416,6 +416,13 @@ class TestExitCodes:
         assert main(["retrieve", "--scorer", str(scorer), "--k", "3"]) == EXIT_DATA
         assert f"{scorer}:5: " in capsys.readouterr().err
 
+    def test_scorer_structure_beyond_the_key_bound_is_data_error(self, tmp_path, capsys):
+        scorer = tmp_path / "scorer.tsv"
+        scorer.write_text("#order\t2\n#alpha\t0.1\n#levels\t4611686018427387904\t3\n"
+                          "#code_dim\t2\n\t0\t5\n")
+        assert main(["retrieve", "--scorer", str(scorer), "--k", "3"]) == EXIT_DATA
+        assert f"{scorer}:5: the levels hold" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", [
         "eval-sid", "noco", "merge",  # --assignment vs --catalog
         "eval-hr", "build-pretrain-corpus", "train-scorer",  # --sequences vs --assignment

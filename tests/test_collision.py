@@ -259,7 +259,9 @@ class TestAssignmentTable:
         row = code | st.tuples(*(st.integers(-far, far) for _ in sizes))
         rows = data.draw(st.lists(row, max_size=12), label="rows")
         limit = data.draw(st.none() | st.integers(0, 12), label="limit")
-        groups, want = table._members(), []
+        groups, want = {}, []
+        for item_id, sid in sorted(table.items()):
+            groups.setdefault(sid.codes, []).append(item_id)
         for codes_ in rows:  # the walk items_for_codes used to make
             want.extend(groups.get(tuple(codes_), ()))
             if limit is not None and len(want) >= limit:
@@ -329,6 +331,26 @@ class TestAssignmentTable:
         assert table.occupancy_of((255,) * 8) == 2
         assert table.items_for_sid((255,) * 8) == ["a", "b"]
         assert table.occupancy == {(0,) * 8: 1, (255,) * 8: 2}
+
+    @pytest.mark.parametrize("read", ["occupancy_of", "items_for_sid"])
+    @pytest.mark.parametrize("sid", [(0, 0, 0), (0,), (), SemanticId((1, 1, 1))])
+    def test_sid_of_another_length_is_refused(self, read, sid):
+        """A SID of the wrong length is an error, not an empty SID; one of
+        the right length with an out-of-band code holds nobody."""
+        table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["a"], [[0, 0]])
+        with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):
+            getattr(table, read)(sid)
+        assert not getattr(table, read)((0, 7))
+
+    def test_structure_beyond_a_packed_key_column_is_refused(self):
+        """A flat token must fit one column of a packed key (sidkit.rows):
+        the largest structure allowed still finds its members."""
+        with pytest.raises(ValueError, match=r"at most 2\*\*31 - 1 fit"):
+            SidStructure((2**62, 2))
+        table = AssignmentTable(SidStructure((2**31 - 3, 2)), ["a", "b"],
+                                [[2**31 - 4, 0], [5, 1]])
+        assert table.items_for_codes([[2**31 - 4, 0]]) == ["a"]
+        assert table.occupancy == {(5, 1): 1, (2**31 - 4, 0): 1}
 
 
 class TestKnnPolicy:

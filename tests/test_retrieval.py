@@ -42,6 +42,7 @@ from sidkit.retrieval import (
     sliced_loss,
     train_markov_scorer,
 )
+from sidkit.rows import key_widths
 
 from conftest import scorer_count_dicts
 
@@ -332,7 +333,7 @@ class TestCountTable:
     @pytest.mark.parametrize("radix, room", [
         (193, 1), (193, 156_001), (501, 1), (501, 901), (8193 * 3, 2**20), (2**31, 2**30)])
     def test_packed_key_widths_are_the_widest_that_fit(self, radix, room):
-        widths = retrieval._key_widths(radix, 12, room)
+        widths = key_widths(radix, 12, room)
         assert sum(widths) == 12
         assert all(room * radix**w < 2**63 for w in widths)
         assert widths[0] == 12 or room * radix ** (widths[0] + 1) >= 2**63
@@ -1058,6 +1059,14 @@ class TestScorerSerialization:
         path = tmp_path / "scorer.tsv"
         path.write_text("#order\t2\n0\t1\t3\n")  # missing structure rows
         with pytest.raises(DataError):
+            load_markov_scorer(path)
+
+    def test_structure_beyond_a_packed_key_column_rejected(self, tmp_path):
+        """Such a header used to load, its table out of order."""
+        path = tmp_path / "scorer.tsv"
+        path.write_text("#order\t2\n#alpha\t0.1\n#levels\t4611686018427387904\t3\n"
+                        "#code_dim\t2\n\t0\t5\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: the levels hold"):
             load_markov_scorer(path)
 
     def test_malformed_count_row_rejected(self, tmp_path):
