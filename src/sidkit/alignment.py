@@ -53,9 +53,6 @@ class ProjectionHead:
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
-    def apply(self, embeddings: np.ndarray) -> np.ndarray:
-        return np.asarray(embeddings, dtype=np.float64) @ self.weight + self.bias
-
 
 def _check_row_norms(matrix: np.ndarray, name: str) -> None:
     zero = np.nonzero(np.linalg.norm(matrix, axis=1) == 0.0)[0]

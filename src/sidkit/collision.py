@@ -143,7 +143,11 @@ class AssignmentTable:
         a list of code rows, are looked up at once in the SID index; a row
         with a code out of its level's band holds nobody."""
         m = self.structure.num_levels
-        codes = np.asarray(code_rows, dtype=np.int64)
+        try:
+            codes = np.asarray(code_rows, dtype=np.int64)
+        except OverflowError:  # a code beyond int64 is out of every band, as -1 is
+            codes = np.asarray([[c if -(2**63) <= c < 2**63 else -1 for c in map(int, row)]
+                                for row in code_rows], dtype=np.int64)
         codes = codes.reshape(0, m) if codes.shape == (0,) else codes
         if codes.ndim != 2 or codes.shape[1] != m:
             raise DataError(f"expected an (n, {m}) code matrix, got shape {codes.shape}")

@@ -413,14 +413,12 @@ def dynamic_beam_search(
     token tuple.  The returned log-probs are plain sums of scorer outputs, so
     with widths covering the full vocabulary this is exhaustive enumeration.
 
-    The beams are a (B, level) token matrix, a score vector and each beam's
-    rank in token-tuple order, and each level scores all B contexts in one
-    next_token_log_probs_batch call.  Candidate i = parent * band + code has
-    the tuple-order key rank[parent] * band + code, so ties cut on one
-    integer: selection partitions the B x band scores for the widths[j]-th
-    best, keeps every candidate above it and, of those equal to it, the ones
-    with the smallest keys, then orders the kept by descending score, then
-    key: the same order a full sort by score and token columns would give.
+    The beams are a (B, level) token matrix kept in token-tuple order, and
+    their scores; each level scores all B contexts in one
+    next_token_log_probs_batch call.  So candidate parent * band + code sits
+    at its place in tuple order, and rows.top_k, ties to the lowest position,
+    keeps the widths[j] best as a full sort by score, then tokens, would.
+    Sorted, they stay in tuple order; the last level keeps its k best, best first.
     A NaN score raises DataError naming the level; -inf is a legal score.
     The context must be whole SIDs, so the first decoded token is a level-0
     one, and k must lie in [1, widths[-1]].
@@ -436,7 +434,6 @@ def dynamic_beam_search(
         raise DataError(f"context of {len(context)} tokens is not a whole number of SIDs")
     beams = np.empty((1, 0), dtype=np.int64)
     scores = np.zeros(1)
-    rank = np.zeros(1, dtype=np.int64)  # each beam's place in token-tuple order
     for level, width in enumerate(schedule.widths):
         band = structure.level_sizes[level]
         contexts = np.concatenate(
@@ -445,24 +442,14 @@ def dynamic_beam_search(
         candidates = (scores[:, None] + step).ravel()
         if np.isnan(candidates).any():
             raise DataError(f"scorer returned NaN log-probabilities at level {level}")
-        keys = (rank[:, None] * band + np.arange(band)).ravel()
-        if len(candidates) > width:
-            cut = np.partition(candidates, len(candidates) - width)[len(candidates) - width]
-            above = np.flatnonzero(candidates > cut)
-            tied = np.flatnonzero(candidates == cut)
-            need = width - len(above)
-            if need < len(tied):
-                tied = tied[np.argpartition(keys[tied], need - 1)[:need]]
-            pool = np.concatenate((above, tied))
+        if level < structure.num_levels - 1:
+            keep = np.sort(rows.top_k(candidates, width))
         else:
-            pool = np.arange(len(candidates))
-        keep = pool[np.lexsort((keys[pool], -candidates[pool]))]
+            keep = rows.top_k(candidates, k)
         parent, code = np.divmod(keep, band)
         beams = np.concatenate((beams[parent], (code + structure.offsets[level])[:, None]), axis=1)
         scores = candidates[keep]
-        rank = np.empty(len(keep), dtype=np.int64)
-        rank[np.argsort(keys[keep])] = np.arange(len(keep))
-    return BeamResult(beams[:k] - np.asarray(structure.offsets), scores[:k])
+    return BeamResult(beams - np.asarray(structure.offsets), scores)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Rows of ints in [-1, radix - 1) packed into int64 keys, sorted and
 looked up: the scorer's (context, next token) rows and a table's SIDs.
+top_k, the package's one top-k selection, sends ties to the lowest position.
 
 A key holds a few columns written base `radix`, each value + 1 a digit, so
 the -1 padding of a short context is digit 0 and the keys' lexicographic
@@ -24,10 +25,14 @@ def key_widths(radix: int, width: int, room: int = 1) -> list[int]:
     return [min(per, width - lo) for lo in range(0, width, per)]
 
 
-def _digits(columns: np.ndarray, radix: int) -> np.ndarray:
+def _powers(radix: int, width: int) -> np.ndarray:
+    """radix**(width - 1), ..., radix, 1: the weights of a key's digits."""
+    return radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _digits(columns: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Each row's columns as one int64 key: (columns + 1) @ powers, written
     so that no copy of the columns is made."""
-    powers = radix ** np.arange(columns.shape[1] - 1, -1, -1, dtype=np.int64)
     return columns @ powers + powers.sum()
 
 
@@ -37,7 +42,7 @@ def pack(rows: np.ndarray, radix: int) -> list[np.ndarray]:
     equal another row's."""
     keys, lo = [], 0
     for width in key_widths(radix, rows.shape[1]):
-        keys.append(_digits(rows[:, lo : lo + width], radix))
+        keys.append(_digits(rows[:, lo : lo + width], _powers(radix, width)))
         lo += width
     return keys
 
@@ -52,6 +57,18 @@ def unpack(keys: list[np.ndarray], radix: int, width: int) -> np.ndarray:
         lo += key_width
     rows -= 1
     return rows
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the k highest scores (all if fewer), best first, ties
+    in position order: np.argsort(-scores, kind="stable")[:k], but only the
+    k kept are sorted.  k must be at least 1."""
+    n = len(scores)
+    k = min(k, n)
+    cut = np.partition(scores, n - k)[n - k]
+    above = np.flatnonzero(scores > cut)
+    pool = np.concatenate((above, np.flatnonzero(scores == cut)[: k - len(above)]))
+    return pool[np.argsort(-scores[pool], kind="stable")]
 
 
 def sort(keys: list[np.ndarray], kind=None) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -104,13 +121,14 @@ class Index:
         new = np.zeros(len(rows), dtype=bool)  # the row starts a new prefix
         new[:1] = True
         parent = np.zeros(len(rows), dtype=np.int64)
-        self._radix, self._levels, lo = radix, [], 0  # levels: (columns, radix**width, keys)
+        self._levels, lo = [], 0  # levels: (columns, powers, radix**width, keys)
         for width in key_widths(radix, self._width, room=len(rows) + 1):
-            digits = _digits(rows[:, lo : lo + width], radix)
+            powers = _powers(radix, width)
+            digits = _digits(rows[:, lo : lo + width], powers)
             new[1:] |= digits[1:] != digits[:-1]
             at = np.flatnonzero(new)
             keys = parent[at] * radix**width + digits[at]
-            self._levels.append((slice(lo, lo + width), radix**width,
+            self._levels.append((slice(lo, lo + width), powers, radix**width,
                                  np.append(keys, np.iinfo(np.int64).max)))
             np.cumsum(new, out=parent)
             parent -= 1
@@ -124,8 +142,8 @@ class Index:
         if rows.shape[1] < self._width:
             rows = np.pad(rows, ((0, 0), (0, self._width - rows.shape[1])), constant_values=-1)
         node = 0
-        for columns, span, level_keys in self._levels:
-            key = _digits(rows[:, columns], self._radix) + node * span
+        for columns, powers, span, level_keys in self._levels:
+            key = _digits(rows[:, columns], powers) + node * span
             at = np.searchsorted(level_keys, key)
             node = np.where(level_keys[at] == key, at, len(level_keys) - 1)
         return self._bounds[node], self._bounds[node + 1]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rows
 from .catalog import ItemCatalog, SidStructure, read_rows
 from .collision import AssignmentTable
 from .errors import DataError
@@ -109,16 +110,6 @@ def pairs_from_sequences(sequences) -> list[tuple[str, tuple[str, ...]]]:
     return pairs
 
 
-def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """np.argsort(keys, kind="stable")[:k] without sorting every key: the k
-    smallest by partition, every key tied with the k-th (the tie pool at the
-    cut) kept, and only that pool sorted stably, so ties go to the lowest
-    index as in the full sort."""
-    cut = keys[np.argpartition(keys, k - 1)[k - 1]]
-    pool = np.flatnonzero(keys <= cut)
-    return pool[np.argsort(keys[pool], kind="stable")[:k]]
-
-
 def embedding_hitrate(
     catalog: ItemCatalog,
     eval_pairs,
@@ -159,7 +150,7 @@ def embedding_hitrate(
         q = index_of[query_id]
         sims = unit @ unit[q]
         sims[q] = -np.inf
-        hits = len(set(_top_k(-sims, k).tolist()) & clicked_idx)
+        hits = len(set(rows.top_k(sims, k).tolist()) & clicked_idx)
         scores.append(hits / len(clicked_idx))
     return float(np.mean(scores))
 

@@ -277,6 +277,14 @@ class TestAssignmentTable:
         table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a"], [[0, 0]])
         assert table.items_for_codes([(-1, 6), (0, 0)]) == ["a"]
 
+    def test_items_for_codes_beyond_int64_holds_nobody(self):
+        table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a", "b"], [[1, 2], [0, 0]])
+        assert table.items_for_codes([(1, 2), (-2**70, 1)]) == ["a"]
+        assert table.items_for_sid((2**70, 0)) == []
+        assert table.occupancy_of((2**70, 0)) == 0
+        with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):
+            table.items_for_codes([(2**70,)])
+
     def test_items_for_codes_rejects_rows_of_another_length(self):
         table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["a"], [[0, 1]])
         with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):

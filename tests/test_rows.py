@@ -94,3 +94,13 @@ def test_expand_lists_each_range_in_turn(ranges):
     positions, owner = rows.expand(start, stop)
     assert positions.tolist() == [p for a, b in zip(start, stop) for p in range(a, b)]
     assert owner.tolist() == [i for i, (a, b) in enumerate(zip(start, stop)) for _ in range(a, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-np.inf, 0.0, 1.5]), min_size=1, max_size=30), st.data())
+def test_top_k_equals_a_stable_argsort(scores, data):
+    """Best first, equal scores (-inf among them) in position order, k past
+    the length keeping every position."""
+    scores = np.array(scores)
+    k = data.draw(st.integers(1, len(scores) + 2), label="k")
+    np.testing.assert_array_equal(rows.top_k(scores, k), np.argsort(-scores, kind="stable")[:k])
