@@ -70,9 +70,9 @@ table = AssignmentTable(small_structure)
 for i, last in enumerate([0] * 1 + [1] * 8 + [2] * 2 + [3] * 7):
     table.assign(f"x{i:02d}", SemanticId((0, last)))
 print("\nmerge vignette, threshold 5:")
-print("  before:", dict(sorted(table.occupancy.items())))
+print("  before:", table.occupancy)
 merged = apply_merge_policy(table, books, merge_threshold=5)
-print("  after :", dict(sorted(merged.occupancy.items())))
+print("  after :", merged.occupancy)
 print("  the 1-item and 2-item SIDs folded into their nearest big sibling")
 
 # raw-embedding ranking as a reference point: the planted interactions jump

@@ -142,13 +142,16 @@ class ItemCatalog:
     The catalog is columnar: `catalog[item_id]` and `records()` build an
     ItemRecord only when read, its embedding a read-only row of the matrix,
     so editing a record leaves the catalog unchanged.  `embedding_matrix()`
-    returns the matrix itself, with no copy.  The constructor checks each
-    record in turn, a repeated id or an embedding that is not a finite
-    d_in-vector being a DataError, and then every related-item link: a
-    dangling reference is a data error too.  Safe for concurrent reads.
+    returns the matrix itself, with no copy.  A d_in below 1 is a
+    ValueError.  The constructor checks each record in turn, a repeated id
+    or an embedding that is not a finite d_in-vector being a DataError, and
+    then every related-item link: a dangling reference is a data error too.
+    Safe for concurrent reads.
     """
 
     def __init__(self, records: Iterable[ItemRecord], d_in: int):
+        if int(d_in) < 1:
+            raise ValueError(f"d_in must be at least 1, got {d_in}")
         records = list(records)
         rows: dict[str, int] = {}
         matrix = np.empty((len(records), int(d_in)))
@@ -269,12 +272,12 @@ def render_sid_string(sid: SemanticId, structure: SidStructure) -> str:
     return "".join(f"C{t}" for t in sid_to_flat_tokens(sid, structure))
 
 
-_SID_STRING = re.compile(r"^(?:C\d+)+$")
+SID_STRING = re.compile(r"(?:C[0-9]+)+")  # the SID-string grammar; use fullmatch
 
 
 def parse_sid_string(s: str, structure: SidStructure) -> SemanticId:
     """Exact inverse of :func:`render_sid_string`."""
-    if not _SID_STRING.match(s):
+    if not SID_STRING.fullmatch(s):
         raise DataError(f"malformed SID string {s!r}")
     tokens = [int(t) for t in s.split("C")[1:]]
     return flat_tokens_to_sid(tokens, structure)

@@ -7,13 +7,14 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import re
+import dataclasses
 import sys
 from itertools import chain
 from pathlib import Path
 
 from . import collision, quantizer, retrieval, sidmetrics, toydata
 from .catalog import (
+    SID_STRING,
     SidStructure,
     flat_tokens_to_sid,
     load_item_catalog,
@@ -278,13 +279,12 @@ def cmd_eval_sid(args) -> int:
     table = collision.load_assignment(args.assignment, structure)
     _check_known(args.assignment, [table], list, lambda _: "assignment", catalog, args.catalog)
     occ = sidmetrics.OccupancyVector.from_table(table)
-    if args.occupied_only:
-        occ = sidmetrics.OccupancyVector(
-            counts=occ.counts, total_sids=max(len(occ.counts), 1), structure=occ.structure
-        )
+    # --occupied-only shrinks the space of the Gini alone; utilization keeps the full space
+    gini_occ = (dataclasses.replace(occ, total_sids=max(len(occ.counts), 1))
+                if args.occupied_only else occ)
 
     rows: list[tuple[str, float]] = []
-    rows.append(("gini", sidmetrics.gini_coefficient(occ)))
+    rows.append(("gini", sidmetrics.gini_coefficient(gini_occ)))
     rows.append(("utilization_pct", sidmetrics.codebook_utilization(occ)))
     for level, value in enumerate(sidmetrics.codebook_utilization(occ, per_level=True)):
         rows.append((f"utilization_level{level}_pct", value))
@@ -341,19 +341,21 @@ def cmd_train_scorer(args) -> int:
 
 
 def _parse_context(text: str, structure: SidStructure) -> list[int]:
-    """Flat tokens from SID strings (C12C8200..) or comma tokens (12,8200,..).
+    """Flat tokens from SID strings (C12C8200.., the SID_STRING grammar) or
+    comma tokens (12,8200,..), every token written in ASCII digits.
 
     Every whole SID must keep each token in its level's band; a partial last
     SID is left for the beam search to reject."""
     text = text.strip()
     if text.startswith("C"):
-        if not re.fullmatch(r"(?:C\d+)+", text):
+        if not SID_STRING.fullmatch(text):
             raise DataError(f"cannot parse context {text!r}")
         text = text[1:].replace("C", ",")
-    try:
-        tokens = [int(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise DataError(f"cannot parse context {text!r}: {exc}") from exc
+    words = [t for t in text.split(",") if t]
+    bad = next((t for t in words if not (t.isascii() and t.isdigit())), None)
+    if bad is not None:
+        raise DataError(f"cannot parse context {text!r}: token {bad!r} is not ASCII digits")
+    tokens = list(map(int, words))
     m = structure.num_levels
     for start in range(0, len(tokens) - m + 1, m):
         flat_tokens_to_sid(tokens[start : start + m], structure)

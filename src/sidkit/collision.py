@@ -13,7 +13,6 @@ the raw table untouched.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +32,11 @@ class AssignmentTable:
     read after a change, one stable sort of the SIDs' flat-token rows (see
     sidkit.rows) over the items in ascending id gives the member order (every
     item, by SID, then id) and an index over the distinct SIDs whose row
-    ranges are their members' positions in that order.  Occupancy is a
-    SID -> count dict read off the index on its first use.  The constructor
-    rejects a duplicate id or an out-of-band code with DataError.  `assign`
-    copies the matrix on an insert, so it is for single edits.
+    ranges are their members' positions in that order.  `occupied()` reads
+    the occupied SIDs and their counts off that index; `occupancy` and
+    `occupancy_of` read a dict view of them.  The constructor rejects a
+    duplicate id or an out-of-band code with DataError.  `assign` copies the
+    matrix on an insert, so it is for single edits.
     """
 
     def __init__(self, structure: SidStructure, item_ids=(), codes=()):
@@ -83,12 +83,17 @@ class AssignmentTable:
             self._index = rows.Index(tokens[order], radix)
         return self._index
 
+    def occupied(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied SIDs, an (S, m) int64 matrix in ascending codes, and
+        the (S,) count of each, whose members are consecutive in `_order`."""
+        starts = self._sid_index().starts
+        return self._codes[self._order[starts[:-1]]], np.diff(starts)
+
     def _occupancy(self) -> dict[tuple[int, ...], int]:
         """Occupied SID -> item count, in ascending codes."""
         if self._counts is None:
-            starts = self._sid_index().starts
-            sids = self._codes[self._order[starts[:-1]]].tolist()
-            self._counts = dict(zip(map(tuple, sids), np.diff(starts).tolist()))
+            sids, counts = self.occupied()
+            self._counts = dict(zip(map(tuple, sids.tolist()), counts.tolist()))
         return self._counts
 
     def __len__(self) -> int:
@@ -236,33 +241,36 @@ def apply_merge_policy(
     """Fold small SIDs, those holding fewer than merge_threshold items, into
     bigger siblings under the same prefix.
 
-    The result is read off each prefix's counts.  If some SID of the prefix
-    holds at least the threshold, each small SID moves whole to the nearest
-    such SID (squared distance between last-level codewords, ties to the
-    lowest code).  Otherwise every item of the prefix moves to its largest
-    SID (ties to the highest code), so a lone SID keeps its items.  This is
-    the end state of visiting the small SIDs in ascending (occupancy, codes)
-    order, each moving to its nearest sibling at the threshold, else to its
-    largest sibling.  Distinct occupied SIDs never increase.
+    The result is read off the table's occupied SIDs, where a prefix's SIDs
+    are one run.  If some SID of the prefix holds at least the threshold,
+    each small SID moves whole to the nearest such SID (squared distance
+    between last-level codewords, ties to the lowest code).  Otherwise every
+    item of the prefix moves to its largest SID (ties to the highest code),
+    so a lone SID keeps its items.  This is the end state of visiting the
+    small SIDs in ascending (occupancy, codes) order, each moving to its
+    nearest sibling at the threshold, else to its largest sibling.  Distinct
+    occupied SIDs never increase.
     """
     if merge_threshold <= 0:
         return table.copy()
     last_table = codebooks.levels[-1]
-    by_prefix: dict[tuple[int, ...], dict[int, int]] = {}
-    for codes, count in table.occupancy.items():
-        by_prefix.setdefault(codes[:-1], {})[codes[-1]] = count
-    dest: dict[tuple[int, ...], int] = {}  # small SID -> its new last code
-    for prefix, counts in by_prefix.items():
-        small = [c for c, n in counts.items() if n < merge_threshold]
-        big = sorted(c for c, n in counts.items() if n >= merge_threshold)
-        if big:
-            d2 = ((last_table[small][:, None] - last_table[big]) ** 2).sum(axis=2)
-            targets = [big[i] for i in d2.argmin(axis=1).tolist()]  # first minimum: lowest code
-        else:
-            targets = [max(counts, key=lambda c: (counts[c], c))] * len(small)
-        dest.update((prefix + (c,), t) for c, t in zip(small, targets))
+    sids, counts = table.occupied()
+    last = sids[:, -1].copy()  # each SID's new last code
+    small = counts < merge_threshold
+    starts = np.ones(len(sids) + 1, dtype=bool)  # where a prefix's run starts, and the end
+    starts[1:-1] = (sids[1:, :-1] != sids[:-1, :-1]).any(axis=1)
+    bounds = np.flatnonzero(starts)
+    runs = np.unique(np.cumsum(starts[:-1])[small] - 1)  # the prefixes holding a small SID
+    for lo, hi in zip(bounds[runs].tolist(), bounds[runs + 1].tolist()):
+        old, is_small = sids[lo:hi, -1], small[lo:hi]
+        big = old[~is_small]
+        if big.size:
+            d2 = ((last_table[old[is_small]][:, None] - last_table[big]) ** 2).sum(axis=2)
+            last[lo:hi][is_small] = big[d2.argmin(axis=1)]  # first minimum: lowest code
+        else:  # the last maximum: the highest code
+            last[lo:hi] = old[::-1][np.argmax(counts[lo:hi][::-1])]
     codes = table._codes.copy()
-    codes[:, -1] = [dest.get(tuple(row), row[-1]) for row in codes.tolist()]
+    codes[table._order, -1] = np.repeat(last, counts)
     return AssignmentTable(table.structure, table, codes)
 
 
@@ -276,17 +284,13 @@ class OccupancyStats:
 
 def occupancy_stats(table: AssignmentTable) -> OccupancyStats:
     """Exact counts over the occupied SIDs; empty table reports zeros."""
-    occ = table.occupancy
-    if not occ:
+    _, counts = table.occupied()
+    if not len(counts):
         return OccupancyStats()
-    counts = list(occ.values())
-    hist = Counter(counts)
-    return OccupancyStats(
-        max_occupancy=max(counts),
-        mean_occupancy=float(np.mean(counts)),
-        distinct_occupied=len(counts),
-        histogram=dict(sorted(hist.items())),
-    )
+    sizes, n_sids = np.unique(counts, return_counts=True)
+    return OccupancyStats(max_occupancy=int(sizes[-1]), mean_occupancy=float(np.mean(counts)),
+                          distinct_occupied=len(counts),
+                          histogram=dict(zip(sizes.tolist(), n_sids.tolist())))
 
 
 def save_assignment(table: AssignmentTable, path) -> None:

@@ -20,7 +20,7 @@ from .errors import DataError
 RELATIONS = ("style", "origin")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyVector:
     """Sparse items-per-SID counts; SIDs not present count zero.
 
@@ -28,7 +28,8 @@ class OccupancyVector:
     still weigh in the fairness measure.
     """
 
-    counts: tuple[tuple[tuple[int, ...], int], ...]
+    codes: np.ndarray  # (S, m) int64: the occupied SIDs
+    counts: np.ndarray  # (S,) int64: the items on each
     total_sids: int
     structure: SidStructure | None = None
 
@@ -37,32 +38,23 @@ class OccupancyVector:
             raise ValueError("total_sids must be positive")
         if len(self.counts) > self.total_sids:
             raise ValueError("more occupied SIDs than the space holds")
-        for codes, count in self.counts:
-            if count < 1:
-                raise ValueError("sparse counts must be positive; zeros are implicit")
+        if (self.counts < 1).any():
+            raise ValueError("sparse counts must be positive; zeros are implicit")
 
     @classmethod
     def from_table(cls, table: AssignmentTable) -> "OccupancyVector":
-        return cls(
-            counts=tuple(sorted(table.occupancy.items())),
-            total_sids=table.structure.total_sids,
-            structure=table.structure,
-        )
+        return cls(*table.occupied(), table.structure.total_sids, table.structure)
 
     @classmethod
     def from_counts(cls, counts, total_sids: int | None = None) -> "OccupancyVector":
-        """From a plain count list; zeros are dropped into the implicit pool."""
-        counts = [int(c) for c in counts]
-        if any(c < 0 for c in counts):
+        """From a plain count list, SID i holding counts[i]; zeros are
+        dropped into the implicit pool."""
+        counts = np.array([int(c) for c in counts], dtype=np.int64)
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        return cls(
-            counts=tuple(((i,), c) for i, c in enumerate(counts) if c > 0),
-            total_sids=len(counts) if total_sids is None else int(total_sids),
-        )
-
-    @property
-    def positive_counts(self) -> list[int]:
-        return [count for _, count in self.counts]
+        occupied = np.flatnonzero(counts)
+        return cls(occupied[:, None], counts[occupied],
+                   len(counts) if total_sids is None else int(total_sids))
 
 
 def gini_coefficient(occupancy: OccupancyVector) -> float:
@@ -73,15 +65,10 @@ def gini_coefficient(occupancy: OccupancyVector) -> float:
     (2/N_d) * sum_i (i/N_d - L(i)).  Computed in exact integer arithmetic on
     the sparse counts: G = (N_d+1)/N_d - 2 * sum_i C(i) / (N_d * C(N_d)).
     """
-    positives = sorted(occupancy.positive_counts)
-    if not positives:
+    if not len(occupancy.counts):
         raise DataError("gini coefficient of an all-zero occupancy is undefined")
-    n_d = occupancy.total_sids
-    cumulative = 0
-    cumulative_sum = 0
-    for count in positives:
-        cumulative += count
-        cumulative_sum += cumulative
+    running = np.cumsum(np.sort(occupancy.counts))  # C(i) over the positive counts
+    n_d, cumulative, cumulative_sum = occupancy.total_sids, int(running[-1]), int(running.sum())
     return float((n_d + 1) / n_d - 2 * cumulative_sum / (n_d * cumulative))
 
 
@@ -93,12 +80,8 @@ def codebook_utilization(
         return 100.0 * len(occupancy.counts) / occupancy.total_sids
     if occupancy.structure is None:
         raise DataError("per-level utilization needs the SID structure")
-    sizes = occupancy.structure.level_sizes
-    used = [set() for _ in sizes]
-    for codes, _ in occupancy.counts:
-        for j, c in enumerate(codes):
-            used[j].add(c)
-    return [100.0 * len(u) / n_j for u, n_j in zip(used, sizes)]
+    return [100.0 * len(np.unique(column)) / n_j
+            for column, n_j in zip(occupancy.codes.T, occupancy.structure.level_sizes)]
 
 
 def pairs_from_sequences(sequences) -> list[tuple[str, tuple[str, ...]]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import InteractionSequence, ItemCatalog, ItemRecord
+from .catalog import MAX_HISTORY, InteractionSequence, ItemCatalog, ItemRecord
 from .sidmetrics import PairLabels
 
 
@@ -36,6 +36,12 @@ class ToyConfig:
             raise ValueError("need at least one item per cluster")
         if self.n_clusters < 2:
             raise ValueError("the transition ring needs at least 2 clusters")
+        if min(self.d_in, self.n_targets) < 1:
+            raise ValueError("d_in and n_targets must be at least 1")
+        if not 0 <= self.history_len <= MAX_HISTORY:
+            raise ValueError(f"history_len must be in [0, {MAX_HISTORY}]")
+        if min(self.n_train_sequences, self.n_eval_sequences) < 0:
+            raise ValueError("sequence counts must be non-negative")
 
 
 @dataclass

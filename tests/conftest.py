@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sidkit.catalog import ItemCatalog, ItemRecord, SidStructure
+from sidkit.collision import AssignmentTable
 
 
 @pytest.fixture
@@ -54,3 +56,16 @@ def scorer_count_dicts(scorer) -> dict[tuple[int, ...], dict[int, int]]:
     for *context, token, count in np.column_stack((scorer._rows, scorer._counts)).tolist():
         counts.setdefault(tuple(t for t in context if t >= 0), {})[token] = count
     return counts
+
+
+@st.composite
+def assignment_tables(draw) -> AssignmentTable:
+    """Tables of up to 40 items, possibly none, over 1-3 levels of 2-4 codes
+    or over (256,) * 8.  Codes come from each level's first two and last
+    code, so SIDs collide, and the ids are inserted in any order."""
+    sizes = draw(st.one_of(st.lists(st.integers(2, 4), min_size=1, max_size=3).map(tuple),
+                           st.just((256,) * 8)))
+    codes = draw(st.lists(st.tuples(*(st.sampled_from(sorted({0, 1, n - 1})) for n in sizes)),
+                          max_size=40))
+    ids = draw(st.permutations([f"it{i:02d}" for i in range(len(codes))]))
+    return AssignmentTable(SidStructure(sizes, code_dim=2), ids, codes)

@@ -128,6 +128,15 @@ class TestFlatTokens:
             with pytest.raises(DataError):
                 parse_sid_string(bad, s)
 
+    @pytest.mark.parametrize("bad", ["C1C5C9\n", "C\u0661C5C9", "C1C\uff15C9", "C1C5C\u0669"])
+    def test_only_ascii_digit_tokens_parse(self, bad):
+        """int() reads each spelling's tokens as 1, 5, 9, but render_sid_string
+        never writes one, so its inverse refuses them."""
+        s = SidStructure((4, 4, 4), code_dim=4)
+        assert parse_sid_string("C1C5C9", s).codes == (1, 1, 1)
+        with pytest.raises(DataError, match="malformed SID string"):
+            parse_sid_string(bad, s)
+
     def test_bracket_form_round_trip(self):
         sid = SemanticId((1203, 2315, 3576))
         assert format_sid_brackets(sid) == "[1203,2315,3576]"
@@ -147,6 +156,14 @@ class TestAsEmbedding:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("d_in", [0, -1])
+    def test_d_in_below_one_rejected(self, d_in):
+        """A zero-width catalog would save rows its own loader refuses."""
+        with pytest.raises(ValueError, match="d_in must be at least 1"):
+            ItemCatalog([], d_in=d_in)
+        with pytest.raises(ValueError, match="d_in must be at least 1"):
+            ItemCatalog([ItemRecord(item_id="a", embedding=np.zeros(0))], d_in=d_in)
+
     def test_duplicate_ids_rejected(self):
         rec = lambda i: ItemRecord(item_id=i, embedding=np.zeros(2))
         with pytest.raises(DataError):

@@ -1,7 +1,9 @@
 """Command-line interface: full pipeline, exit codes, output formats."""
 
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from sidkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -75,6 +77,23 @@ class TestGenToy:
         assert len((toy_dir / "catalog.tsv").read_text().splitlines()) == 200
         assert len((toy_dir / "train_sequences.tsv").read_text().splitlines()) == 100
         assert len((toy_dir / "eval_sequences.tsv").read_text().splitlines()) == 30
+
+    @pytest.mark.parametrize("bad", [
+        ["--d-in", "0"], ["--targets", "0"], ["--history-len", "-1"], ["--history-len", "101"],
+        ["--train-sequences", "-1"], ["--eval-sequences", "-1"],
+    ])
+    def test_counts_that_make_a_bad_world_are_usage_errors(self, bad, tmp_path, capsys):
+        out = tmp_path / "toy"
+        argv = ["gen-toy", "--items", "20", "--clusters", "2", "--seed", "0", "--out-dir", str(out)]
+        assert main(argv + bad) == EXIT_USAGE
+        assert "sidkit: invalid arguments: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("history_len", ["0", "100"])
+    def test_history_len_bounds_are_accepted(self, history_len, tmp_path, capsys):
+        assert main(["gen-toy", "--items", "20", "--clusters", "2", "--seed", "0",
+                     "--train-sequences", "3", "--eval-sequences", "2",
+                     "--history-len", history_len, "--out-dir", str(tmp_path)]) == EXIT_OK
 
 
 class TestPipelineArtifacts:
@@ -203,6 +222,23 @@ class TestRetrieve:
         assert "token 5 outside level-0 band [0, 4)" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("context", [
+        "1_0,16,32", "10,+16,32", "10, 16,32", "\u0661\u0660,16,32", "C\u0661\u0660C16C32",
+        "C10C16C\uff13\uff12",
+    ])
+    def test_context_tokens_must_be_ascii_digits(self, context, tmp_path, capsys):
+        """Each spelling int() would read as 10,16,32, which decodes."""
+        scorer = tmp_path / "scorer.tsv"
+        scorer.write_text("#order\t2\n#alpha\t0.1\n#levels\t16\t16\t16\n#code_dim\t2\n")
+        argv = ["retrieve", "--scorer", str(scorer), "--k", "3", "--context"]
+        assert main([*argv, "10,16,32"]) == EXIT_OK
+        assert main([*argv, "C10C16C32"]) == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, context]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"cannot parse context {context!r}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_rejected(self, k, pipeline, capsys):
         code = main(
@@ -237,6 +273,30 @@ class TestEvalSid:
         values = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
         assert 0.0 <= values["gini"] < 1.0
         assert 0.0 < values["utilization_pct"] <= 100.0
+
+    def test_occupied_only_changes_the_gini_alone(self, pipeline, toy_dir, tmp_path, capsys):
+        """With --occupied-only every utilization row equals the plain run's,
+        and the Gini is a dense Gini over the occupied SIDs alone.  The 16x16
+        space leaves most SIDs empty, so both figures move if the flag
+        shrinks the space they read."""
+        argv = ["eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--assignment", str(pipeline / "knn.tsv"), "--levels", "16,16", "--code-dim", "8"]
+        plain, occupied = tmp_path / "plain.csv", tmp_path / "occupied.csv"
+        assert main([*argv, "--csv", str(plain)]) == EXIT_OK
+        assert main([*argv, "--occupied-only", "--csv", str(occupied)]) == EXIT_OK
+        plain, occupied = ({name: float(value) for name, value in
+                            (line.split(",") for line in path.read_text().splitlines()[1:])}
+                           for path in (plain, occupied))
+        assert plain["utilization_pct"] < 100.0
+        assert {name: v for name, v in occupied.items() if name != "gini"} == \
+            {name: v for name, v in plain.items() if name != "gini"}
+        sids = Counter(line.split("\t")[1] for line in
+                       (pipeline / "knn.tsv").read_text().splitlines())
+        x = np.sort(np.array(list(sids.values()), dtype=np.float64))
+        i = np.arange(1, len(x) + 1)
+        dense = 2.0 * (i * x).sum() / (len(x) * x.sum()) - (len(x) + 1) / len(x)
+        assert occupied["gini"] == pytest.approx(dense, abs=1e-12)
+        assert occupied["gini"] < plain["gini"]
 
     def test_levels_flag_replaces_model(self, pipeline, toy_dir, capsys):
         code = main(

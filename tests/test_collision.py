@@ -33,7 +33,7 @@ from sidkit.quantizer import (
 )
 from sidkit.sidmetrics import OccupancyVector, gini_coefficient
 
-from conftest import clustered_catalog
+from conftest import assignment_tables, clustered_catalog
 
 
 def identical_catalog(n, embedding):
@@ -202,6 +202,17 @@ class TestAssignmentTable:
             for codes in itertools.product(range(3), repeat=m):
                 assert table.occupancy_of(codes) == len(members.get(codes, []))
                 assert table.items_for_sid(SemanticId(codes)) == sorted(members.get(codes, []))
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=assignment_tables())
+    def test_occupied_is_a_recount_of_items(self, table):
+        """occupied() is a Counter over items() in ascending codes, as int64."""
+        sids, counts = table.occupied()
+        recount = sorted(Counter(sid.codes for _, sid in table.items()).items())
+        assert sids.dtype == counts.dtype == np.int64
+        assert sids.shape == (len(recount), table.structure.num_levels)
+        assert list(zip(map(tuple, sids.tolist()), counts.tolist())) == recount
+        assert table.occupancy == dict(recount)
 
     def test_members_listing_is_sorted(self):
         structure = SidStructure((2, 2), code_dim=2)
@@ -614,6 +625,17 @@ class TestOccupancyStats:
         assert stats.mean_occupancy == 2.0
         assert stats.distinct_occupied == 2
         assert stats.histogram == {1: 1, 3: 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=assignment_tables())
+    def test_matches_a_counter(self, table):
+        counts = list(Counter(sid.codes for _, sid in table.items()).values())
+        stats = occupancy_stats(table)
+        assert stats.histogram == dict(sorted(Counter(counts).items()))
+        assert all(type(size) is int and type(n) is int for size, n in stats.histogram.items())
+        assert stats.distinct_occupied == len(counts)
+        assert stats.max_occupancy == max(counts, default=0)
+        assert stats.mean_occupancy == (sum(counts) / len(counts) if counts else 0.0)
 
     def test_empty_table(self):
         stats = occupancy_stats(AssignmentTable(SidStructure((2, 2), code_dim=2)))

@@ -1,9 +1,10 @@
 """Golden digests: the CLI pipeline's artifacts keep their bytes.
 
 A small fixed-seed toy world goes through tokenize (with --out-trace), every
-collision policy and eval-sid --csv, for the two quantizer kinds whose
-output involves no autodiff matrix products (rqkmeans and random); rqvae and
-multivq train through matmuls whose last bits may vary between BLAS builds.
+collision policy (with the occupancy line it prints) and eval-sid --csv, for
+the two quantizer kinds whose output involves no autodiff matrix products
+(rqkmeans and random); rqvae and multivq train through matmuls whose last
+bits may vary between BLAS builds.
 The rqkmeans assignment then goes through retrieval: build-pretrain-corpus,
 train-scorer, retrieve and eval-hr --out.
 Each artifact's sha256 must equal the digest recorded below, so a faster
@@ -41,6 +42,10 @@ GOLDEN = {
         "eval_knn.csv": "af1475c3e2272e2064d52de8c9a8d414b278093068a1d6d1a193c999487a73c7",
         "eval_random.csv": "f6616801e1b741d3bbb66fbad6bcb1fb933c37e0d99e7762c08bce031c8f3c4d",
         "eval_merge.csv": "f2ba999f38ea8ff588ba1f39d4a80d79b424baba798a20ccf92452fb3e74a910",
+        "collide_noco.stdout": "af804b6d12e7c6fbf338cda09a76d1bd089a90075149acd051d16b6ed4bfb75f",
+        "collide_knn.stdout": "a4db3582a3f81ce49ef6c0e65aea959d0e920a9f203a1b3bf9a24152dd56112a",
+        "collide_random.stdout": "6853515dc5c9a6984d29c9658005a989da8afa070d52ea50bf3b23fcb1d33a3b",
+        "collide_merge.stdout": "9b232211682e0204250f2d50553d5979aeb6d942b786752cc7735c5434e2e6a8",
     },
     # knn and random policies rank codewords by content, which the random
     # baseline has none of: both exit as data errors
@@ -53,6 +58,8 @@ GOLDEN = {
         "eval_raw.csv": "0441018d3cbcb250adc5b99a8c4fe86d154a7fceecce2054944edb6655206dea",
         "eval_noco.csv": "0441018d3cbcb250adc5b99a8c4fe86d154a7fceecce2054944edb6655206dea",
         "eval_merge.csv": "fef2796bceed46d2e23895f19cd057771a791fc5b10e845aae00b8b4b6fa12fc",
+        "collide_noco.stdout": "8db32deef6f290f3a6aac2bed73d56e07cd86f3b9134f8aa5d663b39fd474dbb",
+        "collide_merge.stdout": "5944651e3437a5307443461f5dc655b0dc06d2be181260588179c21d5c63c716",
         "knn.tsv": EXIT_DATA,
         "random.tsv": EXIT_DATA,
     },
@@ -106,9 +113,14 @@ def world(tmp_path_factory):
     return out
 
 
-def _run_pipeline(world, work, kind) -> dict[str, str]:
-    """Every artifact of one kind's pipeline, by file name -> sha256; a
-    policy the kind cannot run maps to its exit code instead."""
+def _stdout_sha256(capsys) -> str:
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def _run_pipeline(world, work, kind, capsys) -> dict[str, str]:
+    """Every artifact of one kind's pipeline, by file name -> sha256, and
+    each collide's printed output as "collide_<policy>.stdout"; a policy the
+    kind cannot run maps to its exit code instead."""
     base = ["--catalog", str(world / "catalog.tsv"), "--d-in", "8"]
     assert main(
         [
@@ -119,9 +131,10 @@ def _run_pipeline(world, work, kind) -> dict[str, str]:
             "--out-trace", str(work / "trace.csv"),
         ]
     ) == EXIT_OK
+    capsys.readouterr()
     model = ["--model", str(work / "model.tsv")]
     produced = ["raw.tsv", "model.tsv", "trace.csv"]
-    codes = {}
+    codes, printed = {}, {}
     policies = {
         "noco": [],
         "knn": ["--sigma", "2"],
@@ -135,6 +148,7 @@ def _run_pipeline(world, work, kind) -> dict[str, str]:
         )
         if code == EXIT_OK:
             produced.append(name)
+            printed[f"collide_{policy}.stdout"] = _stdout_sha256(capsys)
         else:
             codes[name] = code
     for name in [n for n in produced if n.endswith(".tsv") and n != "model.tsv"]:
@@ -147,7 +161,7 @@ def _run_pipeline(world, work, kind) -> dict[str, str]:
         ) == EXIT_OK
         produced.append(csv_name)
     digests = {name: _sha256(work / name) for name in produced}
-    digests.update(codes)
+    digests.update(codes, **printed)
     return digests
 
 
@@ -156,8 +170,8 @@ def test_toy_world_inputs_are_unchanged(world):
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_pipeline_artifacts_match_golden_digests(world, tmp_path, kind):
-    assert _run_pipeline(world, tmp_path, kind) == GOLDEN[kind]
+def test_pipeline_artifacts_match_golden_digests(world, tmp_path, kind, capsys):
+    assert _run_pipeline(world, tmp_path, kind, capsys) == GOLDEN[kind]
 
 
 
@@ -176,7 +190,7 @@ def _run_retrieval(world, work, capsys) -> dict[str, str]:
 
     def run(name, argv):
         assert main(argv) == EXIT_OK
-        digests[f"{name}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        digests[f"{name}.stdout"] = _stdout_sha256(capsys)
 
     sequences = ["--sequences", str(world / "train_sequences.tsv")]
     assignment = ["--assignment", str(work / "raw.tsv")]

@@ -1,5 +1,7 @@
 """SID quality metrics: fairness, utilization, hitrate, pair consistency."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from sidkit.sidmetrics import (
     pairs_from_sequences,
     save_pair_labels,
 )
+
+from conftest import assignment_tables
 
 
 def dense_gini(counts):
@@ -77,6 +81,23 @@ class TestGiniProperties:
         if len(set(counts)) == 1:  # all equal and positive
             assert g == pytest.approx(0.0, abs=1e-12)
 
+    @given(table=assignment_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_the_integer_loop(self, table):
+        """The sorted running sums, taken in exact integers one count at a
+        time, give the same float."""
+        counts = sorted(Counter(sid.codes for _, sid in table.items()).values())
+        vec = OccupancyVector.from_table(table)
+        if not counts:
+            with pytest.raises(DataError):
+                gini_coefficient(vec)
+            return
+        n_d, cumulative, cumulative_sum = table.structure.total_sids, 0, 0
+        for count in counts:
+            cumulative += count
+            cumulative_sum += cumulative
+        assert gini_coefficient(vec) == (n_d + 1) / n_d - 2 * cumulative_sum / (n_d * cumulative)
+
     def test_implicit_zeros_match_explicit(self):
         """A sparse vector over a bigger space equals the dense padding."""
         sparse = OccupancyVector.from_counts([5, 3], total_sids=10)
@@ -90,7 +111,7 @@ class TestGiniProperties:
             table.assign(f"i{i}", SemanticId((0, 0)))
         vec = OccupancyVector.from_table(table)
         assert vec.total_sids == 4
-        assert vec.positive_counts == [8]
+        assert vec.counts.tolist() == [8]
         assert gini_coefficient(vec) == pytest.approx(0.75, abs=1e-15)
 
 
@@ -112,6 +133,17 @@ class TestUtilization:
         vec = OccupancyVector.from_table(table)
         per_level = codebook_utilization(vec, per_level=True)
         assert per_level == [50.0, 75.0]
+
+    @given(table=assignment_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_set_reference(self, table):
+        sids = {sid.codes for _, sid in table.items()}
+        structure = table.structure
+        vec = OccupancyVector.from_table(table)
+        assert codebook_utilization(vec) == 100.0 * len(sids) / structure.total_sids
+        assert codebook_utilization(vec, per_level=True) == [
+            100.0 * len({codes[j] for codes in sids}) / n_j
+            for j, n_j in enumerate(structure.level_sizes)]
 
     def test_per_level_needs_structure(self):
         with pytest.raises(DataError):
