@@ -107,6 +107,10 @@ class AlignmentConfig:
     seed: int = 0
     init_noise: float = 1e-3
 
+    def __post_init__(self):
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+
 
 def collect_pairs(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
     """Anchor/positive embedding matrices from the catalog's related-item

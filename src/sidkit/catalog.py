@@ -313,7 +313,11 @@ def _format_floats(vec: np.ndarray) -> str:
     return ",".join(repr(float(x)) for x in vec)
 
 
-def read_rows(path, parse_row, finish=lambda rows: rows):
+# the errors read_rows reports as DataError, from a parse, a finish or a row check
+PARSE_ERRORS = (ValueError, IndexError, KeyError, OverflowError, DataError)
+
+
+def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None):
     """Read one artifact file: the one place the package opens one to read.
 
     Each non-blank line, less its line ending only (a scorer row may start
@@ -321,11 +325,15 @@ def read_rows(path, parse_row, finish=lambda rows: rows):
     list of results the loaded object.  The reader records the line each
     result came from.  In the whole-file form, ``parse_row`` is None and
     ``finish`` gets the file's text instead; result i is then the i-th
-    non-blank line.  A ValueError, IndexError, KeyError, OverflowError or
-    DataError becomes ``DataError("path:line: ...")``.  From ``finish`` it
-    becomes ``"path: ..."`` (whole-file checks).  A RowError naming result
-    i, from either, is reported at the line of result i.  Read-ahead UTF-8
-    decoding errors become ``"path: ..."`` too.
+    non-blank line.  Any of PARSE_ERRORS becomes ``DataError("path:line:
+    ...")``; from ``finish`` (whole-file checks) or from read-ahead UTF-8
+    decoding it becomes ``"path: ..."``.  A RowError naming result i is
+    reported at the line of result i.  For any other error, when
+    ``check_row(i, result)`` is given (the one-row form of the checks
+    ``finish`` makes in bulk), the results read so far go through it in
+    file order, and the first it refuses is reported at its line instead:
+    the first bad row in file order is the one reported.  A file that loads
+    is never walked.
     """
     rows, lines, lineno, text = [], array("q"), 0, ""
     try:
@@ -339,9 +347,16 @@ def read_rows(path, parse_row, finish=lambda rows: rows):
                         lines.append(lineno)
         lineno = 0  # no single line is at fault from here on
         return finish(text if parse_row is None else rows)
-    except (ValueError, IndexError, KeyError, OverflowError, DataError) as exc:
+    except PARSE_ERRORS as exc:
         if isinstance(exc, RowError):
             lineno = _nonblank_lines(text)[exc.row] if parse_row is None else lines[exc.row]
+        elif check_row is not None:  # the first row it refuses outranks the error
+            for i, row in enumerate(rows):
+                try:
+                    check_row(i, row)
+                except PARSE_ERRORS as refused:
+                    exc, lineno = refused, lines[i]
+                    break
         where = path if not lineno or isinstance(exc, UnicodeDecodeError) else f"{path}:{lineno}"
         raise DataError(f"{where}: {exc}") from exc
 
@@ -392,67 +407,55 @@ def load_item_catalog(path, d_in: int) -> ItemCatalog:
     then optionally a bracketed SID, a related item id, a style group and an
     origin group.  Empty trailing fields mean "absent".
 
-    Each row keeps its value text; once the file is read, every float is
-    parsed into one (N, d_in) matrix, and widths, finiteness and duplicate
-    ids are checked on the whole file.  Only when a check fails are the rows
-    walked one by one, in file order, to report the first bad one.
+    Each row is read as its fields, the values kept as text; once the file
+    is read, every float is parsed into one (N, d_in) matrix, and widths,
+    finiteness and duplicate ids are checked on the whole file.  When a
+    check fails, `read_rows` walks the rows through their one-row check to
+    report the first bad one.
 
     Args:
         path: TSV file to read.
         d_in: declared embedding dimension; every row is validated against it.
 
     Raises:
+        ValueError: if d_in is below 1.
         DataError: naming the line of the first bad row in file order (a
             malformed row, a dimension mismatch, a non-finite value or a
             duplicate item id), or naming the file for a dangling related
             item.
     """
-    ids, texts, slots, related, styles, origins = [], [], [], [], [], []
+    if int(d_in) < 1:
+        raise ValueError(f"d_in must be at least 1, got {d_in}")
 
-    def first_bad_row() -> None:
-        """RowError at the first row read so far that fails a row check."""
-        rows: dict[str, int] = {}
-        for i in range(len(ids)):
-            try:
-                values = list(map(float, texts[i].split(",")))
-                if slots[i]:
-                    parse_sid_brackets(slots[i])
-                _checked_item(rows, i, ids[i], values, d_in)
-            except (ValueError, DataError) as exc:
-                raise RowError(i, str(exc)) from None
+    def parse(fields):
+        item_id, values, *rest = (f.strip() for f in fields)
+        if not item_id:
+            raise DataError("empty item_id")
+        slot = rest.pop(0) if rest and rest[0][:1] in ("", "[") else ""  # SID slot, maybe empty
+        related, style, origin = (f or None for f in rest + [""] * (3 - len(rest)))
+        return item_id, values, slot, related, style, origin
 
-    def add_row(fields):
-        try:
-            item_id, values, *rest = (f.strip() for f in fields)
-            if not item_id:
-                raise DataError("empty item_id")
-            slot = rest.pop(0) if rest and rest[0][:1] in ("", "[") else ""  # SID slot, maybe empty
-            rel, style, origin = (f or None for f in rest + [""] * (3 - len(rest)))
-        except (ValueError, DataError):
-            first_bad_row()  # an earlier bad row is the one reported
-            raise
-        ids.append(item_id)
-        texts.append(values)
-        slots.append(slot)
-        related.append(rel)
-        styles.append(style)
-        origins.append(origin)
-
-    def finish(_):
+    def finish(parsed):
+        ids, texts, slots, related, styles, origins = list(zip(*parsed)) or [()] * 6
+        matrix = comma_matrix(texts, d_in, float, np.float64)  # the one embedding check
+        if not np.isfinite(matrix).all():
+            raise ValueError("a value is not finite")
+        sids = [parse_sid_brackets(slot) if slot else None for slot in slots]
         rows = dict(zip(ids, range(len(ids))))
-        try:
-            matrix = comma_matrix(texts, d_in, float, np.float64)  # the one embedding check
-            if not np.isfinite(matrix).all():
-                raise ValueError("a value is not finite")
-            sids = [parse_sid_brackets(slot) if slot else None for slot in slots]
-            if len(rows) < len(ids):
-                raise DataError("an item id repeats")
-        except (ValueError, DataError):
-            first_bad_row()
-            raise
+        if len(rows) < len(ids):
+            raise DataError("an item id repeats")
         return ItemCatalog._of_columns(d_in, rows, matrix, sids, related, styles, origins)
 
-    return read_rows(path, add_row, finish)
+    seen: dict[str, int] = {}  # id -> first row, as check_row walks
+
+    def check_row(i, row):
+        item_id, values, slot = row[:3]
+        embedding = list(map(float, values.split(",")))
+        if slot:
+            parse_sid_brackets(slot)
+        _checked_item(seen, i, item_id, embedding, d_in)
+
+    return read_rows(path, parse, finish, check_row)
 
 
 def save_item_catalog(catalog: ItemCatalog, path) -> None:

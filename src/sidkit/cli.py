@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -44,11 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
+INT_LIST = re.compile(r"(?:[0-9]+(?:,[0-9]+)*)?")  # the comma-list grammar; use fullmatch
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    """The integers of a comma list: empty, or ASCII-digit items joined by
+    single commas.  Any other spelling is an ArgumentTypeError."""
+    if not INT_LIST.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of integers in ASCII digits")
+    return tuple(map(int, text.split(","))) if text else ()
 
 
 def _structure(args) -> SidStructure:
@@ -342,7 +348,7 @@ def cmd_train_scorer(args) -> int:
 
 def _parse_context(text: str, structure: SidStructure) -> list[int]:
     """Flat tokens from SID strings (C12C8200.., the SID_STRING grammar) or
-    comma tokens (12,8200,..), every token written in ASCII digits.
+    comma tokens (12,8200,.., the INT_LIST grammar).
 
     Every whole SID must keep each token in its level's band; a partial last
     SID is left for the beam search to reject."""
@@ -351,11 +357,9 @@ def _parse_context(text: str, structure: SidStructure) -> list[int]:
         if not SID_STRING.fullmatch(text):
             raise DataError(f"cannot parse context {text!r}")
         text = text[1:].replace("C", ",")
-    words = [t for t in text.split(",") if t]
-    bad = next((t for t in words if not (t.isascii() and t.isdigit())), None)
-    if bad is not None:
-        raise DataError(f"cannot parse context {text!r}: token {bad!r} is not ASCII digits")
-    tokens = list(map(int, words))
+    if not INT_LIST.fullmatch(text):
+        raise DataError(f"cannot parse context {text!r}: not a comma list of ASCII-digit tokens")
+    tokens = list(_int_list(text))
     m = structure.num_levels
     for start in range(0, len(tokens) - m + 1, m):
         flat_tokens_to_sid(tokens[start : start + m], structure)

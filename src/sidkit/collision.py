@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rows
 from .catalog import SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows
-from .errors import DataError, RowError
+from .errors import DataError
 from .quantizer import QuantizerModel, assign_random
 
 DEFAULT_SIGMA = 25
@@ -314,40 +314,28 @@ def _code_matrix(texts: list[str], m: int) -> np.ndarray:
 def load_assignment(path, structure: SidStructure) -> AssignmentTable:
     """Read an assignment TSV into a table.
 
-    Each row keeps its SID text; once the file is read, every code is parsed
-    into one (N, m) int64 matrix, and the table's constructor checks bands
-    and duplicate ids on it.  Only when a check fails are the rows walked one
-    by one, in file order: the first bad row (a duplicate item, a malformed
-    SID, a wrong level count or an out-of-band code) is the one reported, at
-    its line."""
-    ids, texts = [], []
-
-    def first_bad_row() -> None:
-        """RowError at the first row read so far that fails a row check."""
-        seen = set()
-        for i, (item_id, text) in enumerate(zip(ids, texts)):
-            try:
-                if item_id in seen:
-                    raise DataError(f"duplicate item_id {item_id!r}")
-                seen.add(item_id)
-                parse_sid_brackets(text).validate(structure)
-            except DataError as exc:
-                raise RowError(i, str(exc)) from None
+    Each row is read as its two fields; once the file is read, every code is
+    parsed into one (N, m) int64 matrix, and the table's constructor checks
+    bands and duplicate ids on it.  When a check fails, `read_rows` walks
+    the rows through their one-row check: the first bad row (a duplicate
+    item, a malformed SID, a wrong level count or an out-of-band code) is
+    the one reported, at its line."""
 
     def parse(fields):
-        try:
-            item_id, text = fields
-        except ValueError:
-            first_bad_row()  # an earlier bad row is the one reported
-            raise
-        ids.append(item_id)
-        texts.append(text)
+        item_id, text = fields
+        return item_id, text
 
-    def finish(_):
-        try:
-            return AssignmentTable(structure, ids, _code_matrix(texts, structure.num_levels))
-        except (ValueError, OverflowError, DataError):
-            first_bad_row()
-            raise
+    def finish(parsed):
+        ids, texts = list(zip(*parsed)) or [(), ()]
+        return AssignmentTable(structure, ids, _code_matrix(texts, structure.num_levels))
 
-    return read_rows(path, parse, finish)
+    seen = set()  # ids, as check_row walks
+
+    def check_row(i, row):
+        item_id, text = row
+        if item_id in seen:
+            raise DataError(f"duplicate item_id {item_id!r}")
+        seen.add(item_id)
+        parse_sid_brackets(text).validate(structure)
+
+    return read_rows(path, parse, finish, check_row)

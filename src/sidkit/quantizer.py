@@ -276,14 +276,16 @@ def lloyd_kmeans(
     Returns (centroids, labels, per-iteration objective).  The objective (sum
     of squared distances to the assigned centroid) never increases: an empty
     cluster captures the point currently farthest from its centroid, which
-    cannot raise the total.
+    cannot raise the total.  A max_iters below 1 is a ValueError: the
+    labels come from the iterations.
     """
+    if max_iters < 1:
+        raise ValueError(f"k-means needs max_iters >= 1, got {max_iters}")
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise DataError("k-means needs at least one point")
     centroids = kmeanspp_init(X, k, rng)
     objective_trace: list[float] = []
-    labels = np.zeros(X.shape[0], dtype=np.int64)
     for _ in range(max_iters):
         labels = nearest_codewords(X, centroids)
         # the same per-row sums the difference form gives at (i, labels[i])
@@ -402,6 +404,13 @@ class RqvaeConfig:
     commitment_beta: float = 0.25
     hidden_dims: tuple[int, ...] = (256, 256)
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.epochs, self.warmup_epochs) < 0:
+            raise ValueError(f"epochs and warmup_epochs must be non-negative, got "
+                             f"{self.epochs} and {self.warmup_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 def _stack_embeddings(embeddings) -> np.ndarray:

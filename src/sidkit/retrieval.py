@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import rows
-from .catalog import Header, SemanticId, SidStructure, read_rows
+from .catalog import PARSE_ERRORS, Header, SemanticId, SidStructure, read_rows
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -622,7 +622,7 @@ def _parsed_scorer(text: str) -> MarkovScorer:
         return _header_scorer(header)
     try:
         scorer = _header_scorer(header)
-    except (ValueError, IndexError, KeyError, OverflowError, DataError) as exc:
+    except PARSE_ERRORS as exc:
         raise RowError(row, str(exc)) from exc  # at the first count row, as read
     columns = _byte_columns(text[pos:]) or _walked_columns(text[pos:], row)
     scorer._set_table(*_checked_table(scorer, *columns, first_row=row))

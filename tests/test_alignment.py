@@ -153,6 +153,11 @@ class TestTrainProjection:
         np.testing.assert_array_equal(head.bias, np.zeros(6))
         assert len(head.loss_trace) == 1
 
+    @pytest.mark.parametrize("temperature", [0.0, -0.07, float("nan")])
+    def test_config_temperature_must_be_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            AlignmentConfig(temperature=temperature)
+
     def test_catalog_without_pairs_rejected(self):
         from sidkit.catalog import ItemCatalog, ItemRecord
 

@@ -363,6 +363,70 @@ class TestReadRows:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*'too few'$"):
             read_rows(path, None, lambda text: int("too few"))
 
+    @staticmethod
+    def refuse(*bad):
+        """A check_row that refuses the rows whose first field is in `bad`."""
+        def check_row(i, row):
+            if row[0] in bad:
+                raise DataError(f"row {i} is {row[0]}")
+        return check_row
+
+    def test_refused_row_outranks_a_later_parse_error(self, tmp_path):
+        """Blank lines are skipped but counted: row 2 was read from line 6."""
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\n\nb\n\n \nbad\n\nboom\n")
+
+        def parse(fields):
+            return fields if fields[0] != "boom" else int("boom")
+
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:6: row 2 is bad$"):
+            read_rows(path, parse, list, self.refuse("bad"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:8: .*'boom'$"):
+            read_rows(path, parse, list, self.refuse())
+
+    def test_finish_error_with_every_row_accepted_names_the_file(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\nb\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*'bulk'$"):
+            read_rows(path, list, lambda rows: int("bulk"), self.refuse("c"))
+
+    def test_finish_error_with_a_refused_row_names_its_line(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\n\nb\nc\nd\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: row 2 is c$"):
+            read_rows(path, list, lambda rows: int("bulk"), self.refuse("d", "c"))
+
+    def test_undecodable_byte_after_a_refused_row_names_that_row(self, tmp_path):
+        """The rows read before the read-ahead failed all precede the bad byte."""
+        path = tmp_path / "rows.tsv"
+        lines = [f"i{k}\n".encode() for k in range(5000)]
+        lines[4000] = b"i4000\xff\n"  # beyond the first read-ahead chunk
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            read_rows(path, list, list, self.refuse())
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:11: row 10 is i10$"):
+            read_rows(path, list, list, self.refuse("i10"))
+
+    def test_a_file_that_loads_is_never_walked(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\nb\n")
+        walked = []
+
+        def spy(i, row):
+            walked.append(i)
+
+        assert read_rows(path, list, list, spy) == [["a"], ["b"]]
+        assert walked == []
+
+        def finish(rows):  # a RowError names its row; no walk runs
+            raise RowError(1, "bad b")
+
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: bad b$"):
+            read_rows(path, list, finish, spy)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            read_rows(path, None, lambda text: int("whole"), spy)  # no rows to walk
+        assert walked == []
+
     def test_overflow_becomes_a_data_error(self, tmp_path):
         path = tmp_path / "rows.tsv"
         path.write_text("1\n99999999999999999999\n")

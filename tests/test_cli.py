@@ -224,10 +224,11 @@ class TestRetrieve:
 
     @pytest.mark.parametrize("context", [
         "1_0,16,32", "10,+16,32", "10, 16,32", "\u0661\u0660,16,32", "C\u0661\u0660C16C32",
-        "C10C16C\uff13\uff12",
+        "C10C16C\uff13\uff12", "10,,16,32", "10,16,32,", ",10,16,32",
     ])
     def test_context_tokens_must_be_ascii_digits(self, context, tmp_path, capsys):
-        """Each spelling int() would read as 10,16,32, which decodes."""
+        """Each spelling int() would read as 10,16,32, empty tokens dropped,
+        which decodes."""
         scorer = tmp_path / "scorer.tsv"
         scorer.write_text("#order\t2\n#alpha\t0.1\n#levels\t16\t16\t16\n#code_dim\t2\n")
         argv = ["retrieve", "--scorer", str(scorer), "--k", "3", "--context"]
@@ -538,3 +539,77 @@ class TestExitCodes:
             main(["--help"])
         assert excinfo.value.code == 0
         assert "tokenize" in capsys.readouterr().out
+
+
+class TestArgumentLimits:
+    """A setting that would build a wrong model, or a malformed number list,
+    exits 1 before any output is written."""
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("rqkmeans", ["--iters", "0"]), ("rqvae", ["--epochs", "-1"]),
+        ("rqvae", ["--warmup-epochs", "-1"]), ("rqvae", ["--batch-size", "0"]),
+        ("multivq", ["--batch-size", "0"]),
+    ])
+    def test_training_settings_out_of_range(self, kind, bad, toy_dir, tmp_path, capsys):
+        out = tmp_path / "model.tsv"
+        code = main(["tokenize", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                     "--levels", "5,4", "--code-dim", "8", "--kind", kind, "--seed", "0",
+                     "--epochs", "1", "--hidden-dims", "4", *bad,
+                     "--out-assignment", str(tmp_path / "raw.tsv"), "--out-model", str(out)])
+        assert code == EXIT_USAGE
+        assert "sidkit: invalid arguments: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tokenize", "collide", "eval-sid"])
+    @pytest.mark.parametrize("d_in", ["0", "-1"])
+    def test_d_in_below_one(self, command, d_in, toy_dir, pipeline, tmp_path, capsys):
+        out = tmp_path / "out.tsv"
+        base = ["--catalog", str(toy_dir / "catalog.tsv"), "--d-in", d_in]
+        model = ["--model", str(pipeline / "model.tsv")]
+        argv = {
+            "tokenize": ["tokenize", *base, "--levels", "5,4", "--kind", "rqkmeans",
+                         "--seed", "0", "--out-assignment", out, "--out-model", out],
+            "collide": ["collide", *base, *model, "--policy", "knn", "--out", out],
+            "eval-sid": ["eval-sid", *base, *model, "--assignment", pipeline / "knn.tsv",
+                         "--csv", out],
+        }[command]
+        assert main([str(a) for a in argv]) == EXIT_USAGE
+        assert f"d_in must be at least 1, got {d_in}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each spelling of the list "a,b" that int() reads, or whose empty item it drops
+    TYPOS = ["{a},,{b}", "{a},{b},", ",{a},{b}", "{a}, {b}", "{a},+{b}", "{a}_0,{b}",
+             "{a},{wide}"]
+
+    @pytest.mark.parametrize("option", ["--levels", "--beam", "--k", "--hidden-dims"])
+    @pytest.mark.parametrize("typo", TYPOS)
+    def test_malformed_number_list(self, option, typo, toy_dir, pipeline, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        a, b = {"--levels": ("5", "4"), "--beam": ("10", "20"), "--k": ("1", "5"),
+                "--hidden-dims": ("8", "8")}[option]
+        wide = b.translate({ord("0") + d: 0xFF10 + d for d in range(10)})  # fullwidth digits
+        text = typo.format(a=a, b=b, wide=wide)
+        if option in ("--levels", "--hidden-dims"):
+            argv = ["tokenize", "--catalog", toy_dir / "catalog.tsv", "--d-in", "8",
+                    "--levels", "5,4", "--code-dim", "8", "--seed", "0", "--epochs", "1",
+                    "--kind", "rqvae", "--out-assignment", out, "--out-model", out, option, text]
+        elif option == "--beam":
+            argv = ["retrieve", "--scorer", pipeline / "scorer.tsv", "--k", "3", "--beam", text]
+        else:
+            argv = ["eval-hr", "--scorer", pipeline / "scorer.tsv", "--beam", "10,20",
+                    "--assignment", pipeline / "knn.tsv",
+                    "--sequences", toy_dir / "eval_sequences.tsv", "--out", out, "--k", text]
+        assert main([str(x) for x in argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{text!r} is not a comma list of integers in ASCII digits" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_empty_hidden_dims_and_context_stay_legal(self, toy_dir, pipeline, tmp_path):
+        assert main(["tokenize", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                     "--levels", "5,4", "--code-dim", "8", "--kind", "rqvae", "--seed", "0",
+                     "--epochs", "1", "--hidden-dims", "",
+                     "--out-assignment", str(tmp_path / "raw.tsv"),
+                     "--out-model", str(tmp_path / "model.tsv")]) == EXIT_OK
+        assert main(["retrieve", "--scorer", str(pipeline / "scorer.tsv"), "--k", "3",
+                     "--context", ""]) == EXIT_OK

@@ -304,6 +304,16 @@ class TestLloydKmeans:
         with pytest.raises(DataError):
             lloyd_kmeans(np.zeros((0, 3)), 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_fewer_than_one_iteration_rejected(self, max_iters):
+        """With no iteration the labels would all be 0 while the seeds differ."""
+        X = np.random.default_rng(10).standard_normal((200, 4))
+        with pytest.raises(ValueError, match="max_iters"):
+            lloyd_kmeans(X, 5, np.random.default_rng(0), max_iters=max_iters)
+        with pytest.raises(ValueError, match="max_iters"):
+            train_rqkmeans(X, SidStructure((5, 5), code_dim=4),
+                           RqkmeansConfig(iters_per_level=max_iters))
+
     def test_kmeanspp_seeds_are_data_points(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((40, 3))
@@ -359,6 +369,13 @@ class TestRqvae:
         )
         base.update(kw)
         return RqvaeConfig(**base)
+
+    @pytest.mark.parametrize("bad", [
+        dict(epochs=-1), dict(warmup_epochs=-1), dict(batch_size=0), dict(batch_size=-2),
+    ])
+    def test_schedule_that_trains_a_wrong_model_rejected(self, bad):
+        with pytest.raises(ValueError):
+            self.config(**bad)
 
     def clustered(self, seed=0):
         rng = np.random.default_rng(seed)
