@@ -110,6 +110,10 @@ class AlignmentConfig:
     def __post_init__(self):
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2 to form negatives, got {self.batch_size}")
 
 
 def collect_pairs(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +147,7 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
                                  config.temperature).item()]
 
     n = anchors.shape[0]
-    batch_size = max(2, min(config.batch_size, n))
+    batch_size = min(config.batch_size, n)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import logging
+import os
 import re
 from array import array
 from dataclasses import dataclass
@@ -361,6 +362,28 @@ def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None):
         raise DataError(f"{where}: {exc}") from exc
 
 
+def write_artifact(path, chunks) -> None:
+    """Write the str `chunks` to `path` as UTF-8: the one place the package
+    opens a file to write.  They go to `path` + ".tmp", which replaces the
+    artifact once it is whole, so an interrupted write never leaves a prefix
+    at `path`.  A symlink's target is replaced and the link kept; a path that
+    is there and is not a regular file (a device or a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        tmp = path
+    else:
+        path = os.path.realpath(path)
+        tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        if tmp != path:
+            os.replace(tmp, path)
+    finally:
+        if tmp != path and os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _nonblank_lines(text: str) -> list[int]:
     """The numbers of the lines of `text` that read_rows hands on, in order."""
     return [n for n, line in enumerate(io.StringIO(text, newline="\n"), start=1)
@@ -460,7 +483,8 @@ def load_item_catalog(path, d_in: int) -> ItemCatalog:
 
 def save_item_catalog(catalog: ItemCatalog, path) -> None:
     """Write a catalog back to the item-info TSV layout."""
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def lines():
         for rec in catalog.records():
             fields = [
                 rec.item_id,
@@ -472,7 +496,9 @@ def save_item_catalog(catalog: ItemCatalog, path) -> None:
             ]
             while len(fields) > 2 and fields[-1] == "":
                 fields.pop()
-            fh.write("\t".join(fields) + "\n")
+            yield "\t".join(fields) + "\n"
+
+    write_artifact(path, lines())
 
 
 def load_sequences(path) -> list[InteractionSequence]:
@@ -501,11 +527,5 @@ def load_sequences(path) -> list[InteractionSequence]:
 
 
 def save_sequences(sequences: Sequence[InteractionSequence], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in sequences:
-            fh.write(
-                "\t".join(
-                    [seq.pv_id, ",".join(seq.targets), seq.query or "", ",".join(seq.history)]
-                )
-                + "\n"
-            )
+    write_artifact(path, ("\t".join([seq.pv_id, ",".join(seq.targets), seq.query or "",
+                                     ",".join(seq.history)]) + "\n" for seq in sequences))

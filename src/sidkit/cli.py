@@ -23,6 +23,7 @@ from .catalog import (
     render_sid_string,
     save_item_catalog,
     save_sequences,
+    write_artifact,
 )
 from .errors import DataError, NumericError
 
@@ -206,8 +207,7 @@ def _write_csv(path, header: str, rows) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_artifact(path, [text])
 
 
 def cmd_tokenize(args) -> int:

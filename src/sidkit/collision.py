@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rows
-from .catalog import SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows
+from .catalog import (SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows,
+                      write_artifact)
 from .errors import DataError
 from .quantizer import QuantizerModel, assign_random
 
@@ -199,11 +200,11 @@ def apply_knn_policy(
     (ties to the lowest code), so assignment never fails.
     """
     if sigma < 1:
-        raise DataError("sigma must be >= 1")
+        raise ValueError("sigma must be >= 1")
     n_m = model.structure.level_sizes[-1]
     k = n_m if k_candidates is None else min(int(k_candidates), n_m)
     if k < 1:
-        raise DataError("k_candidates must be >= 1")
+        raise ValueError("k_candidates must be >= 1")
     prefixes, orders = model.rank_last_level_batch(catalog.embedding_matrix())
     loads: dict[tuple[int, ...], list[int]] = {}  # prefix -> items per last code so far
     last = []
@@ -297,9 +298,8 @@ def save_assignment(table: AssignmentTable, path) -> None:
     """TSV: item_id, bracketed SID; the same shape the catalog loader accepts.
     Rows are formatted straight from the code matrix."""
     row = "%s\t[" + ",".join(["%d"] * table.structure.num_levels) + "]\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(row % (item_id, *codes)
-                      for item_id, codes in zip(table, table._codes.tolist()))
+    write_artifact(path, (row % (item_id, *codes)
+                          for item_id, codes in zip(table, table._codes.tolist())))
 
 
 def _code_matrix(texts: list[str], m: int) -> np.ndarray:

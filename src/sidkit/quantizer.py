@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamW, Tensor, cosine_warmup_lr, no_grad
-from .catalog import Header, SidStructure, read_rows
+from .catalog import Header, SidStructure, read_rows, write_artifact
 from .errors import DataError, NumericError
 
 
@@ -627,25 +627,21 @@ def train_multivq(embeddings, structure: SidStructure, config: RqvaeConfig) -> Q
     """One independent encoder + codebook per level, no residual chaining.
 
     Every level trains a single-level vector quantizer against the ORIGINAL
-    embeddings with the same seed and schedule, so on identical data the
-    levels come out identical.  The per-level decoders only exist during
-    training; assignment needs just the encoders and codebooks.
+    embeddings with the same seed and schedule, so levels of one size come
+    out identical: each distinct size is trained once and its model reused.
+    The per-level decoders only exist during training; assignment needs just
+    the encoders and codebooks.
     """
     X = _stack_embeddings(embeddings)
-    encoders, tables = [], []
-    recon_traces = []
-    for n_j in structure.level_sizes:
-        level_structure = SidStructure((n_j,), code_dim=structure.code_dim)
-        sub = train_rqvae(X, level_structure, config)
-        encoders.append(sub.encoder)
-        tables.append(sub.codebooks.levels[0])
-        recon_traces.append(sub.recon_trace)
+    trained = {n: train_rqvae(X, SidStructure((n,), code_dim=structure.code_dim), config)
+               for n in dict.fromkeys(structure.level_sizes)}
+    subs = [trained[n_j] for n_j in structure.level_sizes]
     return QuantizerModel(
         kind="multivq",
-        codebooks=CodebookStack(structure, tables),
+        codebooks=CodebookStack(structure, [sub.codebooks.levels[0] for sub in subs]),
         seed=config.seed,
-        level_encoders=encoders,
-        objective_traces=recon_traces,
+        level_encoders=[sub.encoder for sub in subs],
+        objective_traces=[sub.recon_trace for sub in subs],
     )
 
 
@@ -695,36 +691,39 @@ def feature_fidelity(model: QuantizerModel, embeddings) -> float:
 # Serialization
 
 
-def _write_matrix(fh, matrix: np.ndarray) -> None:
+def _matrix_lines(matrix: np.ndarray):
     for row in np.atleast_2d(matrix):
-        fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+        yield "\t".join(repr(float(x)) for x in row) + "\n"
 
 
-def _write_mlp(fh, tag: str, mlp: Mlp) -> None:
-    fh.write(f"#mlp\t{tag}\n")
+def _mlp_lines(tag: str, mlp: Mlp):
+    yield f"#mlp\t{tag}\n"
     for w, b in zip(mlp.weights, mlp.biases):
-        fh.write(f"#layer\t{w.shape[0]}\t{w.shape[1]}\n")
-        _write_matrix(fh, w)
-        _write_matrix(fh, b)
+        yield f"#layer\t{w.shape[0]}\t{w.shape[1]}\n"
+        yield from _matrix_lines(w)
+        yield from _matrix_lines(b)
 
 
 def save_quantizer(model: QuantizerModel, path) -> None:
     """TSV sections: header, per-level codebooks, then any mlps."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#kind\t{model.kind}\n")
-        fh.write(f"#seed\t{model.seed}\n")
-        fh.write("#levels\t" + "\t".join(str(n) for n in model.structure.level_sizes) + "\n")
-        fh.write(f"#code_dim\t{model.structure.code_dim}\n")
+
+    def lines():
+        yield f"#kind\t{model.kind}\n"
+        yield f"#seed\t{model.seed}\n"
+        yield "#levels\t" + "\t".join(str(n) for n in model.structure.level_sizes) + "\n"
+        yield f"#code_dim\t{model.structure.code_dim}\n"
         for j, table in enumerate(model.codebooks.levels):
-            fh.write(f"#codebook\t{j}\n")
-            _write_matrix(fh, table)
+            yield f"#codebook\t{j}\n"
+            yield from _matrix_lines(table)
         if model.encoder is not None:
-            _write_mlp(fh, "encoder", model.encoder)
+            yield from _mlp_lines("encoder", model.encoder)
         if model.decoder is not None:
-            _write_mlp(fh, "decoder", model.decoder)
+            yield from _mlp_lines("decoder", model.decoder)
         if model.level_encoders:
             for j, enc in enumerate(model.level_encoders):
-                _write_mlp(fh, f"encoder{j}", enc)
+                yield from _mlp_lines(f"encoder{j}", enc)
+
+    write_artifact(path, lines())
 
 
 def load_quantizer(path) -> QuantizerModel:

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import rows
-from .catalog import PARSE_ERRORS, Header, SemanticId, SidStructure, read_rows
+from .catalog import PARSE_ERRORS, Header, SemanticId, SidStructure, read_rows, write_artifact
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -426,9 +426,9 @@ def dynamic_beam_search(
     structure = scorer.structure
     schedule.validate(structure)
     if k < 1:
-        raise DataError(f"k={k} must be positive")
+        raise ValueError(f"k={k} must be positive")
     if k > schedule.widths[-1]:
-        raise DataError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
+        raise ValueError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
     context = np.asarray([int(t) for t in context], dtype=np.int64)
     if len(context) % structure.num_levels:
         raise DataError(f"context of {len(context)} tokens is not a whole number of SIDs")
@@ -484,7 +484,7 @@ def evaluate_hr(
     """
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
-        raise DataError("K values must be positive")
+        raise ValueError("K values must be positive")
     sequences = list(sequences)
     if not sequences:
         raise DataError("no sequences to evaluate")
@@ -526,9 +526,7 @@ def build_useraction_corpus(sequences, table: AssignmentTable) -> list[list[int]
 
 def save_corpus(corpus, path) -> None:
     """One stream per line, comma-separated flat tokens."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for stream in corpus:
-            fh.write(",".join(str(int(t)) for t in stream) + "\n")
+    write_artifact(path, (",".join(str(int(t)) for t in stream) + "\n" for stream in corpus))
 
 
 def load_corpus(path) -> list[list[int]]:
@@ -547,15 +545,18 @@ _SAVE_ROWS = 1 << 14
 
 def save_markov_scorer(scorer: MarkovScorer, path) -> None:
     """Header (order, alpha, structure) then one count row per (context, next),
-    in the table's row order, formatted a block of rows at a time as bytes
-    (see _count_row_bytes)."""
+    in the table's row order, formatted a block of rows at a time (see
+    _count_row_bytes, whose bytes are ASCII)."""
     structure, rows, counts = scorer.structure, scorer._rows, scorer._counts
-    with open(path, "wb") as fh:
+
+    def blocks():
         levels = "\t".join(str(n) for n in structure.level_sizes)
-        fh.write(f"#order\t{scorer.order}\n#alpha\t{repr(scorer.alpha)}\n#levels\t{levels}\n"
-                 f"#code_dim\t{structure.code_dim}\n".encode())
+        yield (f"#order\t{scorer.order}\n#alpha\t{repr(scorer.alpha)}\n#levels\t{levels}\n"
+               f"#code_dim\t{structure.code_dim}\n")
         for lo in range(0, len(rows), _SAVE_ROWS):
-            fh.write(_count_row_bytes(rows[lo : lo + _SAVE_ROWS], counts[lo : lo + _SAVE_ROWS]))
+            yield _count_row_bytes(rows[lo : lo + _SAVE_ROWS], counts[lo : lo + _SAVE_ROWS]).decode()
+
+    write_artifact(path, blocks())
 
 
 def _count_row_bytes(rows: np.ndarray, counts: np.ndarray) -> bytes:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rows
-from .catalog import ItemCatalog, SidStructure, read_rows
+from .catalog import ItemCatalog, SidStructure, read_rows, write_artifact
 from .collision import AssignmentTable
 from .errors import DataError
 
@@ -105,7 +105,7 @@ def embedding_hitrate(
     item; the pair contributes |top-K intersect clicked| / |clicked|.
     """
     if k < 1:
-        raise DataError("K must be >= 1")
+        raise ValueError("K must be >= 1")
     if k >= len(catalog):
         raise DataError(f"K={k} must be smaller than the catalog ({len(catalog)} items)")
     eval_pairs = list(eval_pairs)
@@ -182,6 +182,4 @@ def load_pair_labels(path) -> PairLabels:
 
 
 def save_pair_labels(labels: PairLabels, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, relation in labels.pairs:
-            fh.write(f"{a}\t{b}\t{relation}\n")
+    write_artifact(path, (f"{a}\t{b}\t{relation}\n" for a, b, relation in labels.pairs))

@@ -158,6 +158,13 @@ class TestTrainProjection:
         with pytest.raises(ValueError, match="temperature"):
             AlignmentConfig(temperature=temperature)
 
+    @pytest.mark.parametrize("bad", [{"epochs": -1}, {"batch_size": 1}, {"batch_size": 0}])
+    def test_config_that_would_train_something_else_is_refused(self, bad):
+        """Negative epochs trained nothing, and a batch below 2 (no negative
+        to contrast) was silently raised to 2."""
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AlignmentConfig(**bad)
+
     def test_catalog_without_pairs_rejected(self):
         from sidkit.catalog import ItemCatalog, ItemRecord
 

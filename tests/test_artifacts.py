@@ -1,4 +1,5 @@
-"""Every artifact loader against corrupted files, and the one-reader rule.
+"""Every artifact loader against corrupted files, the one-reader rule and
+the one-writer rule.
 
 A corrupted artifact must either raise DataError or load an object that the
 file faithfully holds: one whose saved form loads back to the same object.
@@ -10,7 +11,9 @@ Objects are compared by the bytes their writer produces.
 
 import ast
 import contextlib
+import errno
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from sidkit.catalog import (
     save_item_catalog,
     save_sequences,
 )
+from sidkit import retrieval
 from sidkit.cli import EXIT_DATA, EXIT_OK, main
 from sidkit.collision import AssignmentTable, load_assignment, save_assignment
 from sidkit.errors import DataError
@@ -238,7 +242,7 @@ def test_cli_never_exits_1_on_a_corrupted_artifact(kind, data, cli_world):
 
 
 # ---------------------------------------------------------------------------
-# The one-reader rule
+# The one-reader and one-writer rules
 
 READ_CALLS = {"read_text", "read_bytes", "loadtxt", "genfromtxt", "fromfile", "load", "reader"}
 
@@ -277,3 +281,50 @@ def test_only_the_row_reader_opens_files_for_reading():
     assert readers == ["catalog.py:read_rows"]
     assert len(loaders) == 7
     assert all("read_rows" in called for called in loaders.values()), loaders
+
+
+def test_only_the_artifact_writer_opens_files_for_writing():
+    """A file written anywhere else would be written in place, and an
+    interrupted write would leave a prefix of it that can load."""
+    writers, savers = [], {}
+    for path in sorted(Path(sidkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in _top_level_functions(tree):
+            calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
+            if any(getattr(call.func, "id", None) == "open" and not _opens_for_reading(call)
+                   for call in calls):
+                writers.append(f"{path.name}:{func.name}")
+            if func.name.startswith("save_") or func.name == "_write_csv":
+                savers[func.name] = {getattr(c.func, "id", None) for c in calls}
+    assert writers == ["catalog.py:write_artifact"]
+    assert len(savers) == 8
+    assert all("write_artifact" in called for called in savers.values()), savers
+
+
+def test_a_save_that_fails_midway_leaves_the_old_artifact(tmp_path, monkeypatch):
+    """The disk fills while the second block of a new scorer is written: the
+    command exits 2 and the scorer from the run before is left as it was."""
+    corpus, scorer = tmp_path / "corpus.txt", tmp_path / "scorer.tsv"
+    save_corpus(CORPUS, corpus)
+    argv = ["train-scorer", "--levels", "3,4", "--code-dim", "2", "--corpus", str(corpus),
+            "--order", "2", "--out", str(scorer)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    old = scorer.read_bytes()
+    count_row_bytes, blocks = retrieval._count_row_bytes, []
+
+    def disk_full(rows, counts):
+        blocks.append(len(rows))
+        if len(blocks) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return count_row_bytes(rows, counts)
+
+    monkeypatch.setattr(retrieval, "_SAVE_ROWS", 2)
+    monkeypatch.setattr(retrieval, "_count_row_bytes", disk_full)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv + ["--alpha", "0.5"]) == EXIT_DATA
+    assert len(blocks) == 2
+    assert os.strerror(errno.ENOSPC) in err.getvalue()
+    assert scorer.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "scorer.tsv"]

@@ -1,6 +1,8 @@
 """Data model, token encoding, and file round-trips."""
 
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from sidkit.catalog import (
     save_item_catalog,
     save_sequences,
     sid_to_flat_tokens,
+    write_artifact,
 )
 from sidkit import catalog as catalog_module
 from sidkit.errors import DataError, RowError
@@ -432,3 +435,44 @@ class TestReadRows:
         path.write_text("1\n99999999999999999999\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
             read_rows(path, lambda fields: np.int64(int(fields[0])))
+
+
+class TestWriteArtifact:
+    @staticmethod
+    def failing_rows():
+        yield "new\t1\n"
+        raise DataError("the row source failed")
+
+    def test_a_failing_source_leaves_the_old_file_or_none(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        with pytest.raises(DataError, match="row source"):
+            write_artifact(path, self.failing_rows())
+        assert os.listdir(tmp_path) == []
+        path.write_text("old\t0\n")
+        with pytest.raises(DataError, match="row source"):
+            write_artifact(path, self.failing_rows())
+        assert path.read_text() == "old\t0\n"
+        assert os.listdir(tmp_path) == ["rows.tsv"]
+
+    def test_a_symlink_stays_and_its_target_gets_the_bytes(self, tmp_path):
+        target = tmp_path / "target.tsv"
+        target.write_text("old\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        write_artifact(link, ["new\r\n", "ünï\n"])
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == "new\r\nünï\n".encode()  # UTF-8, no newline translation
+        assert sorted(os.listdir(tmp_path)) == ["link.tsv", "target.tsv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_artifact(fifo, ["a\t1\n", "b\t2\n"])
+            assert os.read(reader, 1024) == b"a\t1\nb\t2\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]

@@ -245,7 +245,7 @@ class TestRetrieve:
         code = main(
             ["retrieve", "--scorer", str(pipeline / "scorer.tsv"), "--beam", "10,20", "--k", k]
         )
-        assert code == EXIT_DATA
+        assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert f"k={k} must be positive" in captured.err
         assert captured.out == ""
@@ -602,6 +602,34 @@ class TestArgumentLimits:
         assert main([str(x) for x in argv]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert f"{text!r} is not a comma list of integers in ASCII digits" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        (["collide", "--sigma", "0"], "sigma must be >= 1"),
+        (["collide", "--k-candidates", "0"], "k_candidates must be >= 1"),
+        (["eval-sid", "--k", "0"], "K must be >= 1"),
+        (["retrieve", "--k", "21"], "k=21 exceeds the final beam width 20"),
+        (["eval-hr", "--k", "0"], "K values must be positive"),
+    ])
+    def test_typed_value_out_of_range(self, bad, message, toy_dir, pipeline, tmp_path, capsys):
+        """A value out of range is a bad argument, whatever the files hold."""
+        out = tmp_path / "out.csv"
+        catalog = ["--catalog", toy_dir / "catalog.tsv", "--d-in", "8"]
+        argv = {
+            "collide": ["collide", *catalog, "--model", pipeline / "model.tsv",
+                        "--policy", "knn", "--out", out],
+            "eval-sid": ["eval-sid", *catalog, "--model", pipeline / "model.tsv",
+                         "--assignment", pipeline / "knn.tsv",
+                         "--sequences", toy_dir / "eval_sequences.tsv", "--csv", out],
+            "retrieve": ["retrieve", "--scorer", pipeline / "scorer.tsv", "--beam", "10,20"],
+            "eval-hr": ["eval-hr", "--scorer", pipeline / "scorer.tsv", "--beam", "10,20",
+                        "--assignment", pipeline / "knn.tsv",
+                        "--sequences", toy_dir / "eval_sequences.tsv", "--out", out],
+        }[bad[0]]
+        assert main([str(a) for a in argv + bad[1:]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"sidkit: invalid arguments: {message}" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

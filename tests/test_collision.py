@@ -450,7 +450,7 @@ class TestKnnPolicy:
 
     def test_invalid_sigma_rejected(self):
         catalog = identical_catalog(2, [0.1, 0.0])
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             apply_knn_policy(catalog, two_prefix_model(), sigma=0)
 
 

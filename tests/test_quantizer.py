@@ -638,6 +638,23 @@ class TestMultiVq:
         codes = model.assign_batch(X)
         np.testing.assert_array_equal(codes[:, 0], codes[:, 1])
 
+    def test_each_distinct_level_size_trains_once(self, monkeypatch):
+        """Levels of one size come out identical, so each size trains once."""
+        sizes = []
+
+        def counting(X, structure, config):
+            sizes.append(structure.level_sizes)
+            return train_rqvae(X, structure, config)
+
+        monkeypatch.setattr(quantizer, "train_rqvae", counting)
+        X = np.random.default_rng(17).standard_normal((30, 4))
+        cfg = RqvaeConfig(epochs=2, warmup_epochs=1, batch_size=30, hidden_dims=(4,), seed=0)
+        model = train_multivq(X, SidStructure((3, 4, 3), code_dim=4), cfg)
+        assert sizes == [(3,), (4,)]
+        assert model.level_encoders[0] is model.level_encoders[2]
+        train_multivq(X, SidStructure((3, 3, 3), code_dim=4), cfg)
+        assert sizes[2:] == [(3,)]
+
     def test_assign_uses_per_level_encoders(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((60, 4)) * 3.0

@@ -664,13 +664,13 @@ class TestDynamicBeamSearch:
         )
 
     def test_k_cannot_exceed_final_width(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             dynamic_beam_search(self.scorer, [], BeamSchedule((4, 8, 8)), k=9)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_must_be_positive(self, k):
         """A negative k would slice rows off the end of the beam."""
-        with pytest.raises(DataError, match=f"k={k}"):
+        with pytest.raises(ValueError, match=f"k={k}"):
             dynamic_beam_search(self.scorer, [], BeamSchedule((2, 4, 8)), k=k)
 
     def test_wider_beam_never_scores_worse(self):

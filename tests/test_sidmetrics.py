@@ -220,7 +220,7 @@ class TestEmbeddingHitrate:
 
     def test_k_bounds_and_bad_inputs(self):
         catalog = tiny_catalog([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             embedding_hitrate(catalog, [("q0", ("q1",))], k=0)
         with pytest.raises(DataError):
             embedding_hitrate(catalog, [("q0", ("q1",))], k=2)
