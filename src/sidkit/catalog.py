@@ -8,10 +8,10 @@ UTF-8 TSV so that fixtures stay diff-friendly.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, RowError
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -325,16 +325,15 @@ def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None):
     with a tab), goes split on tabs to ``parse_row``; ``finish`` makes the
     list of results the loaded object.  The reader records the line each
     result came from.  In the whole-file form, ``parse_row`` is None and
-    ``finish`` gets the file's text instead; result i is then the i-th
-    non-blank line.  Any of PARSE_ERRORS becomes ``DataError("path:line:
-    ...")``; from ``finish`` (whole-file checks) or from read-ahead UTF-8
-    decoding it becomes ``"path: ..."``.  A RowError naming result i is
-    reported at the line of result i.  For any other error, when
-    ``check_row(i, result)`` is given (the one-row form of the checks
-    ``finish`` makes in bulk), the results read so far go through it in
-    file order, and the first it refuses is reported at its line instead:
-    the first bad row in file order is the one reported.  A file that loads
-    is never walked.
+    ``finish`` gets the file's text instead.  Any of PARSE_ERRORS becomes
+    ``DataError("path:line: ...")``; from ``finish`` (whole-file checks) or
+    from read-ahead UTF-8 decoding it becomes ``"path: ..."``.  When
+    ``check_row(i, row)`` is given (the one-row form of the checks a load
+    makes in bulk), any error sends the rows read so far through it in file
+    order, and the first it refuses is reported at its line instead: the
+    first bad row in file order is the one reported.  In the whole-file
+    form those rows are the text's non-blank lines, split and numbered as
+    the per-line form reads them.  A file that loads is never walked.
     """
     rows, lines, lineno, text = [], array("q"), 0, ""
     try:
@@ -349,14 +348,15 @@ def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None):
         lineno = 0  # no single line is at fault from here on
         return finish(text if parse_row is None else rows)
     except PARSE_ERRORS as exc:
-        if isinstance(exc, RowError):
-            lineno = _nonblank_lines(text)[exc.row] if parse_row is None else lines[exc.row]
-        elif check_row is not None:  # the first row it refuses outranks the error
-            for i, row in enumerate(rows):
+        if check_row is not None:  # the first row it refuses outranks the error
+            numbered = zip(lines, rows) if parse_row is not None else (
+                (n, line.split("\t")) for n, line in enumerate(text.split("\n"), start=1)
+                if line.strip())
+            for i, (n, row) in enumerate(numbered):
                 try:
                     check_row(i, row)
                 except PARSE_ERRORS as refused:
-                    exc, lineno = refused, lines[i]
+                    exc, lineno = refused, n
                     break
         where = path if not lineno or isinstance(exc, UnicodeDecodeError) else f"{path}:{lineno}"
         raise DataError(f"{where}: {exc}") from exc
@@ -368,7 +368,16 @@ def write_artifact(path, chunks) -> None:
     artifact once it is whole, so an interrupted write never leaves a prefix
     at `path`.  A symlink's target is replaced and the link kept; a path that
     is there and is not a regular file (a device or a pipe) is written in place.
+    A path that is the file stdout writes to is written through sys.stdout,
+    after what the command printed.
     """
+    try:
+        to_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or a stdout with no descriptor
+        to_stdout = False
+    if to_stdout:
+        sys.stdout.writelines(chunks)
+        return
     if os.path.exists(path) and not os.path.isfile(path):
         tmp = path
     else:
@@ -382,12 +391,6 @@ def write_artifact(path, chunks) -> None:
     finally:
         if tmp != path and os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _nonblank_lines(text: str) -> list[int]:
-    """The numbers of the lines of `text` that read_rows hands on, in order."""
-    return [n for n, line in enumerate(io.StringIO(text, newline="\n"), start=1)
-            if not line.isspace()]
 
 
 class Header(dict):

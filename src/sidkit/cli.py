@@ -17,7 +17,6 @@ from . import collision, quantizer, retrieval, sidmetrics, toydata
 from .catalog import (
     SID_STRING,
     SidStructure,
-    flat_tokens_to_sid,
     load_item_catalog,
     load_sequences,
     render_sid_string,
@@ -346,12 +345,10 @@ def cmd_train_scorer(args) -> int:
     return EXIT_OK
 
 
-def _parse_context(text: str, structure: SidStructure) -> list[int]:
+def _parse_context(text: str) -> list[int]:
     """Flat tokens from SID strings (C12C8200.., the SID_STRING grammar) or
-    comma tokens (12,8200,.., the INT_LIST grammar).
-
-    Every whole SID must keep each token in its level's band; a partial last
-    SID is left for the beam search to reject."""
+    comma tokens (12,8200,.., the INT_LIST grammar); the beam search checks
+    that they are whole SIDs, each token in its level's band."""
     text = text.strip()
     if text.startswith("C"):
         if not SID_STRING.fullmatch(text):
@@ -359,16 +356,12 @@ def _parse_context(text: str, structure: SidStructure) -> list[int]:
         text = text[1:].replace("C", ",")
     if not INT_LIST.fullmatch(text):
         raise DataError(f"cannot parse context {text!r}: not a comma list of ASCII-digit tokens")
-    tokens = list(_int_list(text))
-    m = structure.num_levels
-    for start in range(0, len(tokens) - m + 1, m):
-        flat_tokens_to_sid(tokens[start : start + m], structure)
-    return tokens
+    return list(_int_list(text))
 
 
 def cmd_retrieve(args) -> int:
     scorer = retrieval.load_markov_scorer(args.scorer)
-    context = _parse_context(args.context, scorer.structure)
+    context = _parse_context(args.context)
     results = retrieval.dynamic_beam_search(scorer, context, _schedule(args, scorer), k=args.k)
     print("rank,sid,log_prob")
     for rank, (sid, logp) in enumerate(results, start=1):

@@ -21,7 +21,7 @@ from . import rows
 from .catalog import (SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows,
                       write_artifact)
 from .errors import DataError
-from .quantizer import QuantizerModel, assign_random
+from .quantizer import QuantizerModel, assign_random, nearest_codewords
 
 DEFAULT_SIGMA = 25
 
@@ -266,8 +266,8 @@ def apply_merge_policy(
         old, is_small = sids[lo:hi, -1], small[lo:hi]
         big = old[~is_small]
         if big.size:
-            d2 = ((last_table[old[is_small]][:, None] - last_table[big]) ** 2).sum(axis=2)
-            last[lo:hi][is_small] = big[d2.argmin(axis=1)]  # first minimum: lowest code
+            last[lo:hi][is_small] = big[nearest_codewords(last_table[old[is_small]],
+                                                          last_table[big])]  # ties: lowest code
         else:  # the last maximum: the highest code
             last[lo:hi] = old[::-1][np.argmax(counts[lo:hi][::-1])]
     codes = table._codes.copy()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import logging
 import operator
-from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -21,12 +21,12 @@ from itertools import chain
 import numpy as np
 
 from . import rows
-from .catalog import PARSE_ERRORS, Header, SemanticId, SidStructure, read_rows, write_artifact
+from .catalog import Header, SemanticId, SidStructure, read_rows, write_artifact
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
 from .collision import AssignmentTable
-from .errors import DataError, RowError
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -420,8 +420,9 @@ def dynamic_beam_search(
     keeps the widths[j] best as a full sort by score, then tokens, would.
     Sorted, they stay in tuple order; the last level keeps its k best, best first.
     A NaN score raises DataError naming the level; -inf is a legal score.
-    The context must be whole SIDs, so the first decoded token is a level-0
-    one, and k must lie in [1, widths[-1]].
+    The context must be whole SIDs, each token in its level's band (as
+    _checked_streams checks a training stream), so the first decoded token
+    is a level-0 one; k must lie in [1, widths[-1]].
     """
     structure = scorer.structure
     schedule.validate(structure)
@@ -429,9 +430,7 @@ def dynamic_beam_search(
         raise ValueError(f"k={k} must be positive")
     if k > schedule.widths[-1]:
         raise ValueError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
-    context = np.asarray([int(t) for t in context], dtype=np.int64)
-    if len(context) % structure.num_levels:
-        raise DataError(f"context of {len(context)} tokens is not a whole number of SIDs")
+    context, _ = _checked_streams([context], structure)
     beams = np.empty((1, 0), dtype=np.int64)
     scores = np.zeros(1)
     for level, width in enumerate(schedule.widths):
@@ -594,21 +593,19 @@ def load_markov_scorer(path) -> MarkovScorer:
     counted at least once, and no (context, token) twice.
 
     Every integer of a count row is written as the saver writes one: ASCII
-    digits only.  A row that spells one otherwise (a sign, spaces, `_`,
-    non-ASCII digits) is a DataError at its line.  The file is read whole;
-    the count rows are parsed with numpy over the bytes when each is
-    `context<TAB>token<TAB>count`, the context comma-separated, every number
-    of 1 to _MAX_DIGITS digits.  Otherwise they are parsed row by row, the
-    first that does not parse being named.  The checks then run on the whole
-    table and name the line of the first row that fails."""
-    return read_rows(path, None, _parsed_scorer)
+    digits only, and below 2**63.  A row that spells one otherwise (a sign,
+    spaces, `_`, non-ASCII digits) is a DataError at its line.  The file is
+    read whole and its count rows parsed with numpy over the bytes, then
+    checked as one table.  When that fails, `read_rows` walks the rows
+    through their one-row check (_row_check) to name the first bad one."""
+    return read_rows(path, None, _parsed_scorer, _row_check())
 
 
 def _parsed_scorer(text: str) -> MarkovScorer:
     """The scorer a whole scorer file's text holds: header rows (`#name`,
     tab-separated values) up to the first other non-blank line, then count
-    rows.  A RowError names the non-blank line at fault."""
-    header, row, pos = Header(), 0, 0  # row: non-blank lines before pos
+    rows."""
+    header, pos = Header(), 0
     while pos < len(text):
         end = text.find("\n", pos) + 1 or len(text)
         line = text[pos:end]
@@ -617,21 +614,67 @@ def _parsed_scorer(text: str) -> MarkovScorer:
                 break
             fields = line.rstrip("\n").split("\t")
             header[fields[0][1:]] = fields[1:]
-            row += 1
         pos = end
-    if pos == len(text):
-        return _header_scorer(header)
-    try:
-        scorer = _header_scorer(header)
-    except PARSE_ERRORS as exc:
-        raise RowError(row, str(exc)) from exc  # at the first count row, as read
-    columns = _byte_columns(text[pos:]) or _walked_columns(text[pos:], row)
-    scorer._set_table(*_checked_table(scorer, *columns, first_row=row))
+    scorer = _header_scorer(header)
+    if pos < len(text):  # whitespace-only lines are dropped only if a first parse fails
+        columns = _byte_columns(text[pos:]) or _byte_columns("".join(
+            line for line in io.StringIO(text[pos:], newline="\n") if not line.isspace()))
+        if columns is None:
+            raise ValueError("a count row is not context<TAB>token<TAB>count in ASCII digits")
+        scorer._set_table(*_checked_table(scorer, *columns))
     return scorer
 
 
+def _row_check():
+    """A check_row for read_rows: the one-row form of _parsed_scorer, with
+    the state of one load.  Header rows come first, and the header must hold
+    at the first count row.  Each field of a count row goes through
+    _saved_int; then the row's context must be a slice of a stream of whole
+    SIDs (checked once per run of rows that share its text), its token of
+    the level that follows, its count at least 1 and its (context, token)
+    new."""
+    header, seen = Header(), set()
+    scorer = last = context = band = None
+
+    def check_row(i, fields):
+        nonlocal scorer, last, context, band
+        if scorer is None:
+            if fields[0][:1] == "#":
+                header[fields[0][1:]] = fields[1:]
+                return
+            scorer = _header_scorer(header)
+        text, token, count = fields
+        if text != last:
+            context = tuple(map(_saved_int, text.split(","))) if text else ()
+            band, last = _next_band(context, scorer), text
+        token, count = _saved_int(token), _saved_int(count)
+        if band is None:
+            raise DataError(f"context {','.join(map(str, context))!r} is not a slice of a "
+                            "stream of whole SIDs")
+        if not band[0] <= token < band[1] or count < 1 or (context, token) in seen:
+            raise DataError(f"after {','.join(map(str, context))!r} expected a new token in "
+                            f"[{band[0]}, {band[1]}), count >= 1")
+        seen.add((context, token))
+
+    return check_row
+
+
+def _next_band(context: tuple[int, ...], scorer: MarkovScorer):
+    """_next_bands for one context in plain Python: the band (low, high) of
+    the token that follows it, or None if it is no slice of a stream of
+    whole SIDs."""
+    offsets, sizes = scorer.structure.offsets, scorer.structure.level_sizes
+    first = bisect_right(offsets, context[0]) - 1 if len(context) == scorer.order else 0
+    levels = [(first + j) % len(sizes) for j in range(len(context) + 1)]
+    if len(context) > scorer.order or not all(
+            offsets[level] <= t < offsets[level] + sizes[level]
+            for level, t in zip(levels, context)):
+        return None
+    return offsets[levels[-1]], offsets[levels[-1]] + sizes[levels[-1]]
+
+
 _ROW_BYTES = b"0123456789,\t\n"  # the bytes a count row is written in
-_MAX_DIGITS = 18  # the most digits of a number the byte parse reads: below 2**63
+_MAX_DIGITS = 18  # the digits numpy reads of a number (below 2**63); int() reads more
 _BLOCK_BYTES = 1 << 18  # about how much of the file the byte parse takes at a time
 
 
@@ -641,7 +684,7 @@ def _byte_columns(body: str):
     bytes a block of whole lines at a time; a context is shared by a run of
     rows that hold it.  None unless every line is empty (a blank line) or
     `c,..,c<TAB>token<TAB>count` with zero or more context tokens, every
-    number 1 to _MAX_DIGITS ASCII digits."""
+    number of ASCII digits.  A number of 2**63 or more raises OverflowError."""
     raw = (body if body.endswith("\n") else body + "\n").encode()
     if raw.translate(None, _ROW_BYTES):
         return None
@@ -679,11 +722,13 @@ def _block_columns(data: np.ndarray):
     context_ends = rows - 2
     empty_context = np.zeros(len(kind), dtype=bool)  # the one number that may be empty
     empty_context[context_ends] = starts_line[context_ends]
-    if ((lengths == 0) & ~empty_context).any() or lengths.max(initial=0) > _MAX_DIGITS:
+    if ((lengths == 0) & ~empty_context).any():
         return None
     values = np.zeros(len(ends), dtype=np.int64)
-    for j in range(lengths.max(initial=0)):  # the digits that stand for 10**j
+    for j in range(min(lengths.max(initial=0), _MAX_DIGITS)):  # the digits that stand for 10**j
         values += (lengths > j) * (data[ends - 1 - j] - np.int64(48)) * 10**j
+    for at in np.flatnonzero(lengths > _MAX_DIGITS):  # the few longer numbers, through int
+        values[at] = int(data[ends[at] - lengths[at] : ends[at]].tobytes())  # >= 2**63 raises
     in_context = kind == 44
     in_context[context_ends] = lengths[context_ends] > 0
     context, width = values[in_context], np.diff(np.cumsum(in_context)[rows], prepend=0)
@@ -700,39 +745,16 @@ def _block_columns(data: np.ndarray):
             values[rows - 1], values[rows])
 
 
-def _walked_columns(body: str, first_row: int):
-    """_byte_columns' arrays, read row by row, one context per run of rows
-    that share its text.  The first row that does not parse raises RowError
-    at its index, first_row being the first count row's."""
-    context_tokens, widths, run_starts, tokens, counts = (array("q") for _ in range(5))
-    last = None
-    lines = (line for line in io.StringIO(body, newline="\n") if not line.isspace())
-    for row, line in enumerate(lines, start=first_row):
-        try:
-            text, token, count = line.rstrip("\n").split("\t")
-            if text != last:
-                key = text.split(",") if text else ()
-                context_tokens.extend(map(_saved_int, key))
-                widths.append(len(key))
-                run_starts.append(len(tokens))
-                last = text
-            tokens.append(_saved_int(token))
-            counts.append(_saved_int(count))
-        except (ValueError, OverflowError, DataError) as exc:
-            raise RowError(row, str(exc)) from exc
-    run_lengths = np.diff(np.append(np.frombuffer(run_starts, dtype=np.int64), len(tokens)))
-    return (np.frombuffer(context_tokens, dtype=np.int64), np.frombuffer(widths, dtype=np.int64),
-            np.repeat(np.arange(len(widths)), run_lengths),
-            np.frombuffer(tokens, dtype=np.int64), np.frombuffer(counts, dtype=np.int64))
-
-
 def _saved_int(text: str) -> int:
     """The integer `text` spells in ASCII digits.  Text int() refuses raises
-    its ValueError; an integer spelt another way raises DataError."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    int(text)
-    raise DataError(f"{text!r} is not an integer written in ASCII digits")
+    its ValueError, an integer spelt another way DataError, and one of 2**63
+    or more OverflowError."""
+    value = int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"{text!r} is not an integer written in ASCII digits")
+    if value >= 2**63:
+        raise OverflowError(f"{text!r} is beyond int64")
+    return value
 
 
 def _header_scorer(header: Header) -> MarkovScorer:
@@ -740,33 +762,21 @@ def _header_scorer(header: Header) -> MarkovScorer:
     return MarkovScorer(header.structure(), order=int(order), alpha=float(alpha))
 
 
-def _checked_table(scorer, context_tokens, widths, contexts, tokens, counts, first_row):
-    """The count rows as a sorted table.  The first row, in file order, that
-    no stream of whole SIDs produces raises RowError(first_row + its index):
-    its context is no slice of such a stream, its token is not of the level
-    that follows the context, its count is below 1, or an earlier row has
-    the same context and token."""
+def _checked_table(scorer, context_tokens, widths, contexts, tokens, counts):
+    """The count rows as a sorted table.  DataError if any row is one no
+    stream of whole SIDs produces: its context is no slice of such a
+    stream, its token is not of the level that follows the context, its
+    count is below 1, or another row has the same context and token."""
     order, structure = scorer.order, scorer.structure
     padded = _padded(context_tokens, np.cumsum(widths) - widths, widths, order)
     valid, low, high = _next_bands(padded, widths, structure)
     ok = valid[contexts] & (tokens >= low[contexts]) & (tokens < high[contexts]) & (counts >= 1)
-    # a stable sort of the packed (context, token) rows puts a repeat after
-    # its first copy.  An out-of-range value makes its row bad and may give
-    # it another row's key: the earlier of the two is reported either way
     radix = structure.total_tokens + 1
     sort, keys = rows.sort(rows.pack(np.column_stack((padded[contexts], tokens)), radix),
                            kind="stable")
-    ok[np.delete(sort, rows.distinct(keys)[0])] = False
+    ok[np.delete(sort, rows.distinct(keys)[0])] = False  # each repeat of a row
     if not ok.all():
-        row = int(np.argmin(ok))
-        context = int(contexts[row])
-        start = int(widths[:context].sum())
-        text = ",".join(map(str, context_tokens[start : start + widths[context]].tolist()))
-        if not valid[context]:
-            raise RowError(first_row + row,
-                           f"context {text!r} is not a slice of a stream of whole SIDs")
-        raise RowError(first_row + row, f"after {text!r} expected a new token in "
-                       f"[{low[context]}, {high[context]}), count >= 1")
+        raise DataError("a count row is one no stream of whole SIDs produces")
     counts = counts[sort]
     del ok, sort  # only the sorted keys stay alive while they are unpacked
     return rows.unpack(keys, radix, order + 1), counts

@@ -2,22 +2,21 @@
 
 The catalog and assignment loaders are as they were before the columnar
 catalog: every row is parsed and checked on its own, in file order, so the
-first bad row is the one that raises.  The scorer loader is as it was before
-the scorer file was parsed whole: each row goes through int() into int
-buffers while the file is read, and the whole-table checks follow.  The
+first bad row is the one that raises.  The scorer loader reads each row
+through int() and checks it against the rows before it in plain Python: its
+context a slice of a stream of whole SIDs, its token of the level that
+follows, its count at least 1 and its (context, token) new.  The
 differential tests hold the loaders in `sidkit` to the same results and the
 same DataError text.
 """
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 from sidkit.catalog import Header, as_embedding, parse_sid_brackets, read_rows
 from sidkit.errors import DataError
-from sidkit.retrieval import _checked_table, _header_scorer
+from sidkit.retrieval import MarkovScorer
 
 
 def load_item_catalog_rows(path, d_in: int):
@@ -70,37 +69,63 @@ def load_assignment_rows(path, structure):
 
 
 def load_markov_scorer_rows(path):
-    """The scorer file as a MarkovScorer, read row by row."""
-    header, scorer, last = Header(), None, None
-    context_tokens, context_widths = array("q"), array("q")  # contexts end to end
-    run_starts, tokens, counts = array("q"), array("q"), array("q")
+    """The scorer file as a MarkovScorer, read and checked row by row."""
+    header, scorer, table = Header(), None, {}
 
     def parse(fields):
-        nonlocal scorer, last
+        nonlocal scorer
         if scorer is None:
             if fields[0][:1] == "#":
                 header[fields[0][1:]] = fields[1:]
                 return
-            scorer = _header_scorer(header)
+            scorer = header_scorer(header)
         text, token, count = fields
-        if text != last:  # a new run of rows that share a context
-            key = text.split(",") if text else ()
-            context_tokens.extend(map(int, key))
-            context_widths.append(len(key))
-            run_starts.append(len(tokens))
-            last = text
-        tokens.append(int(token))
-        counts.append(int(count))
+        context = tuple(int64(t) for t in text.split(",")) if text else ()
+        token, count = int64(token), int64(count)
+        written = ",".join(map(str, context))
+        structure, order = scorer.structure, scorer.order
+        following = following_level(context, structure, order)
+        if following is None:
+            raise DataError(f"context {written!r} is not a slice of a stream of whole SIDs")
+        low = structure.offsets[following]
+        high = low + structure.level_sizes[following]
+        key = context + (-1,) * (order - len(context)) + (token,)
+        if not low <= token < high or count < 1 or key in table:
+            raise DataError(f"after {written!r} expected a new token in [{low}, {high}), "
+                            "count >= 1")
+        table[key] = count
 
-    def finish(rows):
-        loaded = scorer or _header_scorer(header)
-        widths = np.frombuffer(context_widths, dtype=np.int64)
-        run_lengths = np.diff(np.append(np.frombuffer(run_starts, dtype=np.int64), len(tokens)))
-        loaded._set_table(*_checked_table(
-            loaded, np.frombuffer(context_tokens, dtype=np.int64), widths,
-            np.repeat(np.arange(len(widths)), run_lengths),
-            np.frombuffer(tokens, dtype=np.int64), np.frombuffer(counts, dtype=np.int64),
-            first_row=len(rows) - len(tokens)))
+    def finish(_):
+        loaded = scorer or header_scorer(header)
+        keys = sorted(table)
+        loaded._set_table(np.array(keys, dtype=np.int64).reshape(len(keys), loaded.order + 1),
+                          np.array([table[key] for key in keys], dtype=np.int64))
         return loaded
 
     return read_rows(path, parse, finish)
+
+
+def header_scorer(header):
+    (order,), (alpha,) = header["order"], header["alpha"]
+    return MarkovScorer(header.structure(), order=int(order), alpha=float(alpha))
+
+
+def int64(text):
+    value = int(text)
+    if value >= 2**63:
+        raise OverflowError(f"{text!r} is beyond int64")
+    return value
+
+
+def following_level(context, structure, order):
+    """The level of the token that follows `context` in a stream of whole
+    SIDs, or None if no such stream holds the context: its tokens lie on
+    successive levels, from level 0 when it is shorter than the order."""
+    if len(context) > order:
+        return None
+    bands = list(zip(structure.offsets, structure.level_sizes))
+    levels = [next((j for j, (o, n) in enumerate(bands) if o <= t < o + n), None) for t in context]
+    start = levels[0] if len(context) == order else 0
+    if start is None or levels != [(start + j) % structure.num_levels for j in range(len(levels))]:
+        return None
+    return (start + len(context)) % structure.num_levels

@@ -30,7 +30,7 @@ from sidkit.catalog import (
     write_artifact,
 )
 from sidkit import catalog as catalog_module
-from sidkit.errors import DataError, RowError
+from sidkit.errors import DataError
 
 
 def structures() -> st.SearchStrategy[SidStructure]:
@@ -339,32 +339,25 @@ class TestReadRows:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             read_rows(path, tuple, lambda rows: rows[5])
 
-    def test_finish_error_naming_a_row_reports_that_rows_line(self, tmp_path):
-        """Blank lines are skipped but counted, so row 2 was read from line 5."""
-        path = tmp_path / "rows.tsv"
-        path.write_text("a\n\nb\n\nc\nd\n")
-
-        def finish(rows):
-            raise RowError(rows.index(["c"]), "bad c")
-
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: bad c$"):
-            read_rows(path, list, finish)
-
     def test_whole_file_form_reports_a_row_at_its_line(self, tmp_path):
-        """finish gets the text; blank, whitespace-only and CRLF lines read
-        as the per-line form reads them, so row i is the i-th other line."""
+        """finish gets the text; on an error, check_row walks its non-blank
+        lines split on tabs and numbered as the per-line form reads them, so
+        CRLF, blank and whitespace-only lines are counted but not walked."""
         path = tmp_path / "rows.tsv"
-        path.write_bytes(b"a\r\n\r\n \t\nb\n\nc\nd")
-        assert read_rows(path, None, str.splitlines) == ["a", "", " \t", "b", "", "c", "d"]
+        path.write_bytes(b"a\r\n\r\n \t\nb\tx\n\nc\nd")
+        assert read_rows(path, None, str.splitlines) == ["a", "", " \t", "b\tx", "", "c", "d"]
+        for parse_row in (None, list):
+            walked = []
 
-        def finish(text):
-            rows = [line for line in text.split("\n") if line.strip()]
-            raise RowError(rows.index("c"), "bad c")
+            def check_row(i, row):
+                walked.append((i, row))
+                self.refuse("c")(i, row)
 
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:6: bad c$"):
-            read_rows(path, None, finish)
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}:6: row 2 is c$"):
+                read_rows(path, parse_row, lambda rows: int("bulk"), check_row)
+            assert walked == [(0, ["a"]), (1, ["b", "x"]), (2, ["c"])]
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*'too few'$"):
-            read_rows(path, None, lambda text: int("too few"))
+            read_rows(path, None, lambda text: int("too few"), self.refuse())
 
     @staticmethod
     def refuse(*bad):
@@ -419,15 +412,7 @@ class TestReadRows:
             walked.append(i)
 
         assert read_rows(path, list, list, spy) == [["a"], ["b"]]
-        assert walked == []
-
-        def finish(rows):  # a RowError names its row; no walk runs
-            raise RowError(1, "bad b")
-
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: bad b$"):
-            read_rows(path, list, finish, spy)
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
-            read_rows(path, None, lambda text: int("whole"), spy)  # no rows to walk
+        assert read_rows(path, None, str.splitlines, spy) == ["a", "b"]
         assert walked == []
 
     def test_overflow_becomes_a_data_error(self, tmp_path):

@@ -1,7 +1,11 @@
 """Command-line interface: full pipeline, exit codes, output formats."""
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,7 +223,7 @@ class TestRetrieve:
         code = main(["retrieve", "--scorer", str(scorer), "--k", "3", "--context", context])
         assert code == EXIT_DATA
         captured = capsys.readouterr()
-        assert "token 5 outside level-0 band [0, 4)" in captured.err
+        assert "token 5 at position 0 is outside level 0's band" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("context", [
@@ -274,6 +278,26 @@ class TestEvalSid:
         values = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
         assert 0.0 <= values["gini"] < 1.0
         assert 0.0 < values["utilization_pct"] <= 100.0
+
+    def test_csv_to_redirected_stdout_follows_the_table(self, pipeline, toy_dir, tmp_path):
+        """`--csv /dev/stdout > out.csv` leaves the printed table, then the
+        CSV, in the file, as a terminal shows them."""
+        out = tmp_path / "out.csv"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        with open(out, "w") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sidkit.cli", "eval-sid",
+                 "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                 "--assignment", str(pipeline / "knn.tsv"), "--levels", "5,4",
+                 "--code-dim", "8", "--csv", "/dev/stdout"],
+                stdout=fh, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        cut = lines.index("metric,value")
+        names = [line.split()[0] for line in lines[:cut]]
+        assert names[0] == "gini" and names == [line.split(",")[0] for line in lines[cut + 1 :]]
 
     def test_occupied_only_changes_the_gini_alone(self, pipeline, toy_dir, tmp_path, capsys):
         """With --occupied-only every utilization row equals the plain run's,

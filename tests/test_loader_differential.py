@@ -329,18 +329,26 @@ def test_integer_not_in_ascii_digits_is_named(tmp_path, spelling, field):
 
 
 def test_a_saved_scorer_is_parsed_from_its_bytes(tmp_path):
-    """The row-by-row parse is only for files the byte parse refuses: a
-    whitespace-only line is one."""
+    """Blank lines, whitespace-only lines and a count of 10**18, which the
+    saver writes, all load through the byte parse: no row is walked."""
     corpus = [[0, 3, 7, 1, 4, 8], [2, 6, 7], [0, 3, 8]]
     scorer = train_markov_scorer(corpus, SCORER_STRUCTURE, order=2)
+    counts = scorer._counts.copy()
+    counts[1] = 10**18
+    scorer._set_table(scorer._rows, counts)
     path = tmp_path / "scorer.tsv"
     save_markov_scorer(scorer, path)
-    path.write_text(path.read_text().replace("\n", "\n\n", 6))
-    with mock.patch.object(retrieval, "_walked_columns", side_effect=AssertionError("walked")):
+    text = path.read_text().replace("\n", "\n\n", 6).replace("\n\n", "\n \t\n", 2)
+    path.write_text(text + "  \n")
+    assert f"\t{10**18}\n" in text and "\n \t\n" in text and "\n\n" in text
+
+    def walk(i, row):
+        raise AssertionError("walked")
+
+    with mock.patch.object(retrieval, "_row_check", return_value=walk):
         loaded = load_markov_scorer(path)
-    assert loaded._rows.tolist() == scorer._rows.tolist()
-    assert loaded._counts.tolist() == scorer._counts.tolist()
-    path.write_text(path.read_text() + "  \n")
-    with mock.patch.object(retrieval, "_walked_columns", side_effect=AssertionError("walked")):
+        assert loaded._rows.tolist() == scorer._rows.tolist()
+        assert loaded._counts.tolist() == scorer._counts.tolist()
+        path.write_text(text + "x\t0\t1\n")
         with pytest.raises(AssertionError, match="walked"):
             load_markov_scorer(path)

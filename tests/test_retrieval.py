@@ -686,7 +686,8 @@ class TestDynamicBeamSearch:
         """Integer-count scorers and unseen contexts give uniform rows, so
         tied scores straddle the cut; widths fall below and above
         beams x band, and k below the final width.  SIDs and log-probs must
-        equal the tuple-list reference exactly."""
+        equal the tuple-list reference exactly; a context with a token
+        outside its level's band is a DataError."""
         structure = data.draw(small_structures(), label="structure")
         scorer = data.draw(count_scorers(structure))
         length = structure.num_levels * data.draw(st.integers(0, 2), label="context SIDs")
@@ -698,6 +699,12 @@ class TestDynamicBeamSearch:
             min_size=structure.num_levels, max_size=structure.num_levels), label="widths")
         schedule = BeamSchedule(widths)
         k = data.draw(st.integers(1, widths[-1]), label="k")
+        m = structure.num_levels
+        if not all(structure.offsets[j % m] <= t < structure.offsets[j % m]
+                   + structure.level_sizes[j % m] for j, t in enumerate(context)):
+            with pytest.raises(DataError, match="outside level"):
+                dynamic_beam_search(scorer, context, schedule, k)
+            return
         got = dynamic_beam_search(scorer, context, schedule, k)
         want = tuple_beam_search(scorer, context, schedule, k)
         assert got == want
@@ -1153,7 +1160,14 @@ class TestScorerSerialization:
         # of several bad rows, the first in the file is named
         ("\t0\t5\n0\t4\t2\n4,8\t0\t0\n0,4,8\t1\t1\n\t0\t1\n", 7),
         ("\t0\t5\n0\t4\t2\n0\t4\t1\n4,8\t7\t1\n", 7),
-    ], ids=["duplicate-apart", "long-context", "first-of-three", "first-of-two"])
+        # a row the table checks refuse, before a row that does not parse
+        ("\t0\t5\n0\t4\t0\nx\t4\t1\n", 6),
+        ("\t0\t5\n0\t4\t2\n0\t4\t1\n0\t+2\t1\n", 7),
+        ("\t0\t5\n0\t1\t3\n0\t4\t" + "9" * 20 + "\n", 6),
+        ("\t0\t5\n4\t8\t1\n0,4\t9\t+2\n", 6),
+    ], ids=["duplicate-apart", "long-context", "first-of-three", "first-of-two",
+            "count-0-before-x", "repeat-before-sign", "out-of-band-before-20-digits",
+            "bad-context-before-sign"])
     def test_bad_row_among_good_ones_is_named(self, tmp_path, rows, line):
         path = tmp_path / "scorer.tsv"
         path.write_text(self.HEADER + rows)
