@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, logsumexp_rows, no_grad
+from .autodiff import AdamW, Tensor, logsumexp_rows, wrap
 from .catalog import ItemCatalog
 from .errors import DataError
 
@@ -80,8 +80,7 @@ def info_nce_loss(batch: AlignmentBatch, temperature: float = DEFAULT_TEMPERATUR
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    with no_grad():
-        return _info_nce(Tensor(batch.anchors), Tensor(batch.positives), temperature, "").item()
+    return _info_nce(wrap(batch.anchors), wrap(batch.positives), temperature, "").item()
 
 
 def projection_loss(
@@ -91,8 +90,8 @@ def projection_loss(
     temperature: float,
 ) -> Tensor:
     """Differentiable InfoNCE of the batch pushed through a linear head."""
-    anchors = Tensor(batch.anchors) @ weight + bias
-    positives = Tensor(batch.positives) @ weight + bias
+    anchors = wrap(batch.anchors) @ weight + bias
+    positives = wrap(batch.positives) @ weight + bias
     return _info_nce(anchors, positives, temperature, "projected ")
 
 
@@ -142,9 +141,8 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
     bias = Tensor(np.zeros(d))
     optimizer = AdamW([weight, bias], lr=config.learning_rate)
 
-    with no_grad():
-        trace = [projection_loss(weight, bias, AlignmentBatch(anchors, positives),
-                                 config.temperature).item()]
+    trace = [projection_loss(weight.detach(), bias.detach(), AlignmentBatch(anchors, positives),
+                             config.temperature).item()]
 
     n = anchors.shape[0]
     batch_size = min(config.batch_size, n)

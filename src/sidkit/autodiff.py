@@ -4,34 +4,27 @@ Just enough machinery for the small training loops in this package: scalar
 losses built from matmul/add/relu/exp/log/sqrt/sum chains over float64
 arrays, with broadcasting handled on the backward pass.  Not a general
 framework; every op the package needs is defined here and nothing more.
-A graph is single-use: backward runs once, and each op's closure receives
-its output's gradient and never refers to its output node, so a graph holds
+
+A Tensor the caller makes with ``Tensor(...)`` needs a gradient, and so
+does an op's output with such a parent.  Every other Tensor is a constant:
+a ``wrap()``ped array or number, a ``detach()`` copy, or an op over
+constants only.  A constant has no parents and never gets a gradient, so a
+forward over constants records no graph and holds each array only while the
+next op reads it; with the fused logsumexp_rows and diagonal, an InfoNCE
+over B constant pairs holds at most two (B, B) arrays.  An op gives
+``_node`` one share function per operand, which maps the output's gradient
+to that operand's share of it; ``_node`` keeps the pairs whose operand
+needs a gradient, and ``Tensor.backward`` is the one place that calls them
+and accumulates.  A graph is single-use: backward runs once, and a share
+function refers to its operands, never to the output node, so a graph holds
 no cycle and refcounting frees it.  Gradients are never written in place.
-Under ``with no_grad():`` every op returns a leaf of the same value, so a
-forward-only pass runs the training code and records no graph; with the
-fused logsumexp_rows and diagonal, an InfoNCE over B pairs then holds at
-most two (B, B) arrays.
 """
 
 from __future__ import annotations
 
-import contextlib
+from collections.abc import Callable
 
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Within the block, ops build no graph; the previous state returns on
-    exit, by an exception too, so blocks nest."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -45,15 +38,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the computation graph: a float64 array plus a backward closure."""
+    """Node in the computation graph: a float64 array, and the (operand,
+    share function) pairs of the op that made it, if any needs a gradient."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_parents", "_needs_grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._parents: tuple[tuple[Tensor, Callable[[np.ndarray], np.ndarray]], ...] = ()
+        self._needs_grad = True
 
     # -- helpers -----------------------------------------------------------
 
@@ -65,8 +59,8 @@ class Tensor:
         return float(self.value)
 
     def detach(self) -> "Tensor":
-        """A leaf with the same value; gradients do not flow past it."""
-        return Tensor(self.value)
+        """A constant with the same value; gradients do not flow past it."""
+        return _node(self.value)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.value.shape)
@@ -76,12 +70,7 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = wrap(other)
-
-        def backward(grad):
-            self._accumulate(grad)
-            other._accumulate(grad)
-
-        return _node(self.value + other.value, (self, other), backward)
+        return _node(self.value + other.value, (self, _same), (other, _same))
 
     __radd__ = __add__
 
@@ -96,12 +85,9 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = wrap(other)
-
-        def backward(grad):
-            self._accumulate(other.value * grad)
-            other._accumulate(self.value * grad)
-
-        return _node(self.value * other.value, (self, other), backward)
+        return _node(self.value * other.value,
+                     (self, lambda grad: other.value * grad),
+                     (other, lambda grad: self.value * grad))
 
     __rmul__ = __mul__
 
@@ -112,41 +98,26 @@ class Tensor:
         return wrap(other) * self**-1.0
 
     def __pow__(self, exponent: float) -> "Tensor":
-        def backward(grad):
-            self._accumulate(exponent * self.value ** (exponent - 1.0) * grad)
-
-        return _node(self.value**exponent, (self,), backward)
+        return _node(self.value**exponent,
+                     (self, lambda grad: exponent * self.value ** (exponent - 1.0) * grad))
 
     def __matmul__(self, other) -> "Tensor":
         other = wrap(other)
-
-        def backward(grad):
-            self._accumulate(grad @ other.value.T)
-            other._accumulate(self.value.T @ grad)
-
-        return _node(self.value @ other.value, (self, other), backward)
+        return _node(self.value @ other.value,
+                     (self, lambda grad: grad @ other.value.T),
+                     (other, lambda grad: self.value.T @ grad))
 
     # -- elementwise nonlinearities ------------------------------------------
 
     def relu(self) -> "Tensor":
-        def backward(grad):
-            self._accumulate((self.value > 0.0) * grad)
-
-        return _node(np.maximum(self.value, 0.0), (self,), backward)
+        return _node(np.maximum(self.value, 0.0), (self, lambda grad: (self.value > 0.0) * grad))
 
     def exp(self) -> "Tensor":
         value = np.exp(self.value)
-
-        def backward(grad):
-            self._accumulate(value * grad)
-
-        return _node(value, (self,), backward)
+        return _node(value, (self, lambda grad: value * grad))
 
     def log(self) -> "Tensor":
-        def backward(grad):
-            self._accumulate(grad / self.value)
-
-        return _node(np.log(self.value), (self,), backward)
+        return _node(np.log(self.value), (self, lambda grad: grad / self.value))
 
     def sqrt(self) -> "Tensor":
         return self**0.5
@@ -154,12 +125,12 @@ class Tensor:
     # -- reductions / indexing ------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def backward(grad):
+        def share(grad):
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(grad, self.value.shape))
+            return np.broadcast_to(grad, self.value.shape)
 
-        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,), backward)
+        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self, share))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.value.size if axis is None else self.value.shape[axis]
@@ -169,33 +140,31 @@ class Tensor:
         """Select rows by integer index; gradients scatter-add back."""
         indices = np.asarray(indices, dtype=np.intp)
 
-        def backward(grad):
+        def share(grad):
             rows = np.zeros_like(self.value)
             np.add.at(rows, indices, grad)
-            self._accumulate(rows)
+            return rows
 
-        return _node(self.value[indices], (self,), backward)
+        return _node(self.value[indices], (self, share))
 
     def diagonal(self) -> "Tensor":
         """The main diagonal of a 2-D tensor; gradients land on it."""
 
-        def backward(grad):
+        def share(grad):
             full = np.zeros_like(self.value)
             np.fill_diagonal(full, grad)
-            self._accumulate(full)
+            return full
 
-        return _node(self.value.diagonal().copy(), (self,), backward)
+        return _node(self.value.diagonal().copy(), (self, share))
 
     def transpose(self) -> "Tensor":
-        def backward(grad):
-            self._accumulate(grad.T)
-
-        return _node(self.value.T, (self,), backward)
+        return _node(self.value.T, (self, lambda grad: grad.T))
 
     # -- driver ---------------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the whole graph."""
+        """Backpropagate from a scalar output through the whole graph: each
+        node, after every node it feeds, hands each operand its share."""
         if self.value.ndim != 0 and self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -210,26 +179,32 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, _ in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for parent, share in node._parents:
+                parent._accumulate(share(node.grad))
 
 
-def _node(value, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """An op's output: a graph node, or a plain leaf under no_grad."""
+def _same(grad: np.ndarray) -> np.ndarray:
+    return grad
+
+
+def _node(value, *pairs) -> Tensor:
+    """An op's output, given one (operand, share function) pair per operand:
+    it keeps the pairs whose operand needs a gradient, and is a constant when
+    none does."""
     out = Tensor(value)
-    if _grad_enabled:
-        out._parents = parents
-        out._backward = backward
+    out._parents = tuple(pair for pair in pairs if pair[0]._needs_grad)
+    out._needs_grad = bool(out._parents)
     return out
 
 
 def wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """x itself if it is a Tensor, else a constant of its value."""
+    return x if isinstance(x, Tensor) else _node(x)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:
@@ -243,11 +218,7 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     e = x.value - shift
     np.exp(e, out=e)
     s = e.sum(axis=1)
-
-    def backward(grad):
-        x._accumulate(e * (grad / s)[:, None])
-
-    return _node(np.log(s) + shift[:, 0], (x,), backward)
+    return _node(np.log(s) + shift[:, 0], (x, lambda grad: e * (grad / s)[:, None]))
 
 
 class AdamW:

@@ -274,6 +274,7 @@ def render_sid_string(sid: SemanticId, structure: SidStructure) -> str:
 
 
 SID_STRING = re.compile(r"(?:C[0-9]+)+")  # the SID-string grammar; use fullmatch
+INT_LIST = re.compile(r"(?:[0-9]+(?:,[0-9]+)*)?")  # the comma-list grammar; use fullmatch
 
 
 def parse_sid_string(s: str, structure: SidStructure) -> SemanticId:
@@ -295,14 +296,12 @@ def format_sid_brackets(sid: SemanticId) -> str:
 
 
 def parse_sid_brackets(text: str) -> SemanticId:
+    """`[c,..]`, its body a non-empty INT_LIST; whitespace may surround it."""
     body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
+    codes = body[1:-1]
+    if not (body[:1] == "[" and body[-1:] == "]" and codes and INT_LIST.fullmatch(codes)):
         raise DataError(f"malformed bracketed SID {text!r}")
-    try:
-        codes = tuple(int(c) for c in body[1:-1].split(","))
-    except ValueError:
-        raise DataError(f"malformed bracketed SID {text!r}") from None
-    return SemanticId(codes)
+    return SemanticId(tuple(map(int, codes.split(","))))
 
 
 # ---------------------------------------------------------------------------

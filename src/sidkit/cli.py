@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 from itertools import chain
 from pathlib import Path
 
 from . import collision, quantizer, retrieval, sidmetrics, toydata
 from .catalog import (
+    INT_LIST,
     SID_STRING,
     SidStructure,
     load_item_catalog,
@@ -43,9 +43,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(f"{self.prog}: error: {message}")
-
-
-INT_LIST = re.compile(r"(?:[0-9]+(?:,[0-9]+)*)?")  # the comma-list grammar; use fullmatch
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -95,7 +92,9 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=int, default=collision.DEFAULT_SIGMA)
     p.add_argument("--k-candidates", type=int, default=None)
     p.add_argument("--merge-threshold", type=int, default=0)
-    p.add_argument("--assignment", help="existing assignment TSV (merge input; default: raw)")
+    p.add_argument("--assignment",
+                   help="assignment TSV that merge and noco repair (default: the raw assignment "
+                        "from --catalog and --model); knn and random do not read it")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval-sid", help="print SID quality metrics")

@@ -302,13 +302,20 @@ def save_assignment(table: AssignmentTable, path) -> None:
                           for item_id, codes in zip(table, table._codes.tolist())))
 
 
+_DIGITS_AND_COMMAS = str.maketrans("", "", "0123456789,")
+
+
 def _code_matrix(texts: list[str], m: int) -> np.ndarray:
     """Bracketed SID texts as an (n, m) int64 matrix.  ValueError or
-    OverflowError unless every text is `[c,..]` with m codes that fit int64."""
+    OverflowError unless every text is `[c,..]` with m codes that fit int64,
+    each code ASCII digits (parse_sid_brackets' grammar)."""
     bodies = [text.strip() for text in texts]
     if not all(body[:1] == "[" and body[-1:] == "]" for body in bodies):
         raise ValueError("a SID is not bracketed")
-    return comma_matrix([body[1:-1] for body in bodies], m, int, np.int64)
+    codes = [body[1:-1] for body in bodies]
+    if "".join(codes).translate(_DIGITS_AND_COMMAS):
+        raise ValueError("a SID holds other than ASCII digits and commas")
+    return comma_matrix(codes, m, int, np.int64)
 
 
 def load_assignment(path, structure: SidStructure) -> AssignmentTable:

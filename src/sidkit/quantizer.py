@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamW, Tensor, cosine_warmup_lr, no_grad
+from .autodiff import AdamW, Tensor, cosine_warmup_lr, wrap
 from .catalog import Header, SidStructure, read_rows, write_artifact
 from .errors import DataError, NumericError
 
@@ -54,16 +54,16 @@ class Mlp:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """The training graph's forward pass, run under no_grad: the same bits."""
+        """The training graph's forward pass, run on constants so it records
+        no graph: the same bits."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1] != self.weights[0].shape[0]:
             raise DataError(
                 f"input width {h.shape[-1]} does not match the net's input dim "
                 f"{self.weights[0].shape[0]}"
             )
-        with no_grad():
-            return _forward_t(list(map(Tensor, self.weights)), list(map(Tensor, self.biases)),
-                              Tensor(h)).value
+        return _forward_t(list(map(wrap, self.weights)), list(map(wrap, self.biases)),
+                          wrap(h)).value
 
 
 def init_mlp(dims, rng: np.random.Generator) -> Mlp:
@@ -453,7 +453,7 @@ def rqvae_loss(
     encoder's graph output for X when the caller already ran it, typically
     to assign the codes from its latents; otherwise the encoder runs here.
     """
-    x_t = Tensor(X)
+    x_t = wrap(X)
     if z is None:
         z = _forward_t(enc_weights, enc_biases, x_t)
     quantized = None
@@ -514,26 +514,26 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
     codebooks = _init_codebooks_from_latents(enc.forward(X[:batch_size]), structure, rng)
     level_tensors = [Tensor(t) for t in codebooks.levels]
 
-    params = enc_w + enc_b + dec_w + dec_b + level_tensors
-    optimizer = AdamW(params, lr=config.learning_rate, betas=config.betas, eps=config.eps)
+    groups = (enc_w, enc_b, dec_w, dec_b, level_tensors)
+    optimizer = AdamW([p for group in groups for p in group], lr=config.learning_rate,
+                      betas=config.betas, eps=config.eps)
 
-    def batch_loss(batch: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+    def batch_loss(batch: np.ndarray, params) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
         # one encoder forward: its latents pick the codes, then feed the loss;
-        # the stack views the live tables, and assignment only reads them
-        z = _forward_t(enc_w, enc_b, Tensor(batch))
-        stack = CodebookStack(structure, [t.value for t in level_tensors])
+        # the stack views the tables, and assignment only reads them
+        enc_w, enc_b, dec_w, dec_b, levels = params
+        z = _forward_t(enc_w, enc_b, wrap(batch))
+        stack = CodebookStack(structure, [t.value for t in levels])
         codes, _ = residual_assign_batch(z.value, stack)
         total, recon = rqvae_loss(
-            enc_w, enc_b, dec_w, dec_b, level_tensors, batch, codes, config.commitment_beta, z=z
+            enc_w, enc_b, dec_w, dec_b, levels, batch, codes, config.commitment_beta, z=z
         )
         return total, recon, z.value, codes
 
-    def evaluate_full() -> tuple[float, float]:
-        total, recon, _, _ = batch_loss(X)
-        return total.item(), recon.item()
-
-    total0, recon0 = evaluate_full()
-    loss_trace, recon_trace = [total0], [recon0]
+    # the full-data evaluation runs on constant copies of the parameters, so
+    # it records no graph
+    total0, recon0, _, _ = batch_loss(X, [[t.detach() for t in group] for group in groups])
+    loss_trace, recon_trace = [total0.item()], [recon0.item()]
 
     for epoch in range(config.epochs):
         optimizer.lr = cosine_warmup_lr(
@@ -545,7 +545,7 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
         last_z, last_codes = None, None
         for start in range(0, X.shape[0], batch_size):
             idx = order[start : start + batch_size]
-            total, recon, z_b, codes = batch_loss(X[idx])
+            total, recon, z_b, codes = batch_loss(X[idx], groups)
             for j in range(structure.num_levels):
                 used[j][codes[:, j]] = True
             last_z, last_codes = z_b, codes
@@ -560,17 +560,16 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
         loss_trace.append(epoch_total / seen)
         recon_trace.append(epoch_recon / seen)
         # revive codewords nothing selected this epoch, seeded from the last
-        # batch's residuals at the matching level
+        # batch's residuals at the matching level; a dead row is none of that
+        # batch's codes, so reviving it leaves the later residuals as they are
         if last_z is not None:
+            residuals = last_z
             for j, table in enumerate(level_tensors):
                 dead = np.nonzero(~used[j])[0]
-                if not dead.size:
-                    continue
-                res_j = last_z.copy()
-                for k in range(j):
-                    res_j -= level_tensors[k].value[last_codes[:, k]]
-                picks = rng.integers(res_j.shape[0], size=dead.size)
-                table.value[dead] = res_j[picks]
+                if dead.size:
+                    picks = rng.integers(residuals.shape[0], size=dead.size)
+                    table.value[dead] = residuals[picks]
+                residuals = residuals - table.value[last_codes[:, j]]
 
     final_enc = Mlp([t.value.copy() for t in enc_w], [t.value.copy() for t in enc_b])
     final_dec = Mlp([t.value.copy() for t in dec_w], [t.value.copy() for t in dec_b])

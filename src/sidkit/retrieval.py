@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import rows
-from .catalog import Header, SemanticId, SidStructure, read_rows, write_artifact
+from .catalog import INT_LIST, Header, SemanticId, SidStructure, read_rows, write_artifact
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -529,10 +529,14 @@ def save_corpus(corpus, path) -> None:
 
 
 def load_corpus(path) -> list[list[int]]:
-    """One stream per line, comma-separated flat tokens."""
+    """One stream per line, comma-separated flat tokens (a non-empty
+    INT_LIST; whitespace may surround it)."""
 
     def parse(fields):
         (stream,) = fields
+        stream = stream.strip()
+        if not INT_LIST.fullmatch(stream):
+            raise DataError(f"malformed token stream {stream!r}")
         return [int(t) for t in stream.split(",")]
 
     return read_rows(path, parse)

@@ -12,7 +12,7 @@ from sidkit.alignment import (
     projection_loss,
     train_projection,
 )
-from sidkit.autodiff import Tensor, no_grad
+from sidkit.autodiff import Tensor, wrap
 from sidkit.errors import DataError
 
 from conftest import clustered_catalog
@@ -111,22 +111,21 @@ class TestProjectionLossGradient:
     )
     def test_numpy_forward_bit_equals_graph(self, n, d, seed, scale, temperature):
         """The graph-free forward train_projection starts from (projection_loss
-        under no_grad) returns the bits of the graph's loss."""
+        on constants) returns the bits of the graph's loss."""
         rng = np.random.default_rng(seed)
         batch = AlignmentBatch(scale * rng.standard_normal((n, d)),
                                scale * rng.standard_normal((n, d)))
         weight = np.eye(d) + rng.standard_normal((d, d))
         bias = rng.standard_normal(d)
         graph = projection_loss(Tensor(weight), Tensor(bias), batch, temperature)
-        with no_grad():
-            value = projection_loss(Tensor(weight), Tensor(bias), batch, temperature)
+        value = projection_loss(wrap(weight), wrap(bias), batch, temperature)
         assert graph._parents and not value._parents
         assert value.item() == graph.item()
 
     def test_numpy_forward_names_a_zero_norm_projection(self):
         batch = AlignmentBatch(np.ones((2, 2)), np.ones((2, 2)))
-        with pytest.raises(DataError, match="projected anchors"), no_grad():
-            projection_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)), batch, 0.07)
+        with pytest.raises(DataError, match="projected anchors"):
+            projection_loss(wrap(np.zeros((2, 2))), wrap(np.zeros(2)), batch, 0.07)
 
 
 class TestTrainProjection:

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidkit import autodiff
 from sidkit.alignment import AlignmentConfig, collect_pairs, train_projection
-from sidkit.autodiff import AdamW, Tensor, cosine_warmup_lr, logsumexp_rows, no_grad
+from sidkit.autodiff import AdamW, Tensor, cosine_warmup_lr, logsumexp_rows, wrap
 
 from conftest import clustered_catalog
 
@@ -171,9 +170,9 @@ class TestMatmulAndReductions:
         np.testing.assert_array_equal(a.grad, [4.0, 4.0])
 
 
-def composite(a, b):
-    """A scalar through every op of the engine."""
-    x, y = Tensor(a), Tensor(b)
+def composite(a, b, make=Tensor):
+    """A scalar through every op of the engine, on operands `make` makes."""
+    x, y = make(a), make(b)
     h = (x @ y).relu() + (x.transpose().gather_rows([0, 2]) ** 2.0).sum()
     h = logsumexp_rows(h / (1.0 - x.detach().mean())) * x.exp().log().sqrt().sum()
     return h.mean() + (x @ y).diagonal().sum()
@@ -200,38 +199,34 @@ class TestGraphLifetime:
             gc.enable()
 
 
-class TestNoGrad:
+class TestConstants:
     def test_ops_return_leaves(self):
-        a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with no_grad():
-            outs = [a + 1.0, a * a, a**2.0, a @ a, a.relu(), a.exp(), a.log(), a.sum(axis=0),
-                    a.gather_rows([1]), a.transpose(), a.diagonal(), logsumexp_rows(a),
-                    a - a, a / 2.0, a.mean()]
+        a = wrap(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        outs = [a + 1.0, a * a, a**2.0, a @ a, a.relu(), a.exp(), a.log(), a.sum(axis=0),
+                a.gather_rows([1]), a.transpose(), a.diagonal(), logsumexp_rows(a),
+                a - a, a / 2.0, a.mean(), 2.0 - a, 1.0 / a, Tensor(a.value).detach()]
         for out in outs:
-            assert out._parents == () and out._backward is None
-        assert (a + 1.0)._parents  # recording resumes after the block
+            assert out._parents == ()
+        assert (Tensor(a.value) + a)._parents  # a Tensor the caller made records
 
-    def test_state_is_restored_after_nesting_and_exceptions(self):
-        assert autodiff._grad_enabled
-        with no_grad():
-            with no_grad():
-                assert not autodiff._grad_enabled
-            assert not autodiff._grad_enabled
-        assert autodiff._grad_enabled
-        with pytest.raises(RuntimeError):
-            with no_grad():
-                raise RuntimeError("boom")
-        assert autodiff._grad_enabled
+    def test_constants_and_detached_copies_take_no_gradient(self):
+        """Only x, which the caller made, gets a gradient; its share from
+        each product is the other factor."""
+        x = Tensor(np.array([1.0, -2.0, 3.0]))
+        c, d = wrap(np.array([0.5, 4.0, -1.5])), x.detach()
+        (x * c + d * x - 2.0).sum().backward()
+        assert c.grad is None and d.grad is None
+        np.testing.assert_array_equal(x.grad, c.value + d.value)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
     def test_values_do_not_depend_on_recording(self, seed, scale):
-        """The composite's every node has the same bits with and without a graph."""
+        """The composite has the same bits on caller-made Tensors, which
+        record a graph, and on constants, which do not."""
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(0.5, 2.0, (4, 3)) * scale
         graph = composite(a, b)
-        with no_grad():
-            value = composite(a, b)
+        value = composite(a, b, make=wrap)
         assert graph._parents and not value._parents
         assert value.value.tobytes() == graph.value.tobytes()
 

@@ -147,6 +147,14 @@ class TestFlatTokens:
         with pytest.raises(DataError):
             parse_sid_brackets("1203,2315")
 
+    @pytest.mark.parametrize("bad", ["[+1,2]", "[1, 2]", "[\u0661,2]", "[1_0,2]", "[-1,2]"])
+    def test_bracket_codes_are_ascii_digits_and_commas(self, bad):
+        """Inside the brackets, only the comma-list grammar; around them,
+        whitespace as before."""
+        assert parse_sid_brackets(" [1,2]\t").codes == (1, 2)
+        with pytest.raises(DataError, match="malformed bracketed SID"):
+            parse_sid_brackets(bad)
+
 
 class TestAsEmbedding:
     def test_validates_dimension_and_finiteness(self):
@@ -215,6 +223,12 @@ class TestCatalog:
         rec = catalog["835905354006"]
         assert rec.sid.codes == (1203, 2315, 3576)
         assert rec.related_item == "787551011877"
+
+    def test_sid_column_names_a_code_not_in_ascii_digits(self, tmp_path):
+        path = tmp_path / "catalog.tsv"
+        path.write_text("a\t0.1,0.2,0.3\t[1,2]\nb\t0.1,0.2,0.3\t[+1, 2]\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: malformed bracketed SID"):
+            load_item_catalog(path, d_in=3)
 
     def test_empty_file_gives_empty_catalog(self, tmp_path):
         path = tmp_path / "catalog.tsv"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -666,6 +667,18 @@ class TestAssignmentSerialization:
         path.write_text("a\t[0,0]\nb\t[0,9]\n")
         with pytest.raises(DataError, match="2"):
             load_assignment(path, SidStructure((2, 2), code_dim=2))
+
+    @pytest.mark.parametrize("sid", ["[+1, 2]", "[0,\uff13]", "[1_0,0]", "[0,-0]"])
+    def test_codes_only_in_ascii_digits_and_commas(self, tmp_path, sid):
+        """int() reads the first two as (1, 2) and (0, 3), but the saver
+        writes only ASCII digits and commas, so the loader refuses the rest,
+        at their line; whitespace around the brackets stays legal."""
+        path = tmp_path / "codes.tsv"
+        path.write_text(f"a\t [1,2] \nb\t{sid}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: malformed bracketed SID"):
+            load_assignment(path, SidStructure((4, 4), code_dim=2))
+        path.write_text("a\t [1,2] \n")
+        assert load_assignment(path, SidStructure((4, 4), code_dim=2))["a"].codes == (1, 2)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "fields.tsv"

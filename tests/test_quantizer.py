@@ -556,7 +556,7 @@ class TestRqvae:
     )
     def test_graph_forward_equals_numpy_forward_bitwise(self, seed, rows, dims):
         """Training assigns codes from the graph forward's latents and
-        assign_batch from Mlp.forward's (the same forward under no_grad), so
+        assign_batch from Mlp.forward's (the same forward on constants), so
         the two must be the same bits."""
         rng = np.random.default_rng(seed)
         weights = init_mlp(dims, rng).weights
@@ -568,10 +568,10 @@ class TestRqvae:
         assert graph.value.tobytes() == mlp.forward(X).tobytes()
 
     def test_one_encoder_forward_per_batch(self, monkeypatch):
-        """Each batch, and the full-data evaluation before training, runs one
-        encoder and one decoder graph forward; initialization runs none.
-        Mlp.forward's calls run under no_grad and build no graph, so they are
-        not counted."""
+        """Each batch runs one encoder and one decoder graph forward;
+        initialization runs none.  Mlp.forward and the full-data evaluation
+        before training run on constants and build no graph, so they are not
+        counted."""
         calls = []
         graph_forward = quantizer._forward_t
 
@@ -585,7 +585,7 @@ class TestRqvae:
         X = np.random.default_rng(32).standard_normal((24, 4))
         cfg = RqvaeConfig(epochs=2, warmup_epochs=1, batch_size=10, hidden_dims=(8,))
         train_rqvae(X, SidStructure((3, 2), code_dim=3), cfg)
-        assert len(calls) == 2 * (1 + 2 * 3)
+        assert len(calls) == 2 * 2 * 3
 
 
 class TestGraphLifetime:

@@ -1014,6 +1014,17 @@ class TestCorpus:
         save_corpus([c for c in corpus if c], path)
         assert load_corpus(path) == [[0, 2, 1, 3], [1, 2]]
 
+    @pytest.mark.parametrize("stream", [" +0, 4", "0,\uff14", "1_0,4"])
+    def test_tokens_only_in_ascii_digits_and_commas(self, tmp_path, stream):
+        """Each line is a non-empty comma list of ASCII-digit tokens, the
+        grammar of --context; whitespace around it stays legal."""
+        path = tmp_path / "corpus.txt"
+        path.write_text(f" 0,2 \n{stream}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+            load_corpus(path)
+        path.write_text(" 0,2 \n")
+        assert load_corpus(path) == [[0, 2]]
+
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("0,2\n0,x\n")
