@@ -60,15 +60,28 @@ def _check_row_norms(matrix: np.ndarray, name: str) -> None:
         raise DataError(f"zero-norm vector in {name} at row {int(zero[0])}")
 
 
-def _info_nce(anchors: Tensor, positives: Tensor, temperature: float, prefix: str) -> Tensor:
-    """Mean over anchors of -log softmax(cos(anchor, positive) / temperature);
-    a zero-norm row is named as the prefix's anchors or positives."""
-    _check_row_norms(anchors.value, f"{prefix}anchors")
-    _check_row_norms(positives.value, f"{prefix}positives")
-    a_norm = anchors * (anchors * anchors).sum(axis=1, keepdims=True) ** -0.5
-    p_norm = positives * (positives * positives).sum(axis=1, keepdims=True) ** -0.5
+def _normalized(x: Tensor, name: str) -> Tensor:
+    """Each row of x over its Euclidean norm; a zero-norm row is named."""
+    _check_row_norms(x.value, name)
+    return x * (x * x).sum(axis=1, keepdims=True) ** -0.5
+
+
+def _info_nce_rows(a_norm: Tensor, p_norm: Tensor, temperature: float, first: int = 0) -> Tensor:
+    """-log softmax(cos(anchor, positive) / temperature) at each row of the
+    unit-norm anchors: anchor i's positive is row first + i of the unit-norm
+    positives, and every other positive row is a negative.  The softmax
+    runs over every positive row, so a block of anchors gives the terms the
+    full set gives its rows (tests pin the bits)."""
     logits = (a_norm @ p_norm.transpose()) * (1.0 / temperature)
-    return (logsumexp_rows(logits) - logits.diagonal()).mean()
+    own = logits.transpose().gather_rows(np.arange(first, first + logits.shape[0]))
+    return logsumexp_rows(logits) - own.diagonal()
+
+
+def _projected(weight: Tensor, bias: Tensor, batch: AlignmentBatch) -> tuple[Tensor, Tensor]:
+    """The batch's anchors and positives through the head, each row at unit norm."""
+    anchors = wrap(batch.anchors) @ weight + bias
+    positives = wrap(batch.positives) @ weight + bias
+    return _normalized(anchors, "projected anchors"), _normalized(positives, "projected positives")
 
 
 def info_nce_loss(batch: AlignmentBatch, temperature: float = DEFAULT_TEMPERATURE) -> float:
@@ -80,7 +93,9 @@ def info_nce_loss(batch: AlignmentBatch, temperature: float = DEFAULT_TEMPERATUR
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _info_nce(wrap(batch.anchors), wrap(batch.positives), temperature, "").item()
+    a_norm = _normalized(wrap(batch.anchors), "anchors")
+    p_norm = _normalized(wrap(batch.positives), "positives")
+    return _info_nce_rows(a_norm, p_norm, temperature).mean().item()
 
 
 def projection_loss(
@@ -90,9 +105,7 @@ def projection_loss(
     temperature: float,
 ) -> Tensor:
     """Differentiable InfoNCE of the batch pushed through a linear head."""
-    anchors = wrap(batch.anchors) @ weight + bias
-    positives = wrap(batch.positives) @ weight + bias
-    return _info_nce(anchors, positives, temperature, "projected ")
+    return _info_nce_rows(*_projected(weight, bias, batch), temperature).mean()
 
 
 @dataclass
@@ -125,6 +138,18 @@ def collect_pairs(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:
     return X[anchors], X[positives]
 
 
+def _starting_loss(weight: Tensor, bias: Tensor, batch: AlignmentBatch, temperature: float,
+                   block: int) -> float:
+    """projection_loss over the whole batch on constant parameters, `block`
+    anchor rows at a time against every positive: the per-row terms of one
+    batch, so the same bits, with no (B, B) array."""
+    a_norm, p_norm = _projected(weight, bias, batch)
+    rows = [_info_nce_rows(wrap(a_norm.value[start : start + block]), p_norm, temperature,
+                           first=start).value
+            for start in range(0, batch.size, block)]
+    return wrap(np.concatenate(rows)).mean().item()
+
+
 def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> ProjectionHead:
     """Fit the projection head on the catalog's related-item pairs.
 
@@ -141,24 +166,27 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
     bias = Tensor(np.zeros(d))
     optimizer = AdamW([weight, bias], lr=config.learning_rate)
 
-    trace = [projection_loss(weight.detach(), bias.detach(), AlignmentBatch(anchors, positives),
-                             config.temperature).item()]
-
     n = anchors.shape[0]
     batch_size = min(config.batch_size, n)
+    trace = [_starting_loss(weight.detach(), bias.detach(), AlignmentBatch(anchors, positives),
+                            config.temperature, batch_size)]
+
+    def train_step(idx: np.ndarray) -> float:
+        # the step's loss, and the graph behind it, live only here
+        loss = projection_loss(weight, bias, AlignmentBatch(anchors[idx], positives[idx]),
+                               config.temperature)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            if idx.size < 2:
-                continue
-            batch = AlignmentBatch(anchors[idx], positives[idx])
-            loss = projection_loss(weight, bias, batch, config.temperature)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(loss.item())
+            if idx.size >= 2:
+                epoch_losses.append(train_step(idx))
         trace.append(float(np.mean(epoch_losses)) if epoch_losses else trace[-1])
 
     return ProjectionHead(

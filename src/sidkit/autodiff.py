@@ -15,9 +15,16 @@ over B constant pairs holds at most two (B, B) arrays.  An op gives
 ``_node`` one share function per operand, which maps the output's gradient
 to that operand's share of it; ``_node`` keeps the pairs whose operand
 needs a gradient, and ``Tensor.backward`` is the one place that calls them
-and accumulates.  A graph is single-use: backward runs once, and a share
-function refers to its operands, never to the output node, so a graph holds
-no cycle and refcounting frees it.  Gradients are never written in place.
+and accumulates.  A share function refers to its operands, never to the
+output node, so a graph holds no cycle and refcounting frees it.
+
+A graph is single-use, and backward frees it as it goes: once a node has
+handed each operand its share, it drops its gradient and its pairs, and with
+them the activations those shares hold.  Only the Tensors the caller made
+with ``Tensor(...)`` keep a gradient; every op output is left with its value
+and no parents.  A second ``backward()`` on the same output therefore finds
+no graph: the output's gradient becomes one, and no other gradient changes.
+Gradients are never written in place.
 """
 
 from __future__ import annotations
@@ -164,7 +171,8 @@ class Tensor:
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the whole graph: each
-        node, after every node it feeds, hands each operand its share."""
+        node, after every node it feeds, hands each operand its share and
+        then lets go of its gradient and pairs (see the module docstring)."""
         if self.value.ndim != 0 and self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -183,9 +191,12 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.value)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             for parent, share in node._parents:
                 parent._accumulate(share(node.grad))
+            if node._parents:
+                node.grad, node._parents = None, ()
 
 
 def _same(grad: np.ndarray) -> np.ndarray:
@@ -233,6 +244,7 @@ class AdamW:
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
+        self._scratch = [(np.empty_like(p.value), np.empty_like(p.value)) for p in self.params]
         self._t = 0
 
     def zero_grad(self) -> None:
@@ -240,18 +252,27 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
+        """p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), each
+        operation in that formula's order, written into two scratch buffers
+        per parameter instead of fresh arrays: the same bits."""
         self._t += 1
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             if p.grad is None:
                 continue
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            m += np.multiply(p.grad, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            m_hat = m / (1.0 - self.beta1**self._t)
-            v_hat = v / (1.0 - self.beta2**self._t)
-            p.value -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                                  + self.weight_decay * p.value)
+            np.square(p.grad, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
+            np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a += np.multiply(p.value, self.weight_decay, out=b)
+            a *= self.lr
+            p.value -= a
 
 
 def cosine_warmup_lr(epoch: int, base_lr: float, warmup_epochs: int, total_epochs: int) -> float:

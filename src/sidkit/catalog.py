@@ -392,16 +392,43 @@ def write_artifact(path, chunks) -> None:
             os.remove(tmp)
 
 
+def saved_int(text: str) -> int:
+    """The integer `text` spells in ASCII digits, the one integer grammar of
+    artifact rows.  Text int() refuses raises its ValueError, an integer
+    spelt another way (a sign, a space, `_`, a non-ASCII digit) DataError,
+    and one of 2**63 or more OverflowError."""
+    value = int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"{text!r} is not an integer written in ASCII digits")
+    if value >= 2**63:
+        raise OverflowError(f"{text!r} is beyond int64")
+    return value
+
+
 class Header(dict):
-    """Named rows and sections of a quantizer or scorer file; a missing one raises."""
+    """Named rows and sections of a quantizer or scorer file; a missing one
+    raises.  A row that holds integers (`#levels`, `#code_dim`, `#order`,
+    `#seed`) is checked against saved_int as it is stored, so a bad one is
+    refused at its line; `ints` reads it."""
+
+    _INTEGER_ROWS = frozenset(("levels", "code_dim", "order", "seed"))
 
     def __missing__(self, key):
         raise DataError(f"missing #{key}")
 
+    def __setitem__(self, key, values):
+        super().__setitem__(key, values)
+        if key in self._INTEGER_ROWS:
+            self.ints(key)
+
+    def ints(self, key) -> tuple[int, ...]:
+        """The values of row `key`, each an integer in ASCII digits."""
+        return tuple(map(saved_int, self[key]))
+
     def structure(self) -> SidStructure:
         """The SID structure that the `#levels` and `#code_dim` rows name."""
-        (code_dim,) = self["code_dim"]
-        return SidStructure(tuple(int(n) for n in self["levels"]), code_dim=int(code_dim))
+        (code_dim,) = self.ints("code_dim")
+        return SidStructure(self.ints("levels"), code_dim=code_dim)
 
 
 _BLOCK_ROWS = 1024  # rows per parse pass: bounds the str objects alive at once

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamW, Tensor, cosine_warmup_lr, wrap
-from .catalog import Header, SidStructure, read_rows, write_artifact
+from .catalog import Header, SidStructure, read_rows, saved_int, write_artifact
 from .errors import DataError, NumericError
 
 
@@ -453,19 +453,27 @@ def rqvae_loss(
     encoder's graph output for X when the caller already ran it, typically
     to assign the codes from its latents; otherwise the encoder runs here.
     """
+    return _rqvae_means(_rqvae_rows(enc_weights, enc_biases, dec_weights, dec_biases,
+                                    level_tensors, X, codes, straight_through, z),
+                        commitment_beta)
+
+
+def _rqvae_rows(enc_weights, enc_biases, dec_weights, dec_biases, level_tensors, X, codes,
+                straight_through=True, z=None) -> list[Tensor]:
+    """rqvae_loss's per-row terms, each an (N,) Tensor: every level's
+    codebook term, then every level's commitment term, then the
+    reconstruction norm.  A row's terms depend on that row alone, so a block
+    of rows gives its rows of the full set's terms."""
     x_t = wrap(X)
     if z is None:
         z = _forward_t(enc_weights, enc_biases, x_t)
     quantized = None
-    codebook_term = None
-    commitment_term = None
+    codebook_rows, commitment_rows = [], []
     running = z
     for j, table in enumerate(level_tensors):
         r = table.gather_rows(codes[:, j])
-        cb = ((running.detach() - r) * (running.detach() - r)).sum(axis=1).mean()
-        cm = ((running - r.detach()) * (running - r.detach())).sum(axis=1).mean()
-        codebook_term = cb if codebook_term is None else codebook_term + cb
-        commitment_term = cm if commitment_term is None else commitment_term + cm
+        codebook_rows.append(((running.detach() - r) * (running.detach() - r)).sum(axis=1))
+        commitment_rows.append(((running - r.detach()) * (running - r.detach())).sum(axis=1))
         quantized = r if quantized is None else quantized + r
         running = running - r.detach()
     if straight_through:
@@ -473,7 +481,18 @@ def rqvae_loss(
     else:
         dec_in = quantized
     recon = _forward_t(dec_weights, dec_biases, dec_in)
-    recon_loss = _row_norms_t(recon - x_t).mean()
+    return [*codebook_rows, *commitment_rows, _row_norms_t(recon - x_t)]
+
+
+def _rqvae_means(rows: list[Tensor], commitment_beta: float) -> tuple[Tensor, Tensor]:
+    """(total, reconstruction) from _rqvae_rows' terms: each term's mean over
+    the rows, the levels' codebook and commitment means each summed in level
+    order."""
+    levels = (len(rows) - 1) // 2
+    means = [row.mean() for row in rows]
+    codebook_term = sum(means[1:levels], means[0])
+    commitment_term = sum(means[levels + 1 : -1], means[levels])
+    recon_loss = means[-1]
     total = recon_loss + codebook_term + commitment_term * commitment_beta
     return total, recon_loss
 
@@ -518,22 +537,35 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
     optimizer = AdamW([p for group in groups for p in group], lr=config.learning_rate,
                       betas=config.betas, eps=config.eps)
 
-    def batch_loss(batch: np.ndarray, params) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+    def batch_rows(batch: np.ndarray, params) -> tuple[list[Tensor], np.ndarray, np.ndarray]:
         # one encoder forward: its latents pick the codes, then feed the loss;
         # the stack views the tables, and assignment only reads them
         enc_w, enc_b, dec_w, dec_b, levels = params
         z = _forward_t(enc_w, enc_b, wrap(batch))
         stack = CodebookStack(structure, [t.value for t in levels])
         codes, _ = residual_assign_batch(z.value, stack)
-        total, recon = rqvae_loss(
-            enc_w, enc_b, dec_w, dec_b, levels, batch, codes, config.commitment_beta, z=z
-        )
-        return total, recon, z.value, codes
+        return _rqvae_rows(enc_w, enc_b, dec_w, dec_b, levels, batch, codes, z=z), z.value, codes
 
     # the full-data evaluation runs on constant copies of the parameters, so
-    # it records no graph
-    total0, recon0, _, _ = batch_loss(X, [[t.detach() for t in group] for group in groups])
+    # it records no graph, and a batch of rows at a time: the per-row terms
+    # of every row, then their means, as one full-data batch takes them
+    constants = [[t.detach() for t in group] for group in groups]
+    blocks = [[row.value for row in batch_rows(X[start : start + batch_size], constants)[0]]
+              for start in range(0, X.shape[0], batch_size)]
+    total0, recon0 = _rqvae_means([wrap(np.concatenate(term)) for term in zip(*blocks)],
+                                  config.commitment_beta)
     loss_trace, recon_trace = [total0.item()], [recon0.item()]
+
+    def train_step(batch: np.ndarray, epoch: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+        # the step's loss Tensors, and the graph behind them, live only here
+        rows, z_b, codes = batch_rows(batch, groups)
+        total, recon = _rqvae_means(rows, config.commitment_beta)
+        if not np.isfinite(total.value):
+            raise NumericError(f"rqvae loss diverged at epoch {epoch}")
+        optimizer.zero_grad()
+        total.backward()
+        optimizer.step()
+        return total.item(), recon.item(), z_b, codes
 
     for epoch in range(config.epochs):
         optimizer.lr = cosine_warmup_lr(
@@ -545,17 +577,12 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
         last_z, last_codes = None, None
         for start in range(0, X.shape[0], batch_size):
             idx = order[start : start + batch_size]
-            total, recon, z_b, codes = batch_loss(X[idx], groups)
+            total, recon, z_b, codes = train_step(X[idx], epoch)
             for j in range(structure.num_levels):
                 used[j][codes[:, j]] = True
             last_z, last_codes = z_b, codes
-            if not np.isfinite(total.value):
-                raise NumericError(f"rqvae loss diverged at epoch {epoch}")
-            optimizer.zero_grad()
-            total.backward()
-            optimizer.step()
-            epoch_total += total.item() * idx.size
-            epoch_recon += recon.item() * idx.size
+            epoch_total += total * idx.size
+            epoch_recon += recon * idx.size
             seen += idx.size
         loss_trace.append(epoch_total / seen)
         recon_trace.append(epoch_recon / seen)
@@ -753,7 +780,7 @@ def load_quantizer(path) -> QuantizerModel:
         elif key == "#mlp" and len(fields) == 2 and fields not in [s[0] for s in sections]:
             sections.append([fields, 0, 0, []])
         elif key == "#layer" and section[0][0] in ("#mlp", "#layer"):
-            n_in, n_out = map(int, fields[1:])
+            n_in, n_out = map(saved_int, fields[1:])
             sections.append([fields, n_in + 1, n_out, []])
         elif len(sections) == 1 and key not in ("#codebook", "#mlp", "#layer"):
             header[key[1:]] = fields[1:]
@@ -763,7 +790,7 @@ def load_quantizer(path) -> QuantizerModel:
     def finish(_):
         if len(sections[-1][3]) != sections[-1][1]:
             raise DataError(f"file ends inside {' '.join(sections[-1][0])}")
-        (kind,), (seed,), structure = header["kind"], header["seed"], header.structure()
+        (kind,), (seed,), structure = header["kind"], header.ints("seed"), header.structure()
         tables, layers = [], {}
         for fields, _, _, rows in sections[1:]:
             if fields[0] == "#codebook":
@@ -778,7 +805,7 @@ def load_quantizer(path) -> QuantizerModel:
         return QuantizerModel(
             kind=kind,
             codebooks=CodebookStack(structure, tables),
-            seed=int(seed),
+            seed=seed,
             encoder=nets.get("mlp encoder"),
             decoder=nets.get("mlp decoder"),
             level_encoders=[nets[f"mlp encoder{j}"] for j in range(m)] or None,

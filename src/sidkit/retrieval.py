@@ -21,7 +21,8 @@ from itertools import chain
 import numpy as np
 
 from . import rows
-from .catalog import INT_LIST, Header, SemanticId, SidStructure, read_rows, write_artifact
+from .catalog import (INT_LIST, Header, SemanticId, SidStructure, read_rows, saved_int,
+                      write_artifact)
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -633,7 +634,7 @@ def _row_check():
     """A check_row for read_rows: the one-row form of _parsed_scorer, with
     the state of one load.  Header rows come first, and the header must hold
     at the first count row.  Each field of a count row goes through
-    _saved_int; then the row's context must be a slice of a stream of whole
+    saved_int; then the row's context must be a slice of a stream of whole
     SIDs (checked once per run of rows that share its text), its token of
     the level that follows, its count at least 1 and its (context, token)
     new."""
@@ -649,9 +650,9 @@ def _row_check():
             scorer = _header_scorer(header)
         text, token, count = fields
         if text != last:
-            context = tuple(map(_saved_int, text.split(","))) if text else ()
+            context = tuple(map(saved_int, text.split(","))) if text else ()
             band, last = _next_band(context, scorer), text
-        token, count = _saved_int(token), _saved_int(count)
+        token, count = saved_int(token), saved_int(count)
         if band is None:
             raise DataError(f"context {','.join(map(str, context))!r} is not a slice of a "
                             "stream of whole SIDs")
@@ -749,21 +750,9 @@ def _block_columns(data: np.ndarray):
             values[rows - 1], values[rows])
 
 
-def _saved_int(text: str) -> int:
-    """The integer `text` spells in ASCII digits.  Text int() refuses raises
-    its ValueError, an integer spelt another way DataError, and one of 2**63
-    or more OverflowError."""
-    value = int(text)
-    if not (text.isascii() and text.isdigit()):
-        raise DataError(f"{text!r} is not an integer written in ASCII digits")
-    if value >= 2**63:
-        raise OverflowError(f"{text!r} is beyond int64")
-    return value
-
-
 def _header_scorer(header: Header) -> MarkovScorer:
-    (order,), (alpha,) = header["order"], header["alpha"]
-    return MarkovScorer(header.structure(), order=int(order), alpha=float(alpha))
+    (order,), (alpha,) = header.ints("order"), header["alpha"]
+    return MarkovScorer(header.structure(), order=order, alpha=float(alpha))
 
 
 def _checked_table(scorer, context_tokens, widths, contexts, tokens, counts):

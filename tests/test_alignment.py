@@ -1,5 +1,7 @@
 """Contrastive alignment loss and the trainable projection head."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from sidkit.alignment import (
     AlignmentBatch,
     AlignmentConfig,
+    collect_pairs,
     info_nce_loss,
     projection_loss,
     train_projection,
@@ -151,6 +154,41 @@ class TestTrainProjection:
         assert np.abs(head.weight - np.eye(6)).max() < 0.01  # identity plus small noise
         np.testing.assert_array_equal(head.bias, np.zeros(6))
         assert len(head.loss_trace) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [2, 7, 16, 25])
+    def test_blocked_starting_loss_is_the_unblocked_one(self, seed, batch_size):
+        """loss_trace[0], computed batch_size anchor rows at a time, has the
+        bits of the one-block InfoNCE over every pair, written here in numpy."""
+        catalog, _ = clustered_catalog(n_items=60, n_clusters=4, d_in=6, seed=seed)
+        config = AlignmentConfig(epochs=0, batch_size=batch_size, temperature=0.3, seed=seed)
+        head = train_projection(catalog, config)
+        anchors, positives = collect_pairs(catalog)
+        assert -(-anchors.shape[0] // batch_size) >= 3
+
+        def unit(x):
+            x = x @ head.weight + head.bias
+            return x * (x * x).sum(axis=1, keepdims=True) ** -0.5
+
+        logits = (unit(anchors) @ unit(positives).T) * (1.0 / config.temperature)
+        shift = logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+        rows = lse - logits.diagonal()
+        assert head.loss_trace[0] == rows.sum() * (1.0 / rows.size)
+
+    def test_starting_loss_holds_less_than_one_pair_matrix(self):
+        """On 2,000 pairs the starting loss's tracemalloc peak stays below
+        one (N, N) float64 array: it never holds more than a batch of rows."""
+        catalog, _ = clustered_catalog(n_items=2000, n_clusters=20, d_in=16, seed=12)
+        pairs = collect_pairs(catalog)[0].shape[0]
+        assert pairs == 2000
+        tracemalloc.start()
+        try:
+            train_projection(catalog, AlignmentConfig(epochs=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pairs**2 * 8
 
     @pytest.mark.parametrize("temperature", [0.0, -0.07, float("nan")])
     def test_config_temperature_must_be_positive(self, temperature):

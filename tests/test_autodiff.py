@@ -1,17 +1,14 @@
 """Reverse-mode gradients checked against central finite differences."""
 
 import gc
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidkit.alignment import AlignmentConfig, collect_pairs, train_projection
 from sidkit.autodiff import AdamW, Tensor, cosine_warmup_lr, logsumexp_rows, wrap
-
-from conftest import clustered_catalog
 
 
 def finite_difference(f, arrays, h=1e-6):
@@ -199,6 +196,83 @@ class TestGraphLifetime:
             gc.enable()
 
 
+def graph_nodes(out):
+    """Every node of out's graph, each once, before backward frees it."""
+    nodes, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(parent for parent, _ in node._parents)
+    return list(nodes.values())
+
+
+def keeping_backward(out):
+    """Backward as it was before it freed the graph: the same walk and the
+    same accumulation order, with every gradient and pair kept."""
+    topo, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent, _ in node._parents if id(parent) not in seen)
+    out.grad = np.ones_like(out.value)
+    for node in reversed(topo):
+        for parent, share in node._parents:
+            parent._accumulate(share(node.grad))
+
+
+class TestBackwardFreesTheGraph:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_only_leaves_keep_a_gradient_and_theirs_keep_their_bits(self, seed):
+        """After backward no op output holds a gradient or a pair, and the
+        two leaves' gradients are the bits of a backward that keeps it all."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(0.5, 2.0, (4, 3))
+        x, y = Tensor(a), Tensor(b)
+        out = composite(x, y, make=lambda t: t)
+        nodes = graph_nodes(out)
+        inner = [node for node in nodes if node._parents]
+        assert len(inner) > 10 and {id(x), id(y)} <= {id(node) for node in nodes}
+        out.backward()
+        assert all(node.grad is None and node._parents == () for node in inner)
+
+        x_ref, y_ref = Tensor(a), Tensor(b)
+        keeping_backward(composite(x_ref, y_ref, make=lambda t: t))
+        assert x.grad.tobytes() == x_ref.grad.tobytes()
+        assert y.grad.tobytes() == y_ref.grad.tobytes()
+
+    def test_a_second_backward_finds_no_graph(self):
+        """The used-up output is left without parents, so backward again
+        gives it a gradient of one and leaves the leaves' gradients alone."""
+        x = Tensor(np.array([1.0, -2.0, 3.0]))
+        out = (x * x).sum()
+        out.backward()
+        first = x.grad.copy()
+        out.backward()
+        np.testing.assert_array_equal(x.grad, first)
+        assert out._parents == () and out.grad == 1.0
+
+    def test_activations_are_freed_during_the_backward(self):
+        """Once backward has passed a node, the activations its shares held
+        are let go: the matmul output that relu's share reads dies with the
+        graph, while the output the caller kept still holds its value."""
+        w = Tensor(np.ones((3, 3)))
+        h = wrap(np.ones((2, 3))) @ w
+        probe = weakref.ref(h.value)
+        out = (h.relu() * 2.0).sum()
+        del h
+        assert probe() is not None
+        out.backward()
+        assert probe() is None and out.item() == 36.0
+        np.testing.assert_array_equal(w.grad, np.full((3, 3), 4.0))
+
+
 class TestConstants:
     def test_ops_return_leaves(self):
         a = wrap(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -229,20 +303,6 @@ class TestConstants:
         value = composite(a, b, make=wrap)
         assert graph._parents and not value._parents
         assert value.value.tobytes() == graph.value.tobytes()
-
-    def test_starting_projection_loss_holds_two_pair_matrices(self):
-        """train_projection's starting loss over all B pairs keeps no graph:
-        its tracemalloc peak stays under 2.2 (B, B) float64 arrays."""
-        catalog, _ = clustered_catalog(n_items=1000, n_clusters=10, d_in=8, seed=12)
-        pairs = collect_pairs(catalog)[0].shape[0]
-        assert pairs == 1000
-        tracemalloc.start()
-        try:
-            train_projection(catalog, AlignmentConfig(epochs=0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.2 * pairs**2 * 8
 
 
 class TestAdamW:

@@ -395,6 +395,23 @@ class TestRqvae:
         assert len(model.recon_trace) == 1
         assert len(model.loss_trace) == 1
 
+    @pytest.mark.parametrize("batch_size", [7, 40, 64])
+    def test_blocked_evaluation_is_the_full_data_loss(self, batch_size):
+        """loss_trace[0] and recon_trace[0], computed batch_size rows at a
+        time, have the bits of rqvae_loss over all 160 rows at once, on
+        detached copies of the starting parameters."""
+        X = self.clustered(seed=4)
+        model = train_rqvae(X, SidStructure((4, 4), code_dim=8),
+                            self.config(epochs=0, batch_size=batch_size))
+        enc, dec = model.encoder, model.decoder
+        params = [[Tensor(a).detach() for a in group]
+                  for group in (enc.weights, enc.biases, dec.weights, dec.biases,
+                                model.codebooks.levels)]
+        codes, _ = residual_assign_batch(enc.forward(X), model.codebooks)
+        total, recon = rqvae_loss(*params, X, codes, RqvaeConfig.commitment_beta)
+        assert X.shape[0] > 2 * batch_size
+        assert (model.loss_trace[0], model.recon_trace[0]) == (total.item(), recon.item())
+
     def test_same_seed_bitwise_identical(self):
         X = self.clustered(seed=2)
         cfg = self.config(epochs=5)
@@ -957,6 +974,20 @@ class TestMalformedModel:
         lines = _model_lines("rqvae", tmp_path)
         start = lines.index("#mlp\tdecoder\n")
         self.load_lines(lines[: start + 1], tmp_path)
+
+    @pytest.mark.parametrize("row, bad", [
+        ("#seed\t0\n", "#seed\t+0\n"),
+        ("#levels\t3\t3\t3\n", "#levels\t３\t3\t 3\n"),
+        ("#code_dim\t2\n", "#code_dim\t2_0\n"),
+        ("#layer\t3\t4\n", "#layer\t3\t٤\n"),
+    ])
+    def test_header_integer_outside_ascii_digits_names_its_line(self, row, bad, tmp_path):
+        """int() reads each of these; the one integer grammar refuses them."""
+        lines = _model_lines("rqvae", tmp_path)
+        at = lines.index(row)
+        lines[at] = bad
+        message, path = self.load_lines(lines, tmp_path)
+        assert message.startswith(f"{path}:{at + 1}: ") and "ASCII digits" in message
 
     def test_missing_header_row_is_named(self, tmp_path):
         lines = [ln for ln in _model_lines("rqvae", tmp_path) if not ln.startswith("#kind")]

@@ -1087,6 +1087,19 @@ class TestScorerSerialization:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:5: the levels hold"):
             load_markov_scorer(path)
 
+    @pytest.mark.parametrize("header, line", [
+        ("#order\t+2\n#alpha\t0.1\n#levels\t3\t4\n#code_dim\t2\n", 1),
+        ("#order\t2\n#alpha\t0.1\n#levels\t３\t 4\n#code_dim\t2\n", 3),
+        ("#order\t2\n#alpha\t0.1\n#levels\t3\t4\n#code_dim\t 2\n", 4),
+    ])
+    def test_header_integer_outside_ascii_digits_names_its_line(self, header, line, tmp_path):
+        """int() reads '+2', '３' and ' 4'; the one integer grammar refuses
+        them, at the header row, before any count row."""
+        path = tmp_path / "scorer.tsv"
+        path.write_text(header + "\t0\t5\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: .*ASCII digits"):
+            load_markov_scorer(path)
+
     def test_malformed_count_row_rejected(self, tmp_path):
         path = tmp_path / "scorer.tsv"
         path.write_text(
