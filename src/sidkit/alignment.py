@@ -46,12 +46,7 @@ class ProjectionHead:
 
     weight: np.ndarray
     bias: np.ndarray
-    temperature: float = DEFAULT_TEMPERATURE
     loss_trace: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def _check_row_norms(matrix: np.ndarray, name: str) -> None:
@@ -108,16 +103,19 @@ def projection_loss(
     return _info_nce_rows(*_projected(weight, bias, batch), temperature).mean()
 
 
+INIT_NOISE = 1e-3
+
+
 @dataclass
 class AlignmentConfig:
-    """Training schedule for the projection head."""
+    """Training schedule for the projection head, which starts at the
+    identity plus INIT_NOISE-scaled gaussian noise."""
 
     epochs: int = 10
     batch_size: int = 64
     learning_rate: float = 2e-4
     temperature: float = DEFAULT_TEMPERATURE
     seed: int = 0
-    init_noise: float = 1e-3
 
     def __post_init__(self):
         if not self.temperature > 0:
@@ -162,7 +160,7 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
         raise DataError("need at least 2 related-item pairs to form negatives")
     rng = np.random.default_rng(config.seed)
     d = catalog.d_in
-    weight = Tensor(np.eye(d) + config.init_noise * rng.standard_normal((d, d)))
+    weight = Tensor(np.eye(d) + INIT_NOISE * rng.standard_normal((d, d)))
     bias = Tensor(np.zeros(d))
     optimizer = AdamW([weight, bias], lr=config.learning_rate)
 
@@ -189,10 +187,5 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
                 epoch_losses.append(train_step(idx))
         trace.append(float(np.mean(epoch_losses)) if epoch_losses else trace[-1])
 
-    return ProjectionHead(
-        weight=weight.value,
-        bias=bias.value,
-        temperature=config.temperature,
-        loss_trace=trace,
-    )
+    return ProjectionHead(weight=weight.value, bias=bias.value, loss_trace=trace)
 

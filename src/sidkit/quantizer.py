@@ -264,20 +264,23 @@ def kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return centroids
 
 
+LLOYD_TOL = 1e-12
+
+
 def lloyd_kmeans(
     X: np.ndarray,
     k: int,
     rng: np.random.Generator,
     max_iters: int = 100,
-    tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's iterations from a k-means++ seed.
 
     Returns (centroids, labels, per-iteration objective).  The objective (sum
     of squared distances to the assigned centroid) never increases: an empty
     cluster captures the point currently farthest from its centroid, which
-    cannot raise the total.  A max_iters below 1 is a ValueError: the
-    labels come from the iterations.
+    cannot raise the total.  Iteration stops when the centroids stop moving,
+    when the objective falls by less than LLOYD_TOL, or after max_iters.  A
+    max_iters below 1 is a ValueError: the labels come from the iterations.
     """
     if max_iters < 1:
         raise ValueError(f"k-means needs max_iters >= 1, got {max_iters}")
@@ -306,7 +309,7 @@ def lloyd_kmeans(
         if np.allclose(new_centroids, centroids, rtol=0.0, atol=0.0):
             break
         centroids = new_centroids
-        if len(objective_trace) >= 2 and objective_trace[-2] - objective_trace[-1] < tol:
+        if len(objective_trace) >= 2 and objective_trace[-2] - objective_trace[-1] < LLOYD_TOL:
             break
     return centroids, labels, objective_trace
 
@@ -390,18 +393,19 @@ class QuantizerModel:
 # RQ-VAE training
 
 
+COMMITMENT_BETA = 0.25
+
+
 @dataclass
 class RqvaeConfig:
     """Training schedule; the production-scale defaults are 150 epochs, warmup
-    40, lr 2e-4, batch 2048, hidden dims (256, 256).  Tests scale these down."""
+    40, lr 2e-4, batch 2048, hidden dims (256, 256).  Tests scale these down.
+    The commitment weight is COMMITMENT_BETA; AdamW runs on its defaults."""
 
     epochs: int = 150
     warmup_epochs: int = 40
     learning_rate: float = 2e-4
     batch_size: int = 2048
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    commitment_beta: float = 0.25
     hidden_dims: tuple[int, ...] = (256, 256)
     seed: int = 0
 
@@ -454,12 +458,12 @@ def rqvae_loss(
     to assign the codes from its latents; otherwise the encoder runs here.
     """
     return _rqvae_means(_rqvae_rows(enc_weights, enc_biases, dec_weights, dec_biases,
-                                    level_tensors, X, codes, straight_through, z),
+                                    level_tensors, X, codes, z, straight_through),
                         commitment_beta)
 
 
 def _rqvae_rows(enc_weights, enc_biases, dec_weights, dec_biases, level_tensors, X, codes,
-                straight_through=True, z=None) -> list[Tensor]:
+                z=None, straight_through=True) -> list[Tensor]:
     """rqvae_loss's per-row terms, each an (N,) Tensor: every level's
     codebook term, then every level's commitment term, then the
     reconstruction norm.  A row's terms depend on that row alone, so a block
@@ -534,38 +538,37 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
     level_tensors = [Tensor(t) for t in codebooks.levels]
 
     groups = (enc_w, enc_b, dec_w, dec_b, level_tensors)
-    optimizer = AdamW([p for group in groups for p in group], lr=config.learning_rate,
-                      betas=config.betas, eps=config.eps)
+    optimizer = AdamW([p for group in groups for p in group], lr=config.learning_rate)
 
-    def batch_rows(batch: np.ndarray, params) -> tuple[list[Tensor], np.ndarray, np.ndarray]:
-        # one encoder forward: its latents pick the codes, then feed the loss;
-        # the stack views the tables, and assignment only reads them
-        enc_w, enc_b, dec_w, dec_b, levels = params
+    def batch_codes(batch: np.ndarray, params) -> tuple[np.ndarray, Tensor]:
+        # (codes, z): one encoder forward's latents z pick the codes, then
+        # feed the loss; the stack views the tables, and assignment reads them
+        enc_w, enc_b, _, _, levels = params
         z = _forward_t(enc_w, enc_b, wrap(batch))
         stack = CodebookStack(structure, [t.value for t in levels])
-        codes, _ = residual_assign_batch(z.value, stack)
-        return _rqvae_rows(enc_w, enc_b, dec_w, dec_b, levels, batch, codes, z=z), z.value, codes
+        return residual_assign_batch(z.value, stack)[0], z
 
     # the full-data evaluation runs on constant copies of the parameters, so
     # it records no graph, and a batch of rows at a time: the per-row terms
     # of every row, then their means, as one full-data batch takes them
     constants = [[t.detach() for t in group] for group in groups]
-    blocks = [[row.value for row in batch_rows(X[start : start + batch_size], constants)[0]]
-              for start in range(0, X.shape[0], batch_size)]
+    batches = [X[start : start + batch_size] for start in range(0, X.shape[0], batch_size)]
+    blocks = [[row.value for row in _rqvae_rows(*constants, batch, *batch_codes(batch, constants))]
+              for batch in batches]
     total0, recon0 = _rqvae_means([wrap(np.concatenate(term)) for term in zip(*blocks)],
-                                  config.commitment_beta)
+                                  COMMITMENT_BETA)
     loss_trace, recon_trace = [total0.item()], [recon0.item()]
 
     def train_step(batch: np.ndarray, epoch: int) -> tuple[float, float, np.ndarray, np.ndarray]:
         # the step's loss Tensors, and the graph behind them, live only here
-        rows, z_b, codes = batch_rows(batch, groups)
-        total, recon = _rqvae_means(rows, config.commitment_beta)
+        codes, z = batch_codes(batch, groups)
+        total, recon = rqvae_loss(*groups, batch, codes, COMMITMENT_BETA, z=z)
         if not np.isfinite(total.value):
             raise NumericError(f"rqvae loss diverged at epoch {epoch}")
         optimizer.zero_grad()
         total.backward()
         optimizer.step()
-        return total.item(), recon.item(), z_b, codes
+        return total.item(), recon.item(), z.value, codes
 
     for epoch in range(config.epochs):
         optimizer.lr = cosine_warmup_lr(

@@ -170,7 +170,17 @@ def _checked_streams(batch, structure: SidStructure) -> tuple[np.ndarray, np.nda
     """The streams' tokens end to end, and each one's position in its stream.
     The first bad stream raises: a token outside its level's band, else a
     length that is no whole number of SIDs."""
-    m = structure.num_levels
+    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+    ragged = np.flatnonzero(lengths % structure.num_levels)
+    if len(ragged):
+        _banded_streams(batch[: ragged[0] + 1], structure)
+        raise DataError("stream length must be a whole number of SIDs")
+    return _banded_streams(batch, structure)
+
+
+def _banded_streams(batch, structure: SidStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The streams' tokens end to end, and each one's position in its stream;
+    the first token outside its level's band raises."""
     lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
     ends = np.cumsum(lengths)
     flat = chain.from_iterable(batch)
@@ -180,20 +190,15 @@ def _checked_streams(batch, structure: SidStructure) -> tuple[np.ndarray, np.nda
         flat = (t if -(2**63) <= t < 2**63 else -1 for t in map(int, chain.from_iterable(batch)))
         tokens = np.fromiter(flat, dtype=np.int64, count=int(ends[-1]))
     positions = np.arange(len(tokens)) - np.repeat(ends - lengths, lengths)
-    level = positions % m
+    level = positions % structure.num_levels
     low = np.asarray(structure.offsets)[level]
     high = low + np.asarray(structure.level_sizes)[level]
     out_of_band = np.flatnonzero((tokens < low) | (tokens >= high))
-    ragged = np.flatnonzero(lengths % m)
     if len(out_of_band):
         at = out_of_band[0]
-        stream = np.searchsorted(ends, at, side="right")
-        if not len(ragged) or stream <= ragged[0]:
-            token = int(batch[stream][positions[at]])
-            raise DataError(
-                f"token {token} at position {positions[at]} is outside level {level[at]}'s band")
-    if len(ragged):
-        raise DataError("stream length must be a whole number of SIDs")
+        token = int(batch[np.searchsorted(ends, at, side="right")][positions[at]])
+        raise DataError(
+            f"token {token} at position {positions[at]} is outside level {level[at]}'s band")
     return tokens, positions
 
 
@@ -249,14 +254,15 @@ def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
     """Mean negative log-probability over every scored position from index
     `start` on, pooled across the examples.
 
-    The label at position t is predicted from tokens[:t]; a label outside its
-    level's band raises DataError.  All positions of one prefix length are
-    scored in one next_token_log_probs_batch call, and the losses are summed
-    example by example, position by position, as a loop over them would.
+    The label at position t is predicted from tokens[:t]; a token or a label
+    outside its level's band raises DataError.  All positions of one prefix
+    length are scored in one next_token_log_probs_batch call, and the losses
+    summed example by example, position by position, as a loop would.
     """
     structure = scorer.structure
     by_length = {}  # prefix length -> [(example index, label code, prefix)]
     for e, example in enumerate(examples):
+        _banded_streams([example.tokens], structure)
         for pos in range(start, len(example.labels)):
             label = example.labels[pos]
             if label < 0:
@@ -354,11 +360,9 @@ class BeamSchedule:
 
 
 def default_schedule(structure: SidStructure) -> BeamSchedule:
-    """The production defaults for 2- and 3-level structures; doubling from
-    300 (capped at 1200) otherwise."""
+    """The production defaults: (600, 1200) for 2 levels, else doubling from
+    300 and capped at 1200, which gives 3 levels (300, 600, 1200)."""
     m = structure.num_levels
-    if m == 3:
-        return BeamSchedule((300, 600, 1200))
     if m == 2:
         return BeamSchedule((600, 1200))
     return BeamSchedule(tuple(min(300 * 2**j, 1200) for j in range(m)))

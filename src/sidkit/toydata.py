@@ -18,13 +18,18 @@ from .catalog import MAX_HISTORY, InteractionSequence, ItemCatalog, ItemRecord
 from .sidmetrics import PairLabels
 
 
+CENTER_SCALE = 10.0
+NOISE = 0.5
+
+
 @dataclass
 class ToyConfig:
+    """A toy world's sizes and seed; make_toy_catalog spreads it by
+    CENTER_SCALE and NOISE."""
+
     n_items: int = 1000
     n_clusters: int = 20
     d_in: int = 16
-    center_scale: float = 10.0
-    noise: float = 0.5
     n_train_sequences: int = 500
     n_eval_sequences: int = 100
     history_len: int = 3
@@ -47,7 +52,6 @@ class ToyConfig:
 @dataclass
 class ToyWorld:
     catalog: ItemCatalog
-    cluster_of: dict[str, int]
     train_sequences: list[InteractionSequence]
     eval_sequences: list[InteractionSequence]
     labels: PairLabels
@@ -58,17 +62,17 @@ def make_toy_catalog(
     n_clusters: int,
     d_in: int,
     seed: int,
-    center_scale: float = 10.0,
-    noise: float = 0.5,
 ) -> tuple[ItemCatalog, dict[str, int]]:
     """Gaussian-cluster catalog with planted companion links.
 
-    Each item's related_item is the next member of its own cluster (cyclic),
-    style groups coincide with clusters, and origin groups pool two clusters
-    each, so origin consistency is the weaker signal by construction.
+    Centers are standard gaussian times CENTER_SCALE, and an item is its
+    center plus standard gaussian times NOISE.  Each item's related_item is
+    the next member of its own cluster (cyclic), style groups coincide with
+    clusters, and origin groups pool two clusters each, so origin
+    consistency is the weaker signal by construction.
     """
     rng = np.random.default_rng(seed)
-    centers = rng.standard_normal((n_clusters, d_in)) * center_scale
+    centers = rng.standard_normal((n_clusters, d_in)) * CENTER_SCALE
     clusters = np.concatenate(
         [np.arange(n_clusters), rng.integers(n_clusters, size=n_items - n_clusters)]
     )
@@ -89,7 +93,7 @@ def make_toy_catalog(
         records.append(
             ItemRecord(
                 item_id=ids[i],
-                embedding=centers[c] + rng.standard_normal(d_in) * noise,
+                embedding=centers[c] + rng.standard_normal(d_in) * NOISE,
                 related_item=related[i],
                 sid=None,
                 style_group=f"s{c}",
@@ -165,12 +169,7 @@ def toy_pair_labels(catalog: ItemCatalog) -> PairLabels:
 def make_toy_world(config: ToyConfig) -> ToyWorld:
     """Catalog plus train/eval sequences from one deterministic recipe."""
     catalog, cluster_of = make_toy_catalog(
-        config.n_items,
-        config.n_clusters,
-        config.d_in,
-        config.seed,
-        center_scale=config.center_scale,
-        noise=config.noise,
+        config.n_items, config.n_clusters, config.d_in, config.seed
     )
     train = make_toy_sequences(
         cluster_of,
@@ -192,7 +191,6 @@ def make_toy_world(config: ToyConfig) -> ToyWorld:
     )
     return ToyWorld(
         catalog=catalog,
-        cluster_of=cluster_of,
         train_sequences=train,
         eval_sequences=eval_seqs,
         labels=toy_pair_labels(catalog),

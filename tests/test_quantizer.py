@@ -1,6 +1,7 @@
 """Residual quantizers: assignment math, k-means, training, serialization."""
 
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,9 +409,22 @@ class TestRqvae:
                   for group in (enc.weights, enc.biases, dec.weights, dec.biases,
                                 model.codebooks.levels)]
         codes, _ = residual_assign_batch(enc.forward(X), model.codebooks)
-        total, recon = rqvae_loss(*params, X, codes, RqvaeConfig.commitment_beta)
+        total, recon = rqvae_loss(*params, X, codes, quantizer.COMMITMENT_BETA)
         assert X.shape[0] > 2 * batch_size
         assert (model.loss_trace[0], model.recon_trace[0]) == (total.item(), recon.item())
+
+    def test_training_runs_rqvae_loss_once_per_batch_with_the_latents(self):
+        """Every training batch's loss is rqvae_loss, handed the encoder's
+        latents z that picked its codes; the full-data evaluation is not."""
+        X = self.clustered(seed=5)
+        with mock.patch.object(quantizer, "rqvae_loss", wraps=rqvae_loss) as loss:
+            train_rqvae(X, SidStructure((4, 4), code_dim=8),
+                        self.config(epochs=2, batch_size=64))
+        assert [len(call.args[5]) for call in loss.call_args_list] == [64, 64, 32] * 2
+        for call in loss.call_args_list:
+            assert call.args[7] == quantizer.COMMITMENT_BETA
+            z = call.kwargs["z"]
+            assert isinstance(z, Tensor) and z.shape == (len(call.args[5]), 8)
 
     def test_same_seed_bitwise_identical(self):
         X = self.clustered(seed=2)

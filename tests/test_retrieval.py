@@ -397,6 +397,20 @@ class TestRecLoss:
         with pytest.raises(DataError, match="outside level 1"):
             loss(hand_scorer(), example)
 
+    @pytest.mark.parametrize("loss", [
+        lambda scorer, ex: masked_batch_loss(scorer, [ex]),
+        lambda scorer, ex: sliced_loss(scorer, [ex]),
+    ], ids=["masked", "sliced"])
+    def test_every_loss_rejects_context_token_outside_band(self, loss):
+        """Context token 2 is a level-1 token at level 0's position: the
+        losses refuse it as dynamic_beam_search refuses that context."""
+        example = LabeledSequence(tokens=(2, 2), labels=(SENTINEL, 2))
+        want = "token 2 at position 0 is outside level 0's band"
+        with pytest.raises(DataError, match=want):
+            loss(hand_scorer(), example)
+        with pytest.raises(DataError, match=want):
+            dynamic_beam_search(hand_scorer(), [2, 2], BeamSchedule((2, 2)), 1)
+
     def test_fully_masked_sequence_unconstructible(self):
         with pytest.raises(ValueError):
             LabeledSequence(tokens=(0, 2), labels=(SENTINEL, SENTINEL))
