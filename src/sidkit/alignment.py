@@ -49,15 +49,11 @@ class ProjectionHead:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def _check_row_norms(matrix: np.ndarray, name: str) -> None:
-    zero = np.nonzero(np.linalg.norm(matrix, axis=1) == 0.0)[0]
-    if zero.size:
-        raise DataError(f"zero-norm vector in {name} at row {int(zero[0])}")
-
-
 def _normalized(x: Tensor, name: str) -> Tensor:
     """Each row of x over its Euclidean norm; a zero-norm row is named."""
-    _check_row_norms(x.value, name)
+    zero = np.nonzero(np.linalg.norm(x.value, axis=1) == 0.0)[0]
+    if zero.size:
+        raise DataError(f"zero-norm vector in {name} at row {int(zero[0])}")
     return x * (x * x).sum(axis=1, keepdims=True) ** -0.5
 
 
@@ -185,7 +181,7 @@ def train_projection(catalog: ItemCatalog, config: AlignmentConfig) -> Projectio
             idx = order[start : start + batch_size]
             if idx.size >= 2:
                 epoch_losses.append(train_step(idx))
-        trace.append(float(np.mean(epoch_losses)) if epoch_losses else trace[-1])
+        trace.append(float(np.mean(epoch_losses)))
 
     return ProjectionHead(weight=weight.value, bias=bias.value, loss_trace=trace)
 

@@ -232,15 +232,17 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     return _node(np.log(s) + shift[:, 0], (x, lambda grad: e * (grad / s)[:, None]))
 
 
-class AdamW:
-    """Decoupled-weight-decay Adam over a list of parameter tensors."""
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+
+class AdamW:
+    """Decoupled-weight-decay Adam over a list of parameter tensors, with
+    moment decays ADAM_BETAS and denominator term ADAM_EPS."""
+
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -256,19 +258,20 @@ class AdamW:
         operation in that formula's order, written into two scratch buffers
         per parameter instead of fresh arrays: the same bits."""
         self._t += 1
+        beta1, beta2 = ADAM_BETAS
         for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
             if p.grad is None:
                 continue
-            m *= self.beta1
-            m += np.multiply(p.grad, 1.0 - self.beta1, out=a)
-            v *= self.beta2
+            m *= beta1
+            m += np.multiply(p.grad, 1.0 - beta1, out=a)
+            v *= beta2
             np.square(p.grad, out=a)
-            a *= 1.0 - self.beta2
+            a *= 1.0 - beta2
             v += a
-            np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
-            np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
+            np.divide(m, 1.0 - beta1**self._t, out=a)  # m_hat
+            np.divide(v, 1.0 - beta2**self._t, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             a += np.multiply(p.value, self.weight_decay, out=b)
             a *= self.lr

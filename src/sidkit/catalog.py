@@ -309,10 +309,6 @@ def parse_sid_brackets(text: str) -> SemanticId:
 # ---------------------------------------------------------------------------
 
 
-def _format_floats(vec: np.ndarray) -> str:
-    return ",".join(repr(float(x)) for x in vec)
-
-
 # the errors read_rows reports as DataError, from a parse, a finish or a row check
 PARSE_ERRORS = (ValueError, IndexError, KeyError, OverflowError, DataError)
 
@@ -517,7 +513,7 @@ def save_item_catalog(catalog: ItemCatalog, path) -> None:
         for rec in catalog.records():
             fields = [
                 rec.item_id,
-                _format_floats(rec.embedding),
+                ",".join(repr(float(x)) for x in rec.embedding),
                 format_sid_brackets(rec.sid) if rec.sid is not None else "",
                 rec.related_item or "",
                 rec.style_group or "",

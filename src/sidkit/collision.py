@@ -107,13 +107,7 @@ class AssignmentTable:
         return iter(self._rows)
 
     def __getitem__(self, item_id: str) -> SemanticId:
-        return SemanticId(self._codes[self._row(item_id)].tolist())
-
-    def _row(self, item_id: str) -> int:
-        try:
-            return self._rows[item_id]
-        except KeyError:
-            raise DataError(f"item {item_id!r} has no assigned SID") from None
+        return SemanticId(self.codes_of([item_id])[0].tolist())
 
     def codes_of(self, item_ids) -> np.ndarray:
         """The (n, m) code rows of the given items, in the order given."""

@@ -400,7 +400,7 @@ COMMITMENT_BETA = 0.25
 class RqvaeConfig:
     """Training schedule; the production-scale defaults are 150 epochs, warmup
     40, lr 2e-4, batch 2048, hidden dims (256, 256).  Tests scale these down.
-    The commitment weight is COMMITMENT_BETA; AdamW runs on its defaults."""
+    The commitment weight is COMMITMENT_BETA; AdamW runs on ADAM_BETAS and ADAM_EPS."""
 
     epochs: int = 150
     warmup_epochs: int = 40
@@ -575,31 +575,26 @@ def train_rqvae(embeddings, structure: SidStructure, config: RqvaeConfig) -> Qua
             epoch, config.learning_rate, config.warmup_epochs, config.epochs
         )
         order = rng.permutation(X.shape[0])
-        epoch_total, epoch_recon, seen = 0.0, 0.0, 0
+        epoch_total, epoch_recon = 0.0, 0.0
         used = [np.zeros(n, dtype=bool) for n in structure.level_sizes]
-        last_z, last_codes = None, None
         for start in range(0, X.shape[0], batch_size):
             idx = order[start : start + batch_size]
-            total, recon, z_b, codes = train_step(X[idx], epoch)
+            total, recon, residuals, codes = train_step(X[idx], epoch)
             for j in range(structure.num_levels):
                 used[j][codes[:, j]] = True
-            last_z, last_codes = z_b, codes
             epoch_total += total * idx.size
             epoch_recon += recon * idx.size
-            seen += idx.size
-        loss_trace.append(epoch_total / seen)
-        recon_trace.append(epoch_recon / seen)
+        loss_trace.append(epoch_total / X.shape[0])
+        recon_trace.append(epoch_recon / X.shape[0])
         # revive codewords nothing selected this epoch, seeded from the last
         # batch's residuals at the matching level; a dead row is none of that
         # batch's codes, so reviving it leaves the later residuals as they are
-        if last_z is not None:
-            residuals = last_z
-            for j, table in enumerate(level_tensors):
-                dead = np.nonzero(~used[j])[0]
-                if dead.size:
-                    picks = rng.integers(residuals.shape[0], size=dead.size)
-                    table.value[dead] = residuals[picks]
-                residuals = residuals - table.value[last_codes[:, j]]
+        for j, table in enumerate(level_tensors):
+            dead = np.nonzero(~used[j])[0]
+            if dead.size:
+                picks = rng.integers(residuals.shape[0], size=dead.size)
+                table.value[dead] = residuals[picks]
+            residuals = residuals - table.value[codes[:, j]]
 
     final_enc = Mlp([t.value.copy() for t in enc_w], [t.value.copy() for t in enc_b])
     final_dec = Mlp([t.value.copy() for t in dec_w], [t.value.copy() for t in dec_b])

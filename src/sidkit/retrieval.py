@@ -572,8 +572,6 @@ def _count_row_bytes(rows: np.ndarray, counts: np.ndarray) -> bytes:
     out) joined by commas, a tab, the next token, a tab, the count and a
     newline, every number written as str() writes it.  Each number's digits
     and the separator after it are written into one byte buffer."""
-    if not len(rows):
-        return b""
     order = rows.shape[1] - 1
     values = np.column_stack((rows, counts))  # row-major, in the order they are written
     digits = (values >= 0).astype(np.int64)  # 0 for the padding, which writes nothing
@@ -625,7 +623,7 @@ def _parsed_scorer(text: str) -> MarkovScorer:
             header[fields[0][1:]] = fields[1:]
         pos = end
     scorer = _header_scorer(header)
-    if pos < len(text):  # whitespace-only lines are dropped only if a first parse fails
+    if pos < len(text):  # blank or whitespace-only lines fail a first parse; a retry drops them
         columns = _byte_columns(text[pos:]) or _byte_columns("".join(
             line for line in io.StringIO(text[pos:], newline="\n") if not line.isspace()))
         if columns is None:
@@ -691,9 +689,9 @@ def _byte_columns(body: str):
     """Count rows as _checked_table's (context tokens end to end, context
     widths, each row's context, tokens, counts), parsed with numpy over the
     bytes a block of whole lines at a time; a context is shared by a run of
-    rows that hold it.  None unless every line is empty (a blank line) or
-    `c,..,c<TAB>token<TAB>count` with zero or more context tokens, every
-    number of ASCII digits.  A number of 2**63 or more raises OverflowError."""
+    rows that hold it.  None unless every line is `c,..,c<TAB>token<TAB>count`
+    with zero or more context tokens, every number of ASCII digits.  A number
+    of 2**63 or more raises OverflowError."""
     raw = (body if body.endswith("\n") else body + "\n").encode()
     if raw.translate(None, _ROW_BYTES):
         return None
@@ -718,11 +716,6 @@ def _block_columns(data: np.ndarray):
     lengths = np.diff(ends, prepend=-1) - 1
     newline = kind == 10
     starts_line = np.concatenate(([True], newline[:-1]))  # the number begins its line
-    blank = newline & (lengths == 0) & starts_line
-    if blank.any():  # what follows a blank line begins its line too
-        keep = ~blank
-        ends, kind, lengths, newline, starts_line = (
-            ends[keep], kind[keep], lengths[keep], newline[keep], starts_line[keep])
     rows = np.flatnonzero(newline)  # a row's count ends at its newline, its token at
     tab = kind == 9                 # the tab before, its context at the tab before that
     if (rows[:1] < 2).any() or tab.sum() != 2 * len(rows) or not (

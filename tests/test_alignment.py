@@ -63,6 +63,10 @@ class TestInfoNceValues:
         with pytest.raises(ValueError):
             AlignmentBatch(np.ones((1, 4)), np.ones((1, 4)))
 
+    def test_batch_shapes_must_match(self):
+        with pytest.raises(ValueError, match="^anchors and positives must have identical shape$"):
+            AlignmentBatch(np.ones((3, 4)), np.ones((2, 4)))
+
 
 class TestProjectionLossGradient:
     def test_matches_finite_differences(self):
@@ -207,5 +211,14 @@ class TestTrainProjection:
 
         records = [ItemRecord(item_id="a", embedding=np.ones(3))]
         with pytest.raises(DataError):
+            train_projection(ItemCatalog(records, d_in=3), AlignmentConfig(epochs=1))
+
+    def test_catalog_with_one_pair_rejected(self):
+        from sidkit.catalog import ItemCatalog, ItemRecord
+
+        records = [ItemRecord(item_id="a", embedding=np.ones(3), related_item="b"),
+                   ItemRecord(item_id="b", embedding=np.ones(3))]
+        with pytest.raises(DataError,
+                           match="^need at least 2 related-item pairs to form negatives$"):
             train_projection(ItemCatalog(records, d_in=3), AlignmentConfig(epochs=1))
 

@@ -344,6 +344,22 @@ class TestAdamW:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_parameter_without_gradient_is_skipped(self):
+        """A parameter the loss does not use gets no gradient: step leaves it
+        as it is and moves the used one as an optimizer of that one alone."""
+        start = np.array([[0.3, -1.2], [2.0, 0.7]])
+        used, unused, alone = Tensor(start.copy()), Tensor(start.copy()), Tensor(start.copy())
+        pair, single = AdamW([unused, used], lr=0.1), AdamW([alone], lr=0.1)
+        for opt, p in ((pair, used), (single, alone)):
+            for _ in range(3):
+                opt.zero_grad()
+                (p * p).sum().backward()
+                opt.step()
+        assert unused.grad is None
+        assert unused.value.tobytes() == start.tobytes()
+        assert used.value.tobytes() == alone.value.tobytes()
+        assert used.value.tobytes() != start.tobytes()
+
 
 class TestCosineWarmup:
     def test_linear_warmup_then_cosine(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidkit.catalog import (
+    MAX_HISTORY,
     InteractionSequence,
     ItemCatalog,
     ItemRecord,
@@ -185,6 +186,11 @@ class TestCatalog:
         with pytest.raises(DataError):
             ItemCatalog(records, d_in=2)
 
+    def test_unknown_id_rejected(self):
+        catalog = ItemCatalog([ItemRecord(item_id="a", embedding=np.zeros(2))], d_in=2)
+        with pytest.raises(DataError, match="^unknown item_id 'ghost'$"):
+            catalog["ghost"]
+
     def test_insertion_order_preserved(self):
         records = [ItemRecord(item_id=i, embedding=np.zeros(2)) for i in ("c", "a", "b")]
         catalog = ItemCatalog(records, d_in=2)
@@ -284,6 +290,14 @@ class TestSequences:
     def test_requires_targets(self):
         with pytest.raises(DataError):
             InteractionSequence(pv_id="pv1", history=("a",), targets=())
+
+    @pytest.mark.parametrize("pv_id, history, message", [
+        ("", (), "pv_id must be non-empty"),
+        ("pv1", ("a",) * (MAX_HISTORY + 1), f"sequence 'pv1' history exceeds {MAX_HISTORY}"),
+    ], ids=["empty-id", "long-history"])
+    def test_refuses_an_empty_id_or_a_long_history(self, pv_id, history, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            InteractionSequence(pv_id=pv_id, history=history, targets=("b",))
 
     def test_sequence_file_round_trip(self, tmp_path):
         seqs = [

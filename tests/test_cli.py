@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from sidkit.catalog import SidStructure, load_item_catalog
+from sidkit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from sidkit.quantizer import RqvaeConfig, train_rqvae
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +85,21 @@ class TestGenToy:
         assert len((toy_dir / "eval_sequences.tsv").read_text().splitlines()) == 30
 
     @pytest.mark.parametrize("bad", [
-        ["--d-in", "0"], ["--targets", "0"], ["--history-len", "-1"], ["--history-len", "101"],
-        ["--train-sequences", "-1"], ["--eval-sequences", "-1"],
+        (["--d-in", "0"], "d_in and n_targets must be at least 1"),
+        (["--targets", "0"], "d_in and n_targets must be at least 1"),
+        (["--history-len", "-1"], "history_len must be in [0, 100]"),
+        (["--history-len", "101"], "history_len must be in [0, 100]"),
+        (["--train-sequences", "-1"], "sequence counts must be non-negative"),
+        (["--eval-sequences", "-1"], "sequence counts must be non-negative"),
+        (["--items", "1"], "need at least one item per cluster"),
+        (["--clusters", "1"], "the transition ring needs at least 2 clusters"),
     ])
     def test_counts_that_make_a_bad_world_are_usage_errors(self, bad, tmp_path, capsys):
+        options, message = bad
         out = tmp_path / "toy"
         argv = ["gen-toy", "--items", "20", "--clusters", "2", "--seed", "0", "--out-dir", str(out)]
-        assert main(argv + bad) == EXIT_USAGE
-        assert "sidkit: invalid arguments: " in capsys.readouterr().err
+        assert main(argv + options) == EXIT_USAGE
+        assert capsys.readouterr().err == f"sidkit: invalid arguments: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("history_len", ["0", "100"])
@@ -665,3 +674,47 @@ class TestArgumentLimits:
                      "--out-model", str(tmp_path / "model.tsv")]) == EXIT_OK
         assert main(["retrieve", "--scorer", str(pipeline / "scorer.tsv"), "--k", "3",
                      "--context", ""]) == EXIT_OK
+
+
+class TestRqvaeTokenize:
+    """tokenize --kind rqvae on a 60-item world: its trace file, and a loss
+    that diverges."""
+
+    @pytest.fixture(scope="class")
+    def small_toy(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("small_toy")
+        assert main(["gen-toy", "--items", "60", "--clusters", "4", "--d-in", "4",
+                     "--seed", "0", "--out-dir", str(out)]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def tokenize(small_toy, tmp_path, lr, *extra):
+        return main(["tokenize", "--catalog", str(small_toy / "catalog.tsv"), "--d-in", "4",
+                     "--kind", "rqvae", "--levels", "2,2", "--code-dim", "2",
+                     "--hidden-dims", "8", "--epochs", "3", "--warmup-epochs", "0",
+                     "--batch-size", "16", "--lr", lr, "--seed", "0",
+                     "--out-model", str(tmp_path / "model.tsv"),
+                     "--out-assignment", str(tmp_path / "raw.tsv"), *extra])
+
+    def test_diverged_loss_exits_3_and_writes_nothing(self, small_toy, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert self.tokenize(small_toy, tmp_path, "1e300") == EXIT_NUMERIC
+        assert ("sidkit: numeric failure: rqvae loss diverged at epoch 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "model.tsv").exists()
+        assert not (tmp_path / "raw.tsv").exists()
+        with np.errstate(all="ignore"):
+            assert self.tokenize(small_toy, tmp_path, "1e30") == EXIT_OK
+
+    def test_trace_holds_the_library_traces(self, small_toy, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert self.tokenize(small_toy, tmp_path, "0.01", "--out-trace", str(trace)) == EXIT_OK
+        catalog = load_item_catalog(small_toy / "catalog.tsv", d_in=4)
+        model = train_rqvae(catalog.embedding_matrix(), SidStructure((2, 2), code_dim=2),
+                            RqvaeConfig(epochs=3, warmup_epochs=0, learning_rate=0.01,
+                                        batch_size=16, hidden_dims=(8,), seed=0))
+        header, *rows = trace.read_text().splitlines()
+        assert header == "epoch,total_loss,recon_loss"
+        assert len(rows) == 3 + 1
+        assert rows == [f"{e},{total!r},{recon!r}" for e, (total, recon)
+                        in enumerate(zip(model.loss_trace, model.recon_trace))]

@@ -310,6 +310,8 @@ class TestAssignmentTable:
         assert table.codes_of([]).shape == (0, 2)
         with pytest.raises(DataError, match="item 'ghost' has no assigned SID"):
             table.codes_of(["a", "ghost"])
+        with pytest.raises(DataError, match="^item 'ghost' has no assigned SID$"):
+            table["ghost"]
 
     def test_copy_is_independent(self):
         structure = SidStructure((2, 2), code_dim=2)

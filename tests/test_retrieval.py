@@ -411,6 +411,10 @@ class TestRecLoss:
         with pytest.raises(DataError, match=want):
             dynamic_beam_search(hand_scorer(), [2, 2], BeamSchedule((2, 2)), 1)
 
+    def test_no_examples_rejected(self):
+        with pytest.raises(DataError, match="^no scorable position$"):
+            masked_batch_loss(hand_scorer(), [])
+
     def test_fully_masked_sequence_unconstructible(self):
         with pytest.raises(ValueError):
             LabeledSequence(tokens=(0, 2), labels=(SENTINEL, SENTINEL))
@@ -978,6 +982,12 @@ class TestEvaluateHr:
         ]
         with pytest.raises(DataError):
             evaluate_hr(scorer, table, sequences, BeamSchedule((2, 4)), k_list=(1,))
+
+    def test_no_sequences_rejected(self):
+        structure, table = toy_assignment()
+        scorer = self.make_scorer(table, structure, (0, 0))
+        with pytest.raises(DataError, match="^no sequences to evaluate$"):
+            evaluate_hr(scorer, table, [], BeamSchedule((2, 4)), k_list=(1,))
 
     def test_hitrate_monotone_in_k_on_toy_world(self):
         from sidkit.quantizer import RqkmeansConfig, train_rqkmeans

@@ -52,6 +52,15 @@ class TestGiniHandValues:
         with pytest.raises(DataError):
             gini_coefficient(OccupancyVector.from_counts([0, 0, 0]))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: OccupancyVector(np.zeros((0, 1), np.int64), np.zeros(0, np.int64), 0),
+         "total_sids must be positive"),
+        (lambda: OccupancyVector.from_counts([2, -1]), "counts must be non-negative"),
+    ], ids=["empty-space", "negative-count"])
+    def test_malformed_occupancy_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
 
 class TestGiniProperties:
     def test_matches_dense_oracle_on_200_vectors(self):
@@ -228,6 +237,10 @@ class TestEmbeddingHitrate:
             embedding_hitrate(catalog, [], k=1)
         with pytest.raises(DataError):
             embedding_hitrate(catalog, [("ghost", ("q1",))], k=1)
+        with pytest.raises(DataError, match="^empty clicked set for query 'q0'$"):
+            embedding_hitrate(catalog, [("q0", ())], k=1)
+        with pytest.raises(DataError, match="^unknown clicked item 'ghost'$"):
+            embedding_hitrate(catalog, [("q0", ("ghost",))], k=1)
 
     def test_zero_norm_embedding_named(self):
         catalog = tiny_catalog([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
