@@ -537,12 +537,12 @@ def load_sequences(path) -> list[InteractionSequence]:
     truncated = []
 
     def parse(fields):
-        pv_id, targets, query, history = (f.strip() for f in fields)
-        history_ids = tuple(h for h in history.split(",") if h)
+        pv_id, targets, query, history = map(str.strip, fields)
+        history_ids = tuple(filter(None, history.split(",")))
         if len(history_ids) > MAX_HISTORY:
             history_ids = history_ids[-MAX_HISTORY:]
             truncated.append(pv_id)
-        target_ids = tuple(t for t in targets.split(",") if t)
+        target_ids = tuple(filter(None, targets.split(",")))
         return InteractionSequence(pv_id, history_ids, target_ids, query or None)
 
     sequences = read_rows(path, parse)

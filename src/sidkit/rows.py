@@ -62,10 +62,15 @@ def unpack(keys: list[np.ndarray], radix: int, width: int) -> np.ndarray:
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """The positions of the k highest scores (all if fewer), best first, ties
     in position order: np.argsort(-scores, kind="stable")[:k], but only the
-    k kept are sorted.  k must be at least 1."""
+    k kept are sorted.  k must be at least 1.
+
+    The cut, the k-th highest score, is read off one full np.sort: a beam's
+    candidates are mostly ties (an order-3 scorer's unseen codes all share
+    the add-alpha floor), and the sort's cost does not depend on ties, while
+    np.partition's quickselect slows down on them to several times the sort."""
     n = len(scores)
     k = min(k, n)
-    cut = np.partition(scores, n - k)[n - k]
+    cut = np.sort(scores)[n - k]
     above = np.flatnonzero(scores > cut)
     pool = np.concatenate((above, np.flatnonzero(scores == cut)[: k - len(above)]))
     return pool[np.argsort(-scores[pool], kind="stable")]

@@ -1,20 +1,29 @@
-"""Per-row catalog, assignment and scorer loaders, kept as references.
+"""Per-row catalog, assignment, scorer and sequence loaders, kept as
+references.
 
 The catalog and assignment loaders are as they were before the columnar
 catalog: every row is parsed and checked on its own, in file order, so the
 first bad row is the one that raises.  The scorer loader reads each row
 through int() and checks it against the rows before it in plain Python: its
 context a slice of a stream of whole SIDs, its token of the level that
-follows, its count at least 1 and its (context, token) new.  The
-differential tests hold the loaders in `sidkit` to the same results and the
-same DataError text.
+follows, its count at least 1 and its (context, token) new.  The sequence
+loader reads each field and id list in plain loops.  The differential tests
+hold the loaders in `sidkit` to the same results and the same DataError
+text; a sequence row of the wrong field count only to the same line.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sidkit.catalog import Header, as_embedding, parse_sid_brackets, read_rows
+from sidkit.catalog import (
+    MAX_HISTORY,
+    Header,
+    InteractionSequence,
+    as_embedding,
+    parse_sid_brackets,
+    read_rows,
+)
 from sidkit.errors import DataError
 from sidkit.retrieval import MarkovScorer
 
@@ -66,6 +75,37 @@ def load_assignment_rows(path, structure):
         return list(rows), codes.reshape(len(rows), structure.num_levels)
 
     return read_rows(path, parse, finish)
+
+
+def load_sequence_rows(path):
+    """The sequence file as (sequences, the warnings it logs).  A row of
+    other than four fields is a ValueError that names its field count."""
+    truncated = 0
+
+    def parse(fields):
+        nonlocal truncated
+        if len(fields) != 4:
+            raise ValueError(f"{len(fields)} fields, not 4")
+        pv_id, targets, query, history = [field.strip() for field in fields]
+        history_ids = id_list(history)
+        if len(history_ids) > MAX_HISTORY:
+            history_ids = history_ids[len(history_ids) - MAX_HISTORY:]
+            truncated += 1
+        return InteractionSequence(pv_id, history_ids, id_list(targets),
+                                   query if query != "" else None)
+
+    sequences = read_rows(path, parse)
+    warning = f"{truncated} sequence(s) truncated to the last {MAX_HISTORY} ids"
+    return sequences, [warning] if truncated else []
+
+
+def id_list(text):
+    """The non-empty comma-separated ids of `text`, spaces kept."""
+    ids = []
+    for part in text.split(","):
+        if part != "":
+            ids.append(part)
+    return ids
 
 
 def load_markov_scorer_rows(path):

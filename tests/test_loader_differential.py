@@ -1,11 +1,13 @@
-"""The array-based catalog, assignment and scorer loaders against the
-per-row reference loaders in `reference_loaders.py`.
+"""The array-based catalog, assignment and scorer loaders, and the sequence
+loader, against the per-row reference loaders in `reference_loaders.py`.
 
 On a valid file both give the same ids, a bit-equal matrix and the same
-optional columns (the same count table, for a scorer); on a corrupted one
-both raise DataError with the same text, so among several bad rows the first
-in file order is reported.  The one exception is a scorer integer spelt
-other than in ASCII digits, which only the array-based loader rejects.
+optional columns (the same count table, for a scorer; the same sequences and
+warning, for a sequence file); on a corrupted one both raise DataError with
+the same text, so among several bad rows the first in file order is
+reported.  The exceptions: a scorer integer spelt other than in ASCII
+digits, which only the array-based loader rejects, and a sequence row of the
+wrong field count, whose error names the same line in other words.
 """
 
 import re
@@ -17,12 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidkit import retrieval
-from sidkit.catalog import SidStructure, load_item_catalog
+from sidkit.catalog import MAX_HISTORY, SidStructure, load_item_catalog, load_sequences
 from sidkit.collision import load_assignment
 from sidkit.errors import DataError
 from sidkit.retrieval import load_markov_scorer, save_markov_scorer, train_markov_scorer
 
-from reference_loaders import load_assignment_rows, load_item_catalog_rows, load_markov_scorer_rows
+from reference_loaders import (
+    load_assignment_rows,
+    load_item_catalog_rows,
+    load_markov_scorer_rows,
+    load_sequence_rows,
+)
 
 D_IN = 3
 STRUCTURE = SidStructure((3, 4), code_dim=2)
@@ -190,6 +197,75 @@ def test_assignment_reports_the_first_bad_row(tmp_path, text, line):
     with pytest.raises(DataError) as want:
         load_assignment_rows(path, STRUCTURE)
     assert str(got.value) == str(want.value)
+
+
+# an id list: short ones with doubled, leading and trailing commas and spaces
+# inside, or one of about MAX_HISTORY ids, maybe framed by commas
+SHORT_IDS = st.lists(st.sampled_from(["", "a", "b7", " c", "d ", "e f"]), max_size=6).map(",".join)
+SOME_IDS = st.tuples(SHORT_IDS, st.sampled_from(["a", "g"]), SHORT_IDS).map(",".join)
+LONG_IDS = st.tuples(st.integers(MAX_HISTORY - 2, MAX_HISTORY + 20),
+                     st.sampled_from(["", ",", ",,"])).map(
+    lambda n_frame: n_frame[1] + ",".join(f"h{j}" for j in range(n_frame[0])) + n_frame[1])
+PADS = st.lists(st.sampled_from(["", "", " ", "  "]), min_size=8, max_size=8)
+SEQUENCE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([None] * 20 + [" ", ""]),  # pv_id; None: this row's own
+        st.one_of(SOME_IDS, SOME_IDS, SHORT_IDS, LONG_IDS),  # targets, maybe none
+        st.sampled_from(["", " ", "   ", "dried leaves", " tea "]),  # query
+        st.one_of(SHORT_IDS, LONG_IDS),  # history
+        PADS,  # spaces before and after each field
+        st.sampled_from([4] * 20 + [3, 5]),  # fields in the row
+        st.booleans(),  # a blank line before the row
+    ),
+    max_size=6,
+)
+
+
+def sequence_text(rows) -> str:
+    lines = []
+    for k, (pv_id, targets, query, history, pads, n_fields, blank) in enumerate(rows):
+        fields = [f"pv{k}" if pv_id is None else pv_id, targets, query, history]
+        fields = [pads[2 * i] + field + pads[2 * i + 1] for i, field in enumerate(fields)]
+        if blank:
+            lines.append("")
+        lines.append("\t".join((fields + ["x"])[:n_fields]))
+    return "".join(line + "\n" for line in lines)
+
+
+def sequences_with_warnings(path):
+    with mock.patch("sidkit.catalog.logger.warning") as warn:
+        sequences = load_sequences(path)
+    return sequences, [call.args[0] % call.args[1:] for call in warn.call_args_list]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=SEQUENCE_ROWS)
+def test_sequence_loader_matches_the_per_row_reference(workdir, rows):
+    """Spaces around fields, doubled, leading and trailing commas, an empty
+    or whitespace-only query, histories over MAX_HISTORY, empty ids or
+    targets, rows of 3 or 5 fields: the same sequences and warning, or a
+    DataError at the same line and, unless the field count is wrong, with
+    the same text."""
+    path = workdir / "sequences.tsv"
+    path.write_text(sequence_text(rows), encoding="utf-8")
+    got = outcome(sequences_with_warnings, path)
+    want = outcome(load_sequence_rows, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "loaded":
+        assert got[1] == want[1]
+    elif want[1].endswith(" fields, not 4"):
+        line = re.match(f"^{re.escape(str(path))}:\\d+: ", want[1]).group()
+        assert got[1].startswith(line) and "values to unpack" in got[1], (got, want)
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("row", ["pv2\ta\t", "pv2\ta\t\tb\tc"], ids=["3 fields", "5 fields"])
+def test_sequence_row_of_wrong_field_count_names_its_line(tmp_path, row):
+    path = tmp_path / "sequences.tsv"
+    path.write_text(f"pv1\ta\t\tb\n\n{row}\npv3\ta\t\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: .*values to unpack"):
+        load_sequences(path)
 
 
 SCORER_STRUCTURE = SidStructure((3, 4, 2), code_dim=2)

@@ -752,6 +752,20 @@ class TestDynamicBeamSearch:
         got = dynamic_beam_search(scorer, context, BeamSchedule(widths), k)
         assert got == tuple_beam_search(scorer, context, BeamSchedule(widths), k)
 
+    def test_production_shape_equals_the_tuple_beam(self):
+        """64x64x64 with the default widths and an order-3 scorer: tens of
+        thousands of candidates per level, nearly all tied at the add-alpha
+        floor, where the tests above draw a few dozen.  The empty context and
+        contexts of 1 and 3 SIDs from the corpus decode as the tuple beam does."""
+        structure = SidStructure((64, 64, 64), code_dim=2)
+        corpus = random_corpus(structure, 300, 4, np.random.default_rng(3))
+        scorer = train_markov_scorer(corpus, structure, order=3)
+        schedule = default_schedule(structure)
+        assert schedule.widths == (300, 600, 1200)
+        for context in ([], corpus[0][:3], corpus[1][:9]):
+            got = dynamic_beam_search(scorer, context, schedule, k=1200)
+            assert got == tuple_beam_search(scorer, context, schedule, k=1200)
+
     def test_tie_across_parents_goes_to_the_smaller_token_tuple(self):
         """(1, 0) and (0, 0) tie at the cut, and the beam ranks parent (1,)
         before (0,) by score; the smaller token tuple still wins."""

@@ -104,3 +104,19 @@ def test_top_k_equals_a_stable_argsort(scores, data):
     scores = np.array(scores)
     k = data.draw(st.integers(1, len(scores) + 2), label="k")
     np.testing.assert_array_equal(rows.top_k(scores, k), np.argsort(-scores, kind="stable")[:k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1_000, 40_000), st.floats(-10.0, -1e-9),
+       st.lists(st.integers(0, 100), min_size=4, max_size=4).filter(any), st.integers(0, 2**32),
+       st.data())
+def test_top_k_at_the_beam_sizes(n, negative, weights, seed, data):
+    """A beam's candidates at its real sizes (thousands, where numpy's SIMD
+    sort and select paths run), drawn from at most four values as the add-alpha
+    floor makes them: -inf, -0.0, 0.0 (equal to -0.0) and one negative, in
+    drawn proportions, so a tie block may be most of the array, a sliver or
+    absent."""
+    weights = np.array(weights) / sum(weights)
+    scores = np.random.default_rng(seed).choice([-np.inf, -0.0, 0.0, negative], size=n, p=weights)
+    k = data.draw(st.integers(1, n + 2), label="k")
+    np.testing.assert_array_equal(rows.top_k(scores, k), np.argsort(-scores, kind="stable")[:k])
