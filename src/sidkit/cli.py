@@ -243,6 +243,10 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_collide(args) -> int:
+    if args.policy in ("knn", "random") and args.assignment:
+        print(f"sidkit: collide --policy {args.policy} does not read --assignment "
+              f"{args.assignment}; it rebuilds the raw table from --catalog and --model",
+              file=sys.stderr)
     catalog = _load_catalog(args)
     model = quantizer.load_quantizer(args.model)
     if args.policy == "knn":

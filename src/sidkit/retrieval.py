@@ -46,7 +46,17 @@ class SequenceScorer:
     next_token_log_probs_batch(contexts) scores many contexts at once: it
     takes a (B, L) int array whose rows share one length L, hence one next
     level, and returns a (B, band) matrix whose row i equals
-    next_token_log_probs(contexts[i]).  The beam search calls only this one.
+    next_token_log_probs(contexts[i]).
+
+    next_token_log_probs_sparse(contexts) is the same matrix as a floor per
+    row and the entries that differ from it: (floor (B,), row (S,), code
+    (S,), log_prob (S,)).  Row i holds log_prob[j] at each listed
+    (row[j], code[j]) and floor[i] at every other code.  Rows are listed
+    ascending, codes ascending within a row, and each pair at most once.
+    The beam search calls only this one.  The default lists every code of
+    next_token_log_probs_batch, so a scorer need only give the dense form;
+    a scorer whose rows are mostly one value gives this form directly, and
+    the beam then scores only the entries it lists.
     """
 
     structure: SidStructure
@@ -56,6 +66,11 @@ class SequenceScorer:
 
     def next_token_log_probs_batch(self, contexts) -> np.ndarray:
         raise NotImplementedError
+
+    def next_token_log_probs_sparse(self, contexts):
+        step = self.next_token_log_probs_batch(contexts)
+        row, code = np.divmod(np.arange(step.size), step.shape[1])
+        return np.full(len(step), -np.inf), row, code, step.ravel()
 
 
 class MarkovScorer(SequenceScorer):
@@ -125,8 +140,19 @@ class MarkovScorer(SequenceScorer):
         return self.next_token_log_probs_batch([[int(t) for t in context]])[0]
 
     def next_token_log_probs_batch(self, contexts) -> np.ndarray:
-        """One trie walk finds every row's context, one scatter places its
-        counts, then one smoothing serves the whole batch."""
+        """The sparse form with each row filled in: its floor, then its
+        counted codes."""
+        floor, row, code, log_prob = self.next_token_log_probs_sparse(contexts)
+        band = self.structure.level_sizes[np.shape(contexts)[1] % self.structure.num_levels]
+        step = np.repeat(floor[:, None], band, axis=1)
+        step[row, code] = log_prob
+        return step
+
+    def next_token_log_probs_sparse(self, contexts):
+        """One trie walk finds every row's context and lists its counted
+        codes of the next level.  Add-alpha smoothing over the band gives a
+        counted code log((c + alpha) / d) and every other code the floor
+        log(alpha / d), where d is the row's count total + alpha * band."""
         contexts = np.asarray(contexts, dtype=np.int64)
         if contexts.ndim != 2:
             raise DataError(f"expected a (B, L) context matrix, got shape {contexts.shape}")
@@ -138,13 +164,16 @@ class MarkovScorer(SequenceScorer):
         offset = self.structure.offsets[level]
         band = self.structure.level_sizes[level]
         start, stop = self._context_index().rows_of(contexts[:, max(0, length - self.order) :])
-        picked, batch_row = rows.expand(start, stop)
-        code = self._rows[:, self.order][picked] - offset
+        picked, row = rows.expand(start, stop)
+        code = self._rows[picked, self.order] - offset
         keep = (code >= 0) & (code < band)
-        counts = np.zeros((len(contexts), band))
-        counts[batch_row[keep], code[keep]] = self._counts[picked[keep]]
-        probs = (counts + self.alpha) / (counts.sum(axis=1, keepdims=True) + self.alpha * band)
-        return np.log(probs)
+        if not keep.all():  # a context with tokens outside their levels' bands
+            picked, row, code = picked[keep], row[keep], code[keep]
+        counts = self._counts[picked]
+        # integer counts, so the float sums are exact in any order
+        denom = np.bincount(row, weights=counts, minlength=len(contexts)) + self.alpha * band
+        return (np.log(self.alpha / denom), row, code,
+                np.log((counts + self.alpha) / denom[row]))
 
 
 # about how many tokens _count cuts into windows at a time
@@ -154,41 +183,58 @@ _CHUNK_TOKENS = 1 << 16
 def _checked_chunks(streams, structure: SidStructure):
     """Yield (tokens, position in stream) int64 arrays for runs of whole
     streams of about _CHUNK_TOKENS tokens, in order, each run checked by
-    _checked_streams before it is yielded."""
+    _checked before it is yielded.  A TokenStreams is cut straight from its
+    arrays; other streams are flattened one run at a time."""
+    if isinstance(streams, TokenStreams):
+        starts, ends = streams._starts, streams._starts + streams.lengths
+        first = 0
+        while first < len(ends):
+            last = min(int(np.searchsorted(ends, starts[first] + _CHUNK_TOKENS)), len(ends) - 1)
+            yield _checked(streams.tokens[starts[first] : ends[last]],
+                           streams.lengths[first : last + 1], structure)
+            first = last + 1
+        return
     batch, size = [], 0
     for stream in streams:
         batch.append(list(stream))
         size += len(batch[-1])
         if size >= _CHUNK_TOKENS:
-            yield _checked_streams(batch, structure)
+            yield _checked(*_flattened(batch), structure, batch)
             batch, size = [], 0
     if batch:
-        yield _checked_streams(batch, structure)
+        yield _checked(*_flattened(batch), structure, batch)
 
 
-def _checked_streams(batch, structure: SidStructure) -> tuple[np.ndarray, np.ndarray]:
+def _flattened(batch) -> tuple[np.ndarray, np.ndarray]:
+    """The streams' tokens end to end as int64, and each one's length; a
+    token beyond int64, outside every band as -1 is, is read as -1."""
+    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+    total = int(lengths.sum())
+    try:
+        tokens = np.fromiter(chain.from_iterable(batch), dtype=np.int64, count=total)
+    except OverflowError:
+        flat = (t if -(2**63) <= t < 2**63 else -1 for t in map(int, chain.from_iterable(batch)))
+        tokens = np.fromiter(flat, dtype=np.int64, count=total)
+    return tokens, lengths
+
+
+def _checked(tokens, lengths, structure: SidStructure, given=None):
     """The streams' tokens end to end, and each one's position in its stream.
     The first bad stream raises: a token outside its level's band, else a
-    length that is no whole number of SIDs."""
-    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+    length that is no whole number of SIDs.  `given`, the streams `tokens`
+    was flattened from, names a bad token as it was given."""
     ragged = np.flatnonzero(lengths % structure.num_levels)
     if len(ragged):
-        _banded_streams(batch[: ragged[0] + 1], structure)
+        end = ragged[0] + 1
+        _banded(tokens[: lengths[:end].sum()], lengths[:end], structure, given)
         raise DataError("stream length must be a whole number of SIDs")
-    return _banded_streams(batch, structure)
+    return _banded(tokens, lengths, structure, given)
 
 
-def _banded_streams(batch, structure: SidStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The streams' tokens end to end, and each one's position in its stream;
-    the first token outside its level's band raises."""
-    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+def _banded(tokens, lengths, structure: SidStructure, given=None):
+    """_checked without the length check: the first token outside its
+    level's band raises."""
     ends = np.cumsum(lengths)
-    flat = chain.from_iterable(batch)
-    try:
-        tokens = np.fromiter(flat, dtype=np.int64, count=int(ends[-1]))
-    except OverflowError:  # a token beyond int64 is outside every band, as -1 is
-        flat = (t if -(2**63) <= t < 2**63 else -1 for t in map(int, chain.from_iterable(batch)))
-        tokens = np.fromiter(flat, dtype=np.int64, count=int(ends[-1]))
     positions = np.arange(len(tokens)) - np.repeat(ends - lengths, lengths)
     level = positions % structure.num_levels
     low = np.asarray(structure.offsets)[level]
@@ -196,9 +242,10 @@ def _banded_streams(batch, structure: SidStructure) -> tuple[np.ndarray, np.ndar
     out_of_band = np.flatnonzero((tokens < low) | (tokens >= high))
     if len(out_of_band):
         at = out_of_band[0]
-        token = int(batch[np.searchsorted(ends, at, side="right")][positions[at]])
+        token = tokens[at] if given is None else (
+            given[np.searchsorted(ends, at, side="right")][positions[at]])
         raise DataError(
-            f"token {token} at position {positions[at]} is outside level {level[at]}'s band")
+            f"token {int(token)} at position {positions[at]} is outside level {level[at]}'s band")
     return tokens, positions
 
 
@@ -262,7 +309,7 @@ def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
     structure = scorer.structure
     by_length = {}  # prefix length -> [(example index, label code, prefix)]
     for e, example in enumerate(examples):
-        _banded_streams([example.tokens], structure)
+        _banded(*_flattened([example.tokens]), structure, [example.tokens])
         for pos in range(start, len(example.labels)):
             label = example.labels[pos]
             if label < 0:
@@ -420,14 +467,26 @@ def dynamic_beam_search(
 
     The beams are a (B, level) token matrix kept in token-tuple order, and
     their scores; each level scores all B contexts in one
-    next_token_log_probs_batch call.  So candidate parent * band + code sits
-    at its place in tuple order, and rows.top_k, ties to the lowest position,
-    keeps the widths[j] best as a full sort by score, then tokens, would.
-    Sorted, they stay in tuple order; the last level keeps its k best, best first.
-    A NaN score raises DataError naming the level; -inf is a legal score.
-    The context must be whole SIDs, each token in its level's band (as
-    _checked_streams checks a training stream), so the first decoded token
-    is a level-0 one; k must lie in [1, widths[-1]].
+    next_token_log_probs_sparse call.  So candidate parent * band + code
+    sits at its place in tuple order, and rows.top_k, ties to the lowest
+    position, keeps the `want` best (widths[j], or k at the last level) as a
+    full sort by score, then tokens, would.  Sorted, they stay in tuple
+    order; the last level keeps its k best, best first.
+
+    Only some candidates are scored.  Each listed pair scores
+    scores[row] + log_prob, and each unlisted code of parent p the floor
+    candidate F[p] = scores[p] + floor[p].  Order the parents by F
+    descending, then index, and take the shortest prefix whose unlisted
+    codes number at least `want`: the candidates are every listed pair and
+    every unlisted code of those parents.  This keeps what the full set
+    keeps.  An unlisted code of a parent q outside the prefix is beaten by
+    each of at least `want` unlisted codes in the prefix, whose parent p
+    has F[p] > F[q], or F[p] == F[q] and p < q, a lower position.
+
+    A NaN candidate raises DataError naming the level; -inf is a legal
+    score.  The context must be whole SIDs, each token in its level's band
+    (as _checked_chunks checks a training stream), so the first decoded
+    token is a level-0 one; k must lie in [1, widths[-1]].
     """
     structure = scorer.structure
     schedule.validate(structure)
@@ -435,22 +494,37 @@ def dynamic_beam_search(
         raise ValueError(f"k={k} must be positive")
     if k > schedule.widths[-1]:
         raise ValueError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
-    context, _ = _checked_streams([context], structure)
+    context, _ = _checked(*_flattened([context]), structure, [context])
     beams = np.empty((1, 0), dtype=np.int64)
     scores = np.zeros(1)
     for level, width in enumerate(schedule.widths):
         band = structure.level_sizes[level]
+        last = level == structure.num_levels - 1
         contexts = np.concatenate(
             (np.broadcast_to(context, (len(beams), len(context))), beams), axis=1)
-        step = scorer.next_token_log_probs_batch(contexts)
-        candidates = (scores[:, None] + step).ravel()
-        if np.isnan(candidates).any():
+        floor, row, code, log_prob = scorer.next_token_log_probs_sparse(contexts)
+        want = k if last else width
+        listed = scores[row] + log_prob
+        floors = scores + floor
+        unlisted = band - np.bincount(row, minlength=len(beams))
+        if np.isnan(listed).any() or (
+                np.isnan(floors).any() and np.isnan(floors[unlisted > 0]).any()):
             raise DataError(f"scorer returned NaN log-probabilities at level {level}")
-        if level < structure.num_levels - 1:
-            keep = np.sort(rows.top_k(candidates, width))
-        else:
-            keep = rows.top_k(candidates, k)
-        parent, code = np.divmod(keep, band)
+        by_floor = np.argsort(-floors, kind="stable")
+        enough = np.searchsorted(np.cumsum(unlisted[by_floor]), want)
+        # every code of the prefix parents and every listed pair, in tuple order
+        chosen = np.zeros(len(beams), dtype=bool)
+        chosen[by_floor[: enough + 1]] = True
+        chosen = np.repeat(chosen, band)
+        listed_at = row * band + code
+        chosen[listed_at] = True
+        position = np.flatnonzero(chosen)
+        candidates = floors[position // band]
+        candidates[np.searchsorted(position, listed_at)] = listed
+        keep = rows.top_k(candidates, want)
+        if not last:
+            keep = np.sort(keep)
+        parent, code = np.divmod(position[keep], band)
         beams = np.concatenate((beams[parent], (code + structure.offsets[level])[:, None]), axis=1)
         scores = candidates[keep]
     return BeamResult(beams - np.asarray(structure.offsets), scores)
@@ -460,15 +534,16 @@ def dynamic_beam_search(
 # Evaluation and corpus building
 
 
-def _flat_tokens(table: AssignmentTable, item_ids) -> list[int]:
-    """The items' SIDs as one flat-token list: their code rows plus the level
-    offsets.  The table's constructor already checked every code's band."""
-    return (table.codes_of(item_ids) + np.asarray(table.structure.offsets)).ravel().tolist()
+def _flat_tokens(table: AssignmentTable, item_ids) -> np.ndarray:
+    """The items' SIDs as one flat-token array: their code rows plus the
+    level offsets.  The table's constructor already checked every code's
+    band."""
+    return (table.codes_of(item_ids) + np.asarray(table.structure.offsets)).ravel()
 
 
 def sequence_context(table: AssignmentTable, history) -> list[int]:
     """Concatenated flat tokens of the history items' SIDs, oldest first."""
-    return _flat_tokens(table, history)
+    return _flat_tokens(table, history).tolist()
 
 
 def evaluate_hr(
@@ -508,20 +583,57 @@ def evaluate_hr(
     return {k: totals[k] / len(sequences) for k in k_list}
 
 
-def build_useraction_corpus(sequences, table: AssignmentTable) -> list[list[int]]:
+class TokenStreams(Sequence):
+    """Read-only view of a corpus: one flat int64 token array, the streams
+    end to end, and each stream's length.
+
+    It reads as the list of token lists: len, iteration, indexing and ==
+    against such a list behave as the list does, and a slice is that list's
+    slice.  A stream's list is built only when read; training counts
+    straight from the arrays (see _checked_chunks).
+    """
+
+    __slots__ = ("tokens", "lengths", "_starts")
+
+    def __init__(self, tokens: np.ndarray, lengths: np.ndarray):
+        self.tokens, self.lengths = tokens, lengths
+        self._starts = np.cumsum(lengths) - lengths
+        tokens.flags.writeable = lengths.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        start = self._starts[index]
+        return self.tokens[start : start + self.lengths[index]].tolist()
+
+    def __iter__(self):
+        flat = self.tokens.tolist()
+        return (flat[start : start + n] for start, n in
+                zip(self._starts.tolist(), self.lengths.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, TokenStreams)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def build_useraction_corpus(sequences, table: AssignmentTable) -> TokenStreams:
     """One flat-token stream per page view: history then targets, in order.
 
     No instruction tokens, no separators; the stream is exactly the SIDs of
     the interacted items, which is what autoregressive pretraining consumes.
     """
     sequences = list(sequences)
+    sizes = [len(seq.history) + len(seq.targets) for seq in sequences]
     tokens = _flat_tokens(table, [i for seq in sequences for i in (*seq.history, *seq.targets)])
-    corpus, start = [], 0
-    for seq in sequences:
-        end = start + (len(seq.history) + len(seq.targets)) * table.structure.num_levels
-        corpus.append(tokens[start:end])
-        start = end
-    return corpus
+    return TokenStreams(tokens, np.array(sizes, dtype=np.int64) * table.structure.num_levels)
 
 
 # ---------------------------------------------------------------------------

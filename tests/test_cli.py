@@ -444,6 +444,26 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert "input width 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["knn", "random"])
+    def test_rebuilding_policies_say_they_do_not_read_the_assignment(
+        self, toy_dir, pipeline, tmp_path, capsys, policy
+    ):
+        """knn and random rebuild the raw table from the catalog and model:
+        --assignment, even a file that is not there, is not read, and one
+        stderr line says so.  The output equals the run without the flag."""
+        base = ["collide", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
+                "--model", str(pipeline / "model.tsv"), "--policy", policy]
+        missing = tmp_path / "missing.tsv"
+        capsys.readouterr()
+        assert main([*base, "--out", str(tmp_path / "plain.tsv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main([*base, "--assignment", str(missing),
+                     "--out", str(tmp_path / "flagged.tsv")]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == (f"sidkit: collide --policy {policy} does not read --assignment "
+                       f"{missing}; it rebuilds the raw table from --catalog and --model\n")
+        assert (tmp_path / "flagged.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+
     def test_catalog_narrower_than_rqvae_encoder_is_data_error(
         self, toy_dir, pipeline, tmp_path, capsys
     ):

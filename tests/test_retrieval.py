@@ -27,6 +27,7 @@ from sidkit.retrieval import (
     MarkovScorer,
     SequenceScorer,
     SlicePlan,
+    TokenStreams,
     build_useraction_corpus,
     default_schedule,
     dynamic_beam_search,
@@ -45,6 +46,7 @@ from sidkit.retrieval import (
 from sidkit.rows import key_widths
 
 from conftest import scorer_count_dicts
+from reference_beam import dense_beam_search
 
 
 def two_by_two():
@@ -143,6 +145,14 @@ def loop_log_probs(scorer, context):
     return np.log((counts + scorer.alpha) / (counts.sum() + scorer.alpha * band))
 
 
+def densified(sparse, band):
+    """A (floor, row, code, log_prob) form as its (B, band) matrix."""
+    floor, row, code, log_prob = sparse
+    step = np.repeat(np.asarray(floor, dtype=np.float64)[:, None], band, axis=1)
+    step[row, code] = log_prob
+    return step
+
+
 @st.composite
 def small_structures(draw):
     sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
@@ -183,11 +193,20 @@ class TestScorerBatch:
         )
         batch = scorer.next_token_log_probs_batch(np.array(contexts, dtype=np.int64))
         level = length % structure.num_levels
-        assert batch.shape == (len(contexts), structure.level_sizes[level])
-        for row, context in zip(batch, contexts):
+        band = structure.level_sizes[level]
+        assert batch.shape == (len(contexts), band)
+        sparse = scorer.next_token_log_probs_sparse(np.array(contexts, dtype=np.int64))
+        floor, row, code, _ = sparse
+        at = row * band + code
+        assert (np.diff(at) > 0).all() and ((code >= 0) & (code < band)).all()
+        dense = densified(sparse, band)
+        for i, context in enumerate(contexts):
             want = loop_log_probs(scorer, context)
-            assert row.tobytes() == want.tobytes()
+            assert batch[i].tobytes() == want.tobytes()
+            assert dense[i].tobytes() == want.tobytes()
             assert scorer.next_token_log_probs(context).tobytes() == want.tobytes()
+            # each listed code is counted, so the floor is every other code's value
+            assert (want[np.setdiff1d(np.arange(band), code[row == i])] == floor[i]).all()
 
     def test_empty_context_rows(self):
         scorer = hand_scorer()
@@ -262,6 +281,13 @@ def corpora(draw, structure):
     return draw(st.permutations(streams + repeats), label="corpus")
 
 
+def token_streams(streams) -> TokenStreams:
+    """The streams as a TokenStreams view over one flat array."""
+    flat = [t for stream in streams for t in stream]
+    return TokenStreams(np.array(flat, dtype=np.int64),
+                        np.array([len(stream) for stream in streams], dtype=np.int64))
+
+
 class TestCountTable:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -311,12 +337,13 @@ class TestCountTable:
         chunk = data.draw(st.integers(1, 12), label="chunk tokens")
         want = reference_first_error(streams, structure)
         with mock.patch.object(retrieval, "_CHUNK_TOKENS", chunk):
-            if want is None:
-                train_markov_scorer(streams, structure, order=2)
-            else:
-                with pytest.raises(DataError) as info:
-                    train_markov_scorer(streams, structure, order=2)
-                assert str(info.value) == want
+            for corpus in (streams, token_streams(streams)):  # both go through one check
+                if want is None:
+                    train_markov_scorer(corpus, structure, order=2)
+                else:
+                    with pytest.raises(DataError) as info:
+                        train_markov_scorer(corpus, structure, order=2)
+                    assert str(info.value) == want
 
     def test_token_beyond_int64_is_out_of_band(self):
         streams = [[0, 2], [0, 2**70], [5, 2]]
@@ -804,6 +831,122 @@ class TestDynamicBeamSearch:
         assert [logp for _, logp in got] == [math.log(0.5), -math.inf, -math.inf, -math.inf]
 
 
+class FloorScorer(SequenceScorer):
+    """Stub scorer in the sparse form: each context draws its floor, which
+    codes it lists and their log-probs from a few values, seeded by the
+    context.  So floors tie across parents, listed values tie with floors,
+    and -inf may be either."""
+
+    def __init__(self, structure, values, seed):
+        self.structure, self.values, self.seed = structure, np.asarray(values), seed
+
+    def next_token_log_probs_sparse(self, contexts):
+        contexts = np.asarray(contexts, dtype=np.int64)
+        band = self.structure.level_sizes[contexts.shape[1] % self.structure.num_levels]
+        floor, row, code, log_prob = [], [], [], []
+        for i, context in enumerate(contexts.tolist()):
+            rng = np.random.default_rng([self.seed, *context])
+            floor.append(self.values[rng.integers(len(self.values))])
+            listed = np.flatnonzero(rng.random(band) < rng.random())
+            row += [i] * len(listed)
+            code += listed.tolist()
+            log_prob += self.values[rng.integers(len(self.values), size=len(listed))].tolist()
+        return (np.array(floor, dtype=np.float64), np.array(row, dtype=np.int64),
+                np.array(code, dtype=np.int64), np.array(log_prob, dtype=np.float64))
+
+    def next_token_log_probs_batch(self, contexts):
+        band = self.structure.level_sizes[np.shape(contexts)[1] % self.structure.num_levels]
+        return densified(self.next_token_log_probs_sparse(contexts), band)
+
+
+def assert_same_decode(got, want):
+    assert got.codes.tobytes() == want.codes.tobytes()
+    assert got.log_probs.tobytes() == want.log_probs.tobytes()
+
+
+class TestSparseBeam:
+    """dynamic_beam_search scores only the listed pairs and the floor
+    candidates that can be kept; tests/reference_beam.py scores every
+    candidate.  Codes and log-probs must be byte-equal."""
+
+    @pytest.mark.parametrize("widths, k", [((300, 600, 1200), 1200), ((30, 60, 120), 50)])
+    def test_production_world_equals_the_dense_beam(self, widths, k):
+        """64x64x64, an order-3 scorer: most candidates of a level sit at
+        their parent's floor.  100 contexts of 1 to 4 SIDs from the corpus,
+        and the empty context for the trained and an untrained scorer."""
+        structure = SidStructure((64, 64, 64), code_dim=2)
+        corpus = random_corpus(structure, 400, 5, np.random.default_rng(11))
+        scorer = train_markov_scorer(corpus, structure, order=3)
+        schedule = BeamSchedule(widths)
+        if widths == (300, 600, 1200):
+            assert schedule == default_schedule(structure)
+        contexts = [corpus[i][: 3 * (1 + i % 4)] for i in range(100)]
+        for context in contexts + [[]]:
+            assert_same_decode(dynamic_beam_search(scorer, context, schedule, k),
+                               dense_beam_search(scorer, context, schedule, k))
+        untrained = MarkovScorer(structure, order=3)
+        assert_same_decode(dynamic_beam_search(untrained, [], schedule, k),
+                           dense_beam_search(untrained, [], schedule, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_dense_beam(self, data):
+        """Count scorers (untrained ones among them, whose candidates all sit
+        at their floors), sparse-form stubs whose floors tie across parents,
+        with -inf among floors and values, and a dense-only stub that goes
+        through the default sparse form.  Widths at or above B x band, k
+        below the final width."""
+        structure = data.draw(small_structures(), label="structure")
+        kind = data.draw(st.sampled_from(["count", "floor", "tie"]), label="scorer")
+        if kind == "count":
+            scorer = data.draw(count_scorers(structure))
+        else:
+            values = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.5, -math.inf]),
+                                        min_size=1, max_size=3, unique=True), label="values")
+            stub = FloorScorer if kind == "floor" else TieScorer
+            scorer = stub(structure, values, data.draw(st.integers(0, 2**16), label="seed"))
+        widths = data.draw(st.lists(
+            st.integers(1, 3 * max(structure.level_sizes) ** 2),
+            min_size=structure.num_levels, max_size=structure.num_levels), label="widths")
+        k = data.draw(st.integers(1, widths[-1]), label="k")
+        context = list(structure.offsets) * data.draw(st.integers(0, 2), label="context SIDs")
+        got = dynamic_beam_search(scorer, context, BeamSchedule(widths), k)
+        assert_same_decode(got, dense_beam_search(scorer, context, BeamSchedule(widths), k))
+
+    def test_nan_floor_of_a_parent_with_unlisted_codes_names_the_level(self):
+        """A NaN floor counts where the parent has unlisted codes, which the
+        full candidate set holds, even if the parent would not be kept."""
+
+        class NanFloor(SequenceScorer):
+            structure = SidStructure((2, 3), code_dim=2)
+
+            def next_token_log_probs_sparse(self, contexts):
+                if np.shape(contexts)[1] == 0:
+                    return np.array([-1.0]), np.array([0, 0]), np.array([0, 1]), np.array([-1.0, -9.0])
+                # parent (1,) lists codes 0 and 1 only, its floor is NaN
+                return (np.array([-1.0, np.nan]), np.array([0, 0, 0, 1, 1]),
+                        np.array([0, 1, 2, 0, 1]), np.array([-1.0, -1.0, -1.0, -2.0, -2.0]))
+
+        with pytest.raises(DataError, match="level 1"):
+            dynamic_beam_search(NanFloor(), [], BeamSchedule((2, 1)), k=1)
+
+    def test_nan_floor_of_a_fully_listed_parent_is_no_candidate(self):
+        """A parent that lists every code holds no floor candidate, so its
+        floor is never read, as the dense matrix would never hold it."""
+
+        class FullyListed(SequenceScorer):
+            structure = SidStructure((2, 2), code_dim=2)
+
+            def next_token_log_probs_sparse(self, contexts):
+                b = len(contexts)
+                row, code = np.divmod(np.arange(2 * b), 2)
+                return np.full(b, np.nan), row, code, np.full(2 * b, -0.5)
+
+        got = dynamic_beam_search(FullyListed(), [], BeamSchedule((2, 4)), k=4)
+        assert [sid.codes for sid, _ in got] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert got.log_probs.tolist() == [-1.0] * 4
+
+
 class TestBeamResult:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1068,6 +1211,62 @@ class TestCorpus:
         path.write_text("0,2\n0,x\n")
         with pytest.raises(DataError, match="2"):
             load_corpus(path)
+
+
+class TestTokenStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(streams=st.lists(st.lists(st.integers(0, 300), max_size=6), max_size=6),
+           window=st.slices(8))
+    def test_reads_as_the_list_it_replaces(self, tmp_path_factory, streams, window):
+        """len, positive and negative indexing, slices, iteration, == in both
+        directions and the bytes save_corpus writes; an index past either
+        end raises IndexError, and the arrays are read-only."""
+        view = token_streams(streams)
+        n = len(streams)
+        assert len(view) == n
+        for i in range(-n, n):
+            assert view[i] == streams[i]
+            assert type(view[i]) is list
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[index]
+        assert view[window] == streams[window]
+        assert list(view) == streams and view == streams and streams == view
+        assert view == token_streams(streams)
+        assert view != streams + [[1]] and view != tuple(streams)
+        if streams:
+            assert view != streams[:-1] + [streams[-1] + [301]]
+        with pytest.raises(ValueError):
+            view.tokens[:1] = 1
+        folder = tmp_path_factory.mktemp("corpus")
+        save_corpus(view, folder / "view.txt")
+        save_corpus(streams, folder / "lists.txt")
+        assert (folder / "view.txt").read_bytes() == (folder / "lists.txt").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_counts_as_the_lists_do(self, data):
+        """Chunks of a few tokens, so that chunks end inside runs of
+        streams, give the same table from the view as from the lists."""
+        structure = data.draw(small_structures(), label="structure")
+        order = data.draw(st.integers(1, 2 * structure.num_levels + 2), label="order")
+        streams = data.draw(corpora(structure))
+        with mock.patch.object(retrieval, "_CHUNK_TOKENS", data.draw(st.integers(1, 12))):
+            from_view = train_markov_scorer(token_streams(streams), structure, order=order)
+            from_lists = train_markov_scorer(streams, structure, order=order)
+        assert from_view._rows.tobytes() == from_lists._rows.tobytes()
+        assert from_view._counts.tobytes() == from_lists._counts.tobytes()
+
+    def test_corpus_is_a_view(self):
+        structure, table = toy_assignment()
+        sequences = [
+            InteractionSequence(pv_id="p1", history=("c",), targets=("b", "a"), query=""),
+            InteractionSequence(pv_id="p2", history=(), targets=("d",), query=""),
+        ]
+        corpus = build_useraction_corpus(sequences, table)
+        assert isinstance(corpus, TokenStreams)
+        assert corpus.tokens.tolist() == [1, 2, 0, 3, 0, 2, 0, 2]
+        assert corpus.lengths.tolist() == [6, 2]
 
 
 class TestScorerSerialization:
