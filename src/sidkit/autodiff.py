@@ -234,16 +234,17 @@ def logsumexp_rows(x: Tensor) -> Tensor:
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+ADAM_WEIGHT_DECAY = 0.0
 
 
 class AdamW:
     """Decoupled-weight-decay Adam over a list of parameter tensors, with
-    moment decays ADAM_BETAS and denominator term ADAM_EPS."""
+    moment decays ADAM_BETAS, denominator term ADAM_EPS and weight decay
+    ADAM_WEIGHT_DECAY."""
 
-    def __init__(self, params, lr: float, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
         self._scratch = [(np.empty_like(p.value), np.empty_like(p.value)) for p in self.params]
@@ -273,7 +274,7 @@ class AdamW:
             np.sqrt(b, out=b)
             b += ADAM_EPS
             a /= b
-            a += np.multiply(p.value, self.weight_decay, out=b)
+            a += np.multiply(p.value, ADAM_WEIGHT_DECAY, out=b)
             a *= self.lr
             p.value -= a
 

@@ -37,40 +37,25 @@ DEFAULT_K_LIST = (20, 100, 500, 1000)
 
 
 class SequenceScorer:
-    """Interface every retrieval scorer implements.
+    """Interface every retrieval scorer implements: one method.
 
-    next_token_log_probs(context) returns log-probabilities over the token
-    band of the NEXT level (index within the band = the level code), inferred
-    from the context length mod m.  The entries exponentiate-and-sum to 1.
-
-    next_token_log_probs_batch(contexts) scores many contexts at once: it
+    next_token_log_probs_sparse(contexts) scores many contexts at once.  It
     takes a (B, L) int array whose rows share one length L, hence one next
-    level, and returns a (B, band) matrix whose row i equals
-    next_token_log_probs(contexts[i]).
-
-    next_token_log_probs_sparse(contexts) is the same matrix as a floor per
-    row and the entries that differ from it: (floor (B,), row (S,), code
-    (S,), log_prob (S,)).  Row i holds log_prob[j] at each listed
-    (row[j], code[j]) and floor[i] at every other code.  Rows are listed
-    ascending, codes ascending within a row, and each pair at most once.
-    The beam search calls only this one.  The default lists every code of
-    next_token_log_probs_batch, so a scorer need only give the dense form;
-    a scorer whose rows are mostly one value gives this form directly, and
-    the beam then scores only the entries it lists.
+    level (L mod m), and returns each row's log-probabilities over that
+    level's token band (index within the band = the level code) as a floor
+    per row and the entries that differ from it: (floor (B,), row (S,),
+    code (S,), log_prob (S,)).  Row i holds log_prob[j] at each listed
+    (row[j], code[j]) and floor[i] at every other code; its band's entries
+    exponentiate-and-sum to 1.  Rows are listed ascending, codes ascending
+    within a row, and each pair at most once.  A scorer whose rows are
+    mostly one value lists only the others, and the beam then scores only
+    the entries listed; a scorer may also list every code over a -inf floor.
     """
 
     structure: SidStructure
 
-    def next_token_log_probs(self, context) -> np.ndarray:
-        raise NotImplementedError
-
-    def next_token_log_probs_batch(self, contexts) -> np.ndarray:
-        raise NotImplementedError
-
     def next_token_log_probs_sparse(self, contexts):
-        step = self.next_token_log_probs_batch(contexts)
-        row, code = np.divmod(np.arange(step.size), step.shape[1])
-        return np.full(len(step), -np.inf), row, code, step.ravel()
+        raise NotImplementedError
 
 
 class MarkovScorer(SequenceScorer):
@@ -137,15 +122,12 @@ class MarkovScorer(SequenceScorer):
         self._set_table(rows.unpack(keys, radix, self.order + 1), counts)
 
     def next_token_log_probs(self, context) -> np.ndarray:
-        return self.next_token_log_probs_batch([[int(t) for t in context]])[0]
-
-    def next_token_log_probs_batch(self, contexts) -> np.ndarray:
-        """The sparse form with each row filled in: its floor, then its
-        counted codes."""
-        floor, row, code, log_prob = self.next_token_log_probs_sparse(contexts)
-        band = self.structure.level_sizes[np.shape(contexts)[1] % self.structure.num_levels]
-        step = np.repeat(floor[:, None], band, axis=1)
-        step[row, code] = log_prob
+        """One context's sparse row filled in over the next level's band:
+        its floor, then its counted codes."""
+        floor, _, code, log_prob = self.next_token_log_probs_sparse([[int(t) for t in context]])
+        step = np.full(self.structure.level_sizes[len(context) % self.structure.num_levels],
+                       floor[0])
+        step[code] = log_prob
         return step
 
     def next_token_log_probs_sparse(self, contexts):
@@ -303,7 +285,8 @@ def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
 
     The label at position t is predicted from tokens[:t]; a token or a label
     outside its level's band raises DataError.  All positions of one prefix
-    length are scored in one next_token_log_probs_batch call, and the losses
+    length are scored in one next_token_log_probs_sparse call, each label
+    reading its listed log-prob or else its row's floor, and the losses
     summed example by example, position by position, as a loop would.
     """
     structure = scorer.structure
@@ -325,9 +308,10 @@ def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
     for pos, scored in by_length.items():
         contexts = np.array([prefix for _, _, prefix in scored], dtype=np.int64)
         contexts = contexts.reshape(len(scored), pos)
-        step = scorer.next_token_log_probs_batch(contexts)
-        for (e, code, _), row in zip(scored, step):
-            losses[e, pos] = -float(row[code])
+        floor, row, code, log_prob = scorer.next_token_log_probs_sparse(contexts)
+        listed = dict(zip(zip(row.tolist(), code.tolist()), log_prob.tolist()))
+        for i, ((e, label_code, _), row_floor) in enumerate(zip(scored, floor.tolist())):
+            losses[e, pos] = -listed.get((i, label_code), row_floor)
     total = 0.0
     for key in sorted(losses):
         total += losses[key]
@@ -415,14 +399,35 @@ def default_schedule(structure: SidStructure) -> BeamSchedule:
     return BeamSchedule(tuple(min(300 * 2**j, 1200) for j in range(m)))
 
 
-class BeamResult(Sequence):
+class _ListView(Sequence):
+    """Read-only view that reads as the list of its items: len, iteration,
+    indexing and == against such a list (or a view of the same class)
+    behave as the list does, and a slice is that list's slice.  A subclass
+    gives __len__, __iter__ and _item, the item at one index."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._item(operator.index(index))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, type(self))):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class BeamResult(_ListView):
     """Read-only view of a decode: a (k, m) int64 code matrix and its (k,)
     log-prob vector, best first.
 
-    It reads as the list of (SemanticId, float log-prob) pairs: len,
-    iteration, indexing and == against such a list behave as the list does,
-    and a slice is that list's slice.  A pair is built only when read, so a
-    caller that needs only the codes builds no SemanticId.
+    It reads as the list of (SemanticId, float log-prob) pairs (see
+    _ListView).  A pair is built only when read, so a caller that needs only
+    the codes builds no SemanticId.
     """
 
     __slots__ = ("codes", "log_probs")
@@ -434,22 +439,11 @@ class BeamResult(Sequence):
     def __len__(self) -> int:
         return len(self.log_probs)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
+    def _item(self, index: int):
         return SemanticId(self.codes[index].tolist()), float(self.log_probs[index])
 
     def __iter__(self):
         return zip(map(SemanticId, self.codes.tolist()), self.log_probs.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, BeamResult)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def dynamic_beam_search(
@@ -572,25 +566,24 @@ def evaluate_hr(
     for seq in sequences:
         if not seq.targets:
             raise DataError(f"sequence {seq.pv_id!r} has no clicked targets")
+        table.codes_of(seq.targets)  # the first unmapped target is a data error, not a zero
         context = sequence_context(table, seq.history)
         decoded = dynamic_beam_search(scorer, context, schedule, k=schedule.widths[-1])
         retrieved = table.items_for_codes(decoded.codes, limit=max_k)
         clicked = set(seq.targets)
-        table.codes_of(clicked)  # unmapped target is a data error, not a zero
         for k in k_list:
             hits = len(set(retrieved[:k]) & clicked)
             totals[k] += hits / len(clicked)
     return {k: totals[k] / len(sequences) for k in k_list}
 
 
-class TokenStreams(Sequence):
+class TokenStreams(_ListView):
     """Read-only view of a corpus: one flat int64 token array, the streams
     end to end, and each stream's length.
 
-    It reads as the list of token lists: len, iteration, indexing and ==
-    against such a list behave as the list does, and a slice is that list's
-    slice.  A stream's list is built only when read; training counts
-    straight from the arrays (see _checked_chunks).
+    It reads as the list of token lists (see _ListView).  A stream's list is
+    built only when read; training counts straight from the arrays (see
+    _checked_chunks).
     """
 
     __slots__ = ("tokens", "lengths", "_starts")
@@ -603,10 +596,7 @@ class TokenStreams(Sequence):
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
+    def _item(self, index: int):
         start = self._starts[index]
         return self.tokens[start : start + self.lengths[index]].tolist()
 
@@ -614,14 +604,6 @@ class TokenStreams(Sequence):
         flat = self.tokens.tolist()
         return (flat[start : start + n] for start, n in
                 zip(self._starts.tolist(), self.lengths.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, TokenStreams)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def build_useraction_corpus(sequences, table: AssignmentTable) -> TokenStreams:

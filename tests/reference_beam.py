@@ -1,7 +1,7 @@
 """The dense beam search, kept as a reference.
 
-Every level scores all B * band candidates from one
-next_token_log_probs_batch call and selects from them with rows.top_k, as
+Every level fills all B * band candidates in from one
+next_token_log_probs_sparse call and selects from them with rows.top_k, as
 dynamic_beam_search did before it scored only the listed pairs and the
 floor candidates that can be kept.  The differential tests hold
 dynamic_beam_search to the same codes and log-probs, byte for byte.
@@ -14,6 +14,14 @@ import numpy as np
 from sidkit import rows
 from sidkit.errors import DataError
 from sidkit.retrieval import BeamResult, _checked, _flattened
+
+
+def densified(sparse, band):
+    """A (floor, row, code, log_prob) form as its (B, band) matrix."""
+    floor, row, code, log_prob = sparse
+    step = np.repeat(np.asarray(floor, dtype=np.float64)[:, None], band, axis=1)
+    step[row, code] = log_prob
+    return step
 
 
 def dense_beam_search(scorer, context, schedule, k: int) -> BeamResult:
@@ -29,7 +37,7 @@ def dense_beam_search(scorer, context, schedule, k: int) -> BeamResult:
         band = structure.level_sizes[level]
         contexts = np.concatenate(
             (np.broadcast_to(context, (len(beams), len(context))), beams), axis=1)
-        step = scorer.next_token_log_probs_batch(contexts)
+        step = densified(scorer.next_token_log_probs_sparse(contexts), band)
         candidates = (scores[:, None] + step).ravel()
         if np.isnan(candidates).any():
             raise DataError(f"scorer returned NaN log-probabilities at level {level}")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidkit import autodiff
 from sidkit.autodiff import AdamW, Tensor, cosine_warmup_lr, logsumexp_rows, wrap
 
 
@@ -317,9 +318,10 @@ class TestAdamW:
         want = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p.value, want, rtol=1e-9)
 
-    def test_weight_decay_is_decoupled(self):
+    def test_weight_decay_is_decoupled(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "ADAM_WEIGHT_DECAY", 0.01)
         p = Tensor(np.array([10.0]))
-        opt = AdamW([p], lr=0.1, weight_decay=0.01)
+        opt = AdamW([p], lr=0.1)
         p.grad = np.array([1.0])
         opt.step()
         # decay subtracts lr * wd * p on top of the adam update

@@ -46,7 +46,7 @@ from sidkit.retrieval import (
 from sidkit.rows import key_widths
 
 from conftest import scorer_count_dicts
-from reference_beam import dense_beam_search
+from reference_beam import dense_beam_search, densified
 
 
 def two_by_two():
@@ -145,14 +145,6 @@ def loop_log_probs(scorer, context):
     return np.log((counts + scorer.alpha) / (counts.sum() + scorer.alpha * band))
 
 
-def densified(sparse, band):
-    """A (floor, row, code, log_prob) form as its (B, band) matrix."""
-    floor, row, code, log_prob = sparse
-    step = np.repeat(np.asarray(floor, dtype=np.float64)[:, None], band, axis=1)
-    step[row, code] = log_prob
-    return step
-
-
 @st.composite
 def small_structures(draw):
     sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
@@ -191,18 +183,15 @@ class TestScorerBatch:
             st.lists(st.lists(token, min_size=length, max_size=length), min_size=1, max_size=6),
             label="contexts",
         )
-        batch = scorer.next_token_log_probs_batch(np.array(contexts, dtype=np.int64))
-        level = length % structure.num_levels
-        band = structure.level_sizes[level]
-        assert batch.shape == (len(contexts), band)
         sparse = scorer.next_token_log_probs_sparse(np.array(contexts, dtype=np.int64))
         floor, row, code, _ = sparse
+        band = structure.level_sizes[length % structure.num_levels]
+        assert floor.shape == (len(contexts),)
         at = row * band + code
         assert (np.diff(at) > 0).all() and ((code >= 0) & (code < band)).all()
         dense = densified(sparse, band)
         for i, context in enumerate(contexts):
             want = loop_log_probs(scorer, context)
-            assert batch[i].tobytes() == want.tobytes()
             assert dense[i].tobytes() == want.tobytes()
             assert scorer.next_token_log_probs(context).tobytes() == want.tobytes()
             # each listed code is counted, so the floor is every other code's value
@@ -210,7 +199,7 @@ class TestScorerBatch:
 
     def test_empty_context_rows(self):
         scorer = hand_scorer()
-        batch = scorer.next_token_log_probs_batch(np.empty((3, 0), dtype=np.int64))
+        batch = densified(scorer.next_token_log_probs_sparse(np.empty((3, 0), dtype=np.int64)), 2)
         for row in batch:
             assert row.tobytes() == scorer.next_token_log_probs([]).tobytes()
         np.testing.assert_allclose(np.exp(batch[0]), [2.1 / 3.2, 1.1 / 3.2], rtol=1e-12)
@@ -221,11 +210,11 @@ class TestScorerBatch:
         contexts = [[0, 2], [1, 3], [0, 3]]
         contexts[bad_row][1] = bad_token
         with pytest.raises(DataError, match=f"token {bad_token} outside"):
-            hand_scorer().next_token_log_probs_batch(contexts)
+            hand_scorer().next_token_log_probs_sparse(contexts)
 
     def test_contexts_must_be_a_matrix(self):
         with pytest.raises(DataError, match="matrix"):
-            hand_scorer().next_token_log_probs_batch([0, 2])
+            hand_scorer().next_token_log_probs_sparse([0, 2])
 
 
 def reference_counts(streams, order):
@@ -448,14 +437,17 @@ class TestRecLoss:
 
 
 def loop_scored_loss(scorer, examples):
-    """Reference: one next_token_log_probs call per scored position, summed
-    example by example, position by position."""
+    """Reference: each scored position's context scored alone and its row
+    filled in, summed example by example, position by position."""
+    structure = scorer.structure
     total, scored = 0.0, 0
     for example in examples:
         for pos, label in enumerate(example.labels):
             if label >= 0:
-                offset = scorer.structure.offsets[pos % scorer.structure.num_levels]
-                total += -float(scorer.next_token_log_probs(example.tokens[:pos])[label - offset])
+                level = pos % structure.num_levels
+                sparse = scorer.next_token_log_probs_sparse([example.tokens[:pos]])
+                step = densified(sparse, structure.level_sizes[level])[0]
+                total += -float(step[label - structure.offsets[level]])
                 scored += 1
     return total / scored
 
@@ -465,7 +457,7 @@ class TestScoredLossBatches:
     @given(data=st.data())
     def test_one_batch_per_prefix_length_equals_the_loop(self, data):
         """Examples of different lengths and masks: the masked loss equals
-        the per-position loop exactly, from one batch call per scored
+        the per-position loop exactly, from one sparse call per scored
         prefix length."""
         structure = data.draw(small_structures(), label="structure")
         scorer = data.draw(count_scorers(structure))
@@ -477,24 +469,33 @@ class TestScoredLossBatches:
         if not examples:
             return
         calls = []
-        batch = scorer.next_token_log_probs_batch
+        sparse = scorer.next_token_log_probs_sparse
 
         def counting(contexts):
             calls.append(np.shape(contexts)[1])
-            return batch(contexts)
+            return sparse(contexts)
 
         want = loop_scored_loss(scorer, examples)
-        with mock.patch.object(scorer, "next_token_log_probs_batch", counting):
+        with mock.patch.object(scorer, "next_token_log_probs_sparse", counting):
             got = masked_batch_loss(scorer, examples)
         assert got == want
         scored = {pos for ex in examples for pos, label in enumerate(ex.labels) if label >= 0}
         assert sorted(calls) == sorted(scored)
 
-    def test_batch_only_scorer_is_scored(self):
-        steps = [np.log([0.5, 0.5]), np.log([0.25, 0.75])]
-        scorer = StepScorer(two_by_two(), steps)
-        example = labeled_from_stream([0, 3], scored_from=0)
-        assert masked_batch_loss(scorer, [example]) == (-math.log(0.5) - math.log(0.75)) / 2
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sparse_only_scorer_is_scored(self, data):
+        """A scorer that gives only the sparse form, its floors tied with
+        its listed values and -inf among both: each label reads its listed
+        log-prob, else its row's floor, as the per-position loop does."""
+        structure = data.draw(small_structures(), label="structure")
+        values = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.5, -math.inf]),
+                                    min_size=1, max_size=3, unique=True), label="values")
+        scorer = FloorScorer(structure, values, data.draw(st.integers(0, 2**16), label="seed"))
+        examples = [labeled_from_stream(stream, data.draw(st.integers(0, len(stream) - 1)))
+                    for stream in data.draw(corpora(structure)) if stream]
+        if examples:
+            assert masked_batch_loss(scorer, examples) == loop_scored_loss(scorer, examples)
 
 
 class TestSlicePlan:
@@ -625,7 +626,21 @@ def tuple_beam_search(scorer, context, schedule, k):
     return [(flat_tokens_to_sid(tokens, structure), logp) for logp, tokens in beams[:k]]
 
 
-class StepScorer(SequenceScorer):
+class DenseScorer(SequenceScorer):
+    """Stub base: a subclass gives each (B, band) matrix of log-probs,
+    next_token_log_probs_batch, and this lists every code of it over a -inf
+    floor.  next_token_log_probs is one context's row."""
+
+    def next_token_log_probs_sparse(self, contexts):
+        step = self.next_token_log_probs_batch(contexts)
+        row, code = np.divmod(np.arange(step.size), step.shape[1])
+        return np.full(len(step), -np.inf), row, code, step.ravel()
+
+    def next_token_log_probs(self, context):
+        return self.next_token_log_probs_batch([list(context)])[0]
+
+
+class StepScorer(DenseScorer):
     """Stub scorer: every context at level j gets the fixed row steps[j]."""
 
     def __init__(self, structure, steps):
@@ -638,7 +653,7 @@ class StepScorer(SequenceScorer):
         return np.tile(self.steps[level], (len(contexts), 1))
 
 
-class ContextStepScorer(SequenceScorer):
+class ContextStepScorer(DenseScorer):
     """Stub scorer: the row of each context is given by a dict."""
 
     def __init__(self, structure, rows):
@@ -647,11 +662,8 @@ class ContextStepScorer(SequenceScorer):
     def next_token_log_probs_batch(self, contexts):
         return np.array([self.rows[tuple(c)] for c in np.asarray(contexts).tolist()])
 
-    def next_token_log_probs(self, context):
-        return self.next_token_log_probs_batch([list(context)])[0]
 
-
-class TieScorer(SequenceScorer):
+class TieScorer(DenseScorer):
     """Stub scorer: each (context, code) draws its log-prob from a few
     values, seeded by the context, so most candidates tie."""
 
@@ -664,9 +676,6 @@ class TieScorer(SequenceScorer):
         rows = [self.values[np.random.default_rng([self.seed, *row]).integers(
             len(self.values), size=band)] for row in contexts.tolist()]
         return np.array(rows).reshape(len(contexts), band)
-
-    def next_token_log_probs(self, context):
-        return self.next_token_log_probs_batch([list(context)])[0]
 
 
 class TestDynamicBeamSearch:
@@ -854,10 +863,6 @@ class FloorScorer(SequenceScorer):
         return (np.array(floor, dtype=np.float64), np.array(row, dtype=np.int64),
                 np.array(code, dtype=np.int64), np.array(log_prob, dtype=np.float64))
 
-    def next_token_log_probs_batch(self, contexts):
-        band = self.structure.level_sizes[np.shape(contexts)[1] % self.structure.num_levels]
-        return densified(self.next_token_log_probs_sparse(contexts), band)
-
 
 def assert_same_decode(got, want):
     assert got.codes.tobytes() == want.codes.tobytes()
@@ -893,8 +898,8 @@ class TestSparseBeam:
     def test_equals_the_dense_beam(self, data):
         """Count scorers (untrained ones among them, whose candidates all sit
         at their floors), sparse-form stubs whose floors tie across parents,
-        with -inf among floors and values, and a dense-only stub that goes
-        through the default sparse form.  Widths at or above B x band, k
+        with -inf among floors and values, and a dense stub that lists every
+        code over a -inf floor.  Widths at or above B x band, k
         below the final width."""
         structure = data.draw(small_structures(), label="structure")
         kind = data.draw(st.sampled_from(["count", "floor", "tie"]), label="scorer")
@@ -1138,6 +1143,19 @@ class TestEvaluateHr:
             InteractionSequence(pv_id="p1", history=("b",), targets=("zz",), query="")
         ]
         with pytest.raises(DataError):
+            evaluate_hr(scorer, table, sequences, BeamSchedule((2, 4)), k_list=(1,))
+
+    def test_first_unmapped_target_is_named_before_decoding(self, monkeypatch):
+        """Several unmapped targets: the error names the first in the
+        sequence's order, not one that set hash order picks, and no decode
+        runs first."""
+        structure, table = toy_assignment()
+        scorer = self.make_scorer(table, structure, (0, 0))
+        targets = ("a", "ghost7", *(f"ghost{n}" for n in range(7)))
+        sequences = [InteractionSequence(pv_id="p1", history=("b",), targets=targets, query="")]
+        monkeypatch.setattr(retrieval, "dynamic_beam_search",
+                            mock.Mock(side_effect=AssertionError("decoded")))
+        with pytest.raises(DataError, match="^item 'ghost7' has no assigned SID$"):
             evaluate_hr(scorer, table, sequences, BeamSchedule((2, 4)), k_list=(1,))
 
     def test_no_sequences_rejected(self):
