@@ -9,17 +9,20 @@ UTF-8 TSV so that fixtures stay diff-friendly.
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import re
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import rows
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -63,7 +66,7 @@ class SidStructure:
             acc += n
         return tuple(out)
 
-    @property
+    @cached_property
     def total_tokens(self) -> int:
         return sum(self.level_sizes)
 
@@ -232,12 +235,122 @@ class InteractionSequence:
     def __post_init__(self):
         object.__setattr__(self, "history", tuple(self.history))
         object.__setattr__(self, "targets", tuple(self.targets))
-        if not self.pv_id:
-            raise DataError("pv_id must be non-empty")
-        if not self.targets:
-            raise DataError(f"sequence {self.pv_id!r} has no targets")
-        if len(self.history) > MAX_HISTORY:
-            raise DataError(f"sequence {self.pv_id!r} history exceeds {MAX_HISTORY}")
+        _check_sequence(self.pv_id, self.history, self.targets)
+
+
+def _check_sequence(pv_id: str, history, targets) -> None:
+    """The rules of one page view: an id, at least one target, and at most
+    MAX_HISTORY history ids."""
+    if not pv_id:
+        raise DataError("pv_id must be non-empty")
+    if not targets:
+        raise DataError(f"sequence {pv_id!r} has no targets")
+    if len(history) > MAX_HISTORY:
+        raise DataError(f"sequence {pv_id!r} history exceeds {MAX_HISTORY}")
+
+
+class _ListView(Sequence):
+    """Read-only view that reads as the list of its items: len, iteration,
+    indexing and == against such a list (or a view of the same class)
+    behave as the list does, and a slice is that list's slice.  A subclass
+    gives __len__, __iter__ and _item, the item at one index."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._item(operator.index(index))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, type(self))):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class SequenceColumns(_ListView):
+    """Read-only view of interaction sequences as columns: the pv ids and
+    queries, `item_ids`, the distinct item ids in the order first named,
+    and `items`, one int64 array of numbers into `item_ids` that holds each
+    sequence's history and then its targets, end to end.  `starts` (n + 1)
+    bounds each sequence's run and `target_starts` (n) its targets.
+
+    It reads as the list of InteractionSequence (see _ListView).  A sequence
+    is built only when read, so a corpus build or an id check reads the
+    columns and builds none.  `of` builds the columns of InteractionSequence
+    objects through the constructor, as the loader does, so there is one
+    path.  Neither checks the rules of a sequence: the objects and the
+    loader did.
+    """
+
+    __slots__ = ("pv_ids", "queries", "item_ids", "items", "starts", "target_starts")
+
+    def __init__(self, pv_ids, queries, history_ids, n_history, target_ids, n_targets):
+        """The columns of n sequences from their pv ids and queries, every
+        history's ids end to end with each one's count, and every target
+        list's likewise."""
+        self.pv_ids, self.queries = list(pv_ids), list(queries)
+        n_history = np.asarray(n_history, dtype=np.int64)
+        self.starts = np.zeros(len(self.pv_ids) + 1, dtype=np.int64)
+        np.cumsum(n_history + np.asarray(n_targets, dtype=np.int64), out=self.starts[1:])
+        self.target_starts = self.starts[:-1] + n_history
+        named = np.empty(self.starts[-1], dtype=object)  # each history, then its targets
+        named[rows.expand(self.starts[:-1], self.target_starts)[0]] = history_ids
+        named[rows.expand(self.target_starts, self.starts[1:])[0]] = target_ids
+        self.item_ids = tuple(dict.fromkeys(named))
+        numbers = dict(zip(self.item_ids, range(len(self.item_ids))))
+        self.items = np.fromiter(map(numbers.__getitem__, named), np.int64, len(named))
+        for column in (self.items, self.starts, self.target_starts):
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, sequences) -> "SequenceColumns":
+        """The columns of InteractionSequence objects, in order."""
+        sequences = list(sequences)
+        histories, targets = [s.history for s in sequences], [s.targets for s in sequences]
+        return cls([s.pv_id for s in sequences], [s.query for s in sequences],
+                   list(chain.from_iterable(histories)), list(map(len, histories)),
+                   list(chain.from_iterable(targets)), list(map(len, targets)))
+
+    def __len__(self) -> int:
+        return len(self.pv_ids)
+
+    def _item(self, index: int) -> InteractionSequence:
+        index = range(len(self))[index]  # from the end if negative; IndexError if outside
+        start, stop = self.starts[index], self.starts[index + 1]
+        ids = [self.item_ids[i] for i in self.items[start:stop].tolist()]
+        cut = self.target_starts[index] - start
+        return InteractionSequence(self.pv_ids[index], ids[:cut], ids[cut:], self.queries[index])
+
+    def __iter__(self) -> Iterator[InteractionSequence]:
+        ids = list(map(self.item_ids.__getitem__, self.items.tolist()))
+        for pv_id, start, split, stop, query in zip(
+                self.pv_ids, self.starts.tolist(), self.target_starts.tolist(),
+                self.starts[1:].tolist(), self.queries):
+            yield InteractionSequence(pv_id, ids[start:split], ids[split:stop], query)
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """`values` as an ndarray of integers: as numpy reads them when that is
+    an integer dtype, else as int64, or as Python ints (dtype object) when
+    one lies beyond int64.  A value that is no integer, a float among them
+    even when it is integral, is a DataError naming `what`, the value and
+    its position."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array
+    array = np.asarray(values, dtype=object)  # each value as given
+    for at, value in np.ndenumerate(array):
+        if not isinstance(value, (int, np.integer)):
+            raise DataError(f"{what} {value} at position {at[0] if len(at) == 1 else at} "
+                            "is not an integer")
+    try:
+        return array.astype(np.int64)
+    except OverflowError:
+        return array
 
 
 # ---------------------------------------------------------------------------
@@ -526,29 +639,67 @@ def save_item_catalog(catalog: ItemCatalog, path) -> None:
     write_artifact(path, lines())
 
 
-def load_sequences(path) -> list[InteractionSequence]:
-    """Read interaction sequences from TSV, preserving file order.
+def load_sequences(path) -> SequenceColumns:
+    """Read interaction sequences from TSV, preserving file order, as
+    columns (see SequenceColumns).
 
     Row layout: pv_id, comma-separated target ids, query (empty string means
-    a recommendation task), comma-separated history ids.  Histories longer
-    than MAX_HISTORY keep only the most recent ids; one warning reports how
-    many rows were truncated.
+    a recommendation task), comma-separated history ids.  Ids are the
+    non-empty texts between commas, once a field's surrounding whitespace is
+    stripped.  Histories longer than MAX_HISTORY keep only the most recent
+    ids; one warning reports how many rows were truncated.
+
+    The file is read whole and split into columns _BLOCK_ROWS rows at a
+    time, and every row is checked at once.  When that fails, `read_rows`
+    walks the rows through their one-row check, the rules an
+    InteractionSequence checks, to name the first bad one.
     """
-    truncated = []
 
-    def parse(fields):
-        pv_id, targets, query, history = map(str.strip, fields)
-        history_ids = tuple(filter(None, history.split(",")))
-        if len(history_ids) > MAX_HISTORY:
-            history_ids = history_ids[-MAX_HISTORY:]
-            truncated.append(pv_id)
-        target_ids = tuple(filter(None, targets.split(",")))
-        return InteractionSequence(pv_id, history_ids, target_ids, query or None)
+    def finish(text):
+        lines = list(filter(str.strip, text.split("\n")))
+        if (np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) != 3).any():
+            raise ValueError("a row holds other than 4 fields")
+        pv_ids, queries, targets, n_targets, history, n_history = [], [], [], [], [], []
+        names = {}  # one str object per distinct id, so only a block's copies are alive at once
+        for lo in range(0, len(lines), _BLOCK_ROWS):
+            fields = list(map(str.strip, "\t".join(lines[lo : lo + _BLOCK_ROWS]).split("\t")))
+            pv_ids += fields[0::4]
+            queries += fields[2::4]
+            _extend_ids(targets, n_targets, fields[1::4], names)
+            _extend_ids(history, n_history, fields[3::4], names)
+        del lines
+        n_targets, n_history = np.array(n_targets, np.int64), np.array(n_history, np.int64)
+        if not (all(pv_ids) and n_targets.all()):
+            raise ValueError("a sequence has no pv_id or no targets")
+        long = np.flatnonzero(n_history > MAX_HISTORY)
+        if len(long):
+            logger.warning("%d sequence(s) truncated to the last %d ids", len(long), MAX_HISTORY)
+            first = (np.cumsum(n_history) - n_history)[long]
+            kept = np.ones(len(history), dtype=bool)
+            kept[rows.expand(first, first + n_history[long] - MAX_HISTORY)[0]] = False
+            history, n_history = list(compress(history, kept)), np.minimum(n_history, MAX_HISTORY)
+        return SequenceColumns(pv_ids, [query or None for query in queries],
+                               history, n_history, targets, n_targets)
 
-    sequences = read_rows(path, parse)
-    if truncated:
-        logger.warning("%d sequence(s) truncated to the last %d ids", len(truncated), MAX_HISTORY)
-    return sequences
+    def check_row(i, fields):
+        pv_id, targets, _, _ = map(str.strip, fields)
+        _check_sequence(pv_id, (), tuple(filter(None, targets.split(","))))
+
+    return read_rows(path, None, finish, check_row)
+
+
+def _extend_ids(ids: list, counts: list, texts: list[str], names: dict) -> None:
+    """Append the non-empty ids of each comma-separated text to `ids`, end
+    to end, each as the one str object `names` holds for it, and how many
+    each text holds to `counts`."""
+    split = ",".join(texts).split(",")
+    sizes = np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts)) + 1
+    if "" in split:  # an empty text, or commas with nothing between them
+        named = np.fromiter(map(bool, split), bool, len(split))
+        sizes = np.add.reduceat(named, np.cumsum(sizes) - sizes, dtype=np.int64)
+        split = list(compress(split, named))
+    ids += map(names.setdefault, split, split)
+    counts += sizes.tolist()
 
 
 def save_sequences(sequences: Sequence[InteractionSequence], path) -> None:

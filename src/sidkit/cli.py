@@ -161,16 +161,17 @@ def _load_catalog(args):
     return load_item_catalog(args.catalog, d_in=args.d_in)
 
 
-def _check_known(path, rows, items_of, owner_of, known, known_path) -> None:
+def _check_known(path, rows, items_of, owner_of, known, known_path, ids=None) -> None:
     """DataError at the first item, in file order, that `known` lacks.
 
     `rows` are what `path` holds, `items_of(row)` gives a row's item ids and
-    `known` is a catalog or a table.  All ids are checked against its id
-    dict in one set operation; only when one is missing are the rows walked
-    to name that file, the row's owner, `owner_of(row)`, the item and
-    `known_path`, the file that lacks the item."""
+    `known` is a catalog or a table.  The ids the rows name (`ids`, when the
+    caller holds them, else every row's) are checked against its id dict in
+    one set operation; only when one is missing are the rows walked to name
+    that file, the row's owner, `owner_of(row)`, the item and `known_path`,
+    the file that lacks the item."""
     known_ids = known._rows.keys()  # id -> row, in a catalog and in a table
-    if known_ids >= set(chain.from_iterable(map(items_of, rows))):
+    if known_ids >= set(chain.from_iterable(map(items_of, rows)) if ids is None else ids):
         return
     for row in rows:
         unknown = next((i for i in items_of(row) if i not in known_ids), None)
@@ -184,7 +185,8 @@ def _sequences_and_table(args, structure: SidStructure):
     table = collision.load_assignment(args.assignment, structure)
     sequences = load_sequences(args.sequences)
     _check_known(args.sequences, sequences, lambda s: (*s.history, *s.targets),
-                 lambda s: f"sequence {s.pv_id!r}", table, args.assignment)
+                 lambda s: f"sequence {s.pv_id!r}", table, args.assignment,
+                 ids=sequences.item_ids)
     return sequences, table
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rows
-from .catalog import (SemanticId, SidStructure, comma_matrix, parse_sid_brackets, read_rows,
-                      write_artifact)
+from .catalog import (SemanticId, SidStructure, comma_matrix, integer_array, parse_sid_brackets,
+                      read_rows, write_artifact)
 from .errors import DataError
 from .quantizer import QuantizerModel, assign_random, nearest_codewords
 
@@ -141,19 +141,22 @@ class AssignmentTable:
         """The members of each code row in turn, each SID's in ascending id,
         cut at `limit` ids (no cut when None).  The rows, an (n, m) array or
         a list of code rows, are looked up at once in the SID index; a row
-        with a code out of its level's band holds nobody."""
+        with a code out of its level's band holds nobody.  A code that is no
+        integer is a DataError."""
         m = self.structure.num_levels
-        try:
-            codes = np.asarray(code_rows, dtype=np.int64)
-        except OverflowError:  # a code beyond int64 is out of every band, as -1 is
-            codes = np.asarray([[c if -(2**63) <= c < 2**63 else -1 for c in map(int, row)]
-                                for row in code_rows], dtype=np.int64)
+        codes = integer_array(code_rows, "code")
+        if codes.dtype == object:  # a code beyond int64 is out of every band, as -1 is
+            codes = np.array([c if -(2**63) <= c < 2**63 else -1 for c in codes.ravel().tolist()],
+                             dtype=np.int64).reshape(codes.shape)
+        codes = codes.astype(np.int64, copy=False)
         codes = codes.reshape(0, m) if codes.shape == (0,) else codes
         if codes.ndim != 2 or codes.shape[1] != m:
             raise DataError(f"expected an (n, {m}) code matrix, got shape {codes.shape}")
         start, stop = self._sid_index().rows_of(codes + np.asarray(self.structure.offsets))
-        in_band = ((codes >= 0) & (codes < self.structure.level_sizes)).all(axis=1)
-        found, _ = rows.expand(start, np.where(in_band, stop, start))
+        sizes = self.structure.level_sizes
+        if codes.size and (codes.min() < 0 or (codes.max(axis=0) >= sizes).any()):
+            stop = np.where(((codes >= 0) & (codes < sizes)).all(axis=1), stop, start)
+        found, _ = rows.expand(start, stop)
         ordered = self._ordered
         return [ordered[i] for i in found[:limit].tolist()]
 

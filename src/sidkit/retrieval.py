@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import io
 import logging
-import operator
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import rows
-from .catalog import (INT_LIST, Header, SemanticId, SidStructure, read_rows, saved_int,
-                      write_artifact)
+from .catalog import (INT_LIST, Header, SemanticId, SequenceColumns, SidStructure, _ListView,
+                      integer_array, read_rows, saved_int, write_artifact)
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -124,7 +122,10 @@ class MarkovScorer(SequenceScorer):
     def next_token_log_probs(self, context) -> np.ndarray:
         """One context's sparse row filled in over the next level's band:
         its floor, then its counted codes."""
-        floor, _, code, log_prob = self.next_token_log_probs_sparse([[int(t) for t in context]])
+        context = integer_array(context, "token")
+        if context.ndim != 1:
+            raise DataError(f"expected a flat token context, got shape {context.shape}")
+        floor, _, code, log_prob = self.next_token_log_probs_sparse(context[None])
         step = np.full(self.structure.level_sizes[len(context) % self.structure.num_levels],
                        floor[0])
         step[code] = log_prob
@@ -134,13 +135,17 @@ class MarkovScorer(SequenceScorer):
         """One trie walk finds every row's context and lists its counted
         codes of the next level.  Add-alpha smoothing over the band gives a
         counted code log((c + alpha) / d) and every other code the floor
-        log(alpha / d), where d is the row's count total + alpha * band."""
-        contexts = np.asarray(contexts, dtype=np.int64)
+        log(alpha / d), where d is the row's count total + alpha * band.
+        A token that is no integer, or lies outside the token space, is a
+        DataError."""
+        contexts = integer_array(contexts, "token")
         if contexts.ndim != 2:
             raise DataError(f"expected a (B, L) context matrix, got shape {contexts.shape}")
-        bad = (contexts < 0) | (contexts >= self.structure.total_tokens)
-        if bad.any():
-            raise DataError(f"token {contexts[bad][0]} outside the structure's token space")
+        total = self.structure.total_tokens
+        if contexts.size and (contexts.min() < 0 or contexts.max() >= total):
+            raise DataError(f"token {contexts[(contexts < 0) | (contexts >= total)][0]} "
+                            "outside the structure's token space")
+        contexts = contexts.astype(np.int64, copy=False)
         length = contexts.shape[1]
         level = length % self.structure.num_levels
         offset = self.structure.offsets[level]
@@ -148,8 +153,9 @@ class MarkovScorer(SequenceScorer):
         start, stop = self._context_index().rows_of(contexts[:, max(0, length - self.order) :])
         picked, row = rows.expand(start, stop)
         code = self._rows[picked, self.order] - offset
-        keep = (code >= 0) & (code < band)
-        if not keep.all():  # a context with tokens outside their levels' bands
+        if code.size and (code.min() < 0 or code.max() >= band):
+            # a context with tokens outside their levels' bands
+            keep = (code >= 0) & (code < band)
             picked, row, code = picked[keep], row[keep], code[keep]
         counts = self._counts[picked]
         # integer counts, so the float sums are exact in any order
@@ -399,28 +405,6 @@ def default_schedule(structure: SidStructure) -> BeamSchedule:
     return BeamSchedule(tuple(min(300 * 2**j, 1200) for j in range(m)))
 
 
-class _ListView(Sequence):
-    """Read-only view that reads as the list of its items: len, iteration,
-    indexing and == against such a list (or a view of the same class)
-    behave as the list does, and a slice is that list's slice.  A subclass
-    gives __len__, __iter__ and _item, the item at one index."""
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return self._item(operator.index(index))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, type(self))):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 class BeamResult(_ListView):
     """Read-only view of a decode: a (k, m) int64 code matrix and its (k,)
     log-prob vector, best first.
@@ -459,13 +443,14 @@ def dynamic_beam_search(
     token tuple.  The returned log-probs are plain sums of scorer outputs, so
     with widths covering the full vocabulary this is exhaustive enumeration.
 
-    The beams are a (B, level) token matrix kept in token-tuple order, and
-    their scores; each level scores all B contexts in one
-    next_token_log_probs_sparse call.  So candidate parent * band + code
-    sits at its place in tuple order, and rows.top_k, ties to the lowest
-    position, keeps the `want` best (widths[j], or k at the last level) as a
-    full sort by score, then tokens, would.  Sorted, they stay in tuple
-    order; the last level keeps its k best, best first.
+    The beams are a (B, L + level) token matrix, each row the context and
+    then its beam's tokens, kept in token-tuple order, and their scores;
+    each level scores all B rows in one next_token_log_probs_sparse call.
+    So candidate parent * band + code sits at its place in tuple order, and
+    rows.top_k, ties to the lowest position, keeps the `want` best
+    (widths[j], or k at the last level) as a full sort by score, then
+    tokens, would.  Sorted, they stay in tuple order; the last level keeps
+    its k best, best first, as codes alone.
 
     Only some candidates are scored.  Each listed pair scores
     scores[row] + log_prob, and each unlisted code of parent p the floor
@@ -478,9 +463,9 @@ def dynamic_beam_search(
     has F[p] > F[q], or F[p] == F[q] and p < q, a lower position.
 
     A NaN candidate raises DataError naming the level; -inf is a legal
-    score.  The context must be whole SIDs, each token in its level's band
-    (as _checked_chunks checks a training stream), so the first decoded
-    token is a level-0 one; k must lie in [1, widths[-1]].
+    score.  The context must be whole SIDs, each token an integer in its
+    level's band (as _checked_chunks checks a training stream), so the first
+    decoded token is a level-0 one; k must lie in [1, widths[-1]].
     """
     structure = scorer.structure
     schedule.validate(structure)
@@ -488,40 +473,62 @@ def dynamic_beam_search(
         raise ValueError(f"k={k} must be positive")
     if k > schedule.widths[-1]:
         raise ValueError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
-    context, _ = _checked(*_flattened([context]), structure, [context])
-    beams = np.empty((1, 0), dtype=np.int64)
+    context = _context_tokens(context, structure)
+    length, offsets = len(context), np.asarray(structure.offsets)
+    contexts = context[None]
     scores = np.zeros(1)
     for level, width in enumerate(schedule.widths):
         band = structure.level_sizes[level]
         last = level == structure.num_levels - 1
-        contexts = np.concatenate(
-            (np.broadcast_to(context, (len(beams), len(context))), beams), axis=1)
         floor, row, code, log_prob = scorer.next_token_log_probs_sparse(contexts)
         want = k if last else width
         listed = scores[row] + log_prob
         floors = scores + floor
-        unlisted = band - np.bincount(row, minlength=len(beams))
+        unlisted = band - np.bincount(row, minlength=len(contexts))
         if np.isnan(listed).any() or (
                 np.isnan(floors).any() and np.isnan(floors[unlisted > 0]).any()):
             raise DataError(f"scorer returned NaN log-probabilities at level {level}")
-        by_floor = np.argsort(-floors, kind="stable")
-        enough = np.searchsorted(np.cumsum(unlisted[by_floor]), want)
+        by_floor = (-floors).argsort(kind="stable")
+        enough = unlisted[by_floor].cumsum().searchsorted(want)
         # every code of the prefix parents and every listed pair, in tuple order
-        chosen = np.zeros(len(beams), dtype=bool)
+        chosen = np.zeros(len(contexts), dtype=bool)
         chosen[by_floor[: enough + 1]] = True
-        chosen = np.repeat(chosen, band)
+        chosen = chosen.repeat(band)
         listed_at = row * band + code
         chosen[listed_at] = True
-        position = np.flatnonzero(chosen)
+        position = chosen.nonzero()[0]
         candidates = floors[position // band]
-        candidates[np.searchsorted(position, listed_at)] = listed
+        candidates[position.searchsorted(listed_at)] = listed
         keep = rows.top_k(candidates, want)
         if not last:
-            keep = np.sort(keep)
+            keep.sort()
         parent, code = np.divmod(position[keep], band)
-        beams = np.concatenate((beams[parent], (code + structure.offsets[level])[:, None]), axis=1)
         scores = candidates[keep]
-    return BeamResult(beams - np.asarray(structure.offsets), scores)
+        if last:
+            codes = np.empty((len(keep), level + 1), dtype=np.int64)
+            codes[:, :level] = contexts[parent, length:] - offsets[:level]
+            codes[:, level] = code
+            return BeamResult(codes, scores)
+        grown = np.empty((len(keep), length + level + 1), dtype=np.int64)
+        grown[:, :length] = context
+        grown[:, length:-1] = contexts[parent, length:]
+        grown[:, -1] = code + offsets[level]
+        contexts = grown
+
+
+def _context_tokens(context, structure: SidStructure) -> np.ndarray:
+    """The beam's context as an int64 token array, checked in one pass: as
+    whole SIDs, each column against its level's band.  Only a context that
+    fails goes through _checked, which raises as a training stream's check
+    would: at the first bad token, else at the length."""
+    tokens = integer_array(context, "token")
+    if tokens.ndim != 1:
+        raise DataError(f"expected a flat token context, got shape {tokens.shape}")
+    m, low = structure.num_levels, np.asarray(structure.offsets)
+    sids = tokens.reshape(-1, m) if len(tokens) % m == 0 and tokens.dtype != object else None
+    if sids is None or not ((sids >= low) & (sids < low + structure.level_sizes)).all():
+        _checked(tokens, np.array([len(tokens)]), structure)  # names the first bad token
+    return tokens.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +574,8 @@ def evaluate_hr(
         if not seq.targets:
             raise DataError(f"sequence {seq.pv_id!r} has no clicked targets")
         table.codes_of(seq.targets)  # the first unmapped target is a data error, not a zero
-        context = sequence_context(table, seq.history)
-        decoded = dynamic_beam_search(scorer, context, schedule, k=schedule.widths[-1])
+        decoded = dynamic_beam_search(scorer, _flat_tokens(table, seq.history), schedule,
+                                      k=schedule.widths[-1])
         retrieved = table.items_for_codes(decoded.codes, limit=max_k)
         clicked = set(seq.targets)
         for k in k_list:
@@ -611,11 +618,15 @@ def build_useraction_corpus(sequences, table: AssignmentTable) -> TokenStreams:
 
     No instruction tokens, no separators; the stream is exactly the SIDs of
     the interacted items, which is what autoregressive pretraining consumes.
+    The sequences are read as columns (SequenceColumns, which a list of
+    InteractionSequence becomes): the table is asked once for each distinct
+    item, and one gather lays out the streams.
     """
-    sequences = list(sequences)
-    sizes = [len(seq.history) + len(seq.targets) for seq in sequences]
-    tokens = _flat_tokens(table, [i for seq in sequences for i in (*seq.history, *seq.targets)])
-    return TokenStreams(tokens, np.array(sizes, dtype=np.int64) * table.structure.num_levels)
+    if not isinstance(sequences, SequenceColumns):
+        sequences = SequenceColumns.of(sequences)
+    m = table.structure.num_levels
+    tokens = _flat_tokens(table, sequences.item_ids).reshape(-1, m)[sequences.items]
+    return TokenStreams(tokens.ravel(), np.diff(sequences.starts) * m)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ def _powers(radix: int, width: int) -> np.ndarray:
     return radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def _digits(columns: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _digits(columns: np.ndarray, powers: np.ndarray, shift) -> np.ndarray:
     """Each row's columns as one int64 key: (columns + 1) @ powers, written
-    so that no copy of the columns is made."""
-    return columns @ powers + powers.sum()
+    so that no copy of the columns is made; `shift` is powers.sum()."""
+    return columns @ powers + shift
 
 
 def pack(rows: np.ndarray, radix: int) -> list[np.ndarray]:
@@ -42,7 +42,8 @@ def pack(rows: np.ndarray, radix: int) -> list[np.ndarray]:
     equal another row's."""
     keys, lo = [], 0
     for width in key_widths(radix, rows.shape[1]):
-        keys.append(_digits(rows[:, lo : lo + width], _powers(radix, width)))
+        powers = _powers(radix, width)
+        keys.append(_digits(rows[:, lo : lo + width], powers, powers.sum()))
         lo += width
     return keys
 
@@ -70,10 +71,12 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     np.partition's quickselect slows down on them to several times the sort."""
     n = len(scores)
     k = min(k, n)
-    cut = np.sort(scores)[n - k]
-    above = np.flatnonzero(scores > cut)
-    pool = np.concatenate((above, np.flatnonzero(scores == cut)[: k - len(above)]))
-    return pool[np.argsort(-scores[pool], kind="stable")]
+    ordered = scores.copy()
+    ordered.sort()
+    cut = ordered[n - k]
+    above = (scores > cut).nonzero()[0]
+    pool = np.concatenate((above, (scores == cut).nonzero()[0][: k - len(above)]))
+    return pool[(-scores[pool]).argsort(kind="stable")]
 
 
 def sort(keys: list[np.ndarray], kind=None) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -100,8 +103,8 @@ def expand(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Every position of each range [start[i], stop[i]) in turn, end to end,
     and the i each position came from."""
     sizes = stop - start
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return np.repeat(stop - np.cumsum(sizes), sizes) + np.arange(len(owner)), owner
+    owner = np.arange(len(sizes)).repeat(sizes)
+    return (stop - sizes.cumsum()).repeat(sizes) + np.arange(len(owner)), owner
 
 
 class Index:
@@ -126,14 +129,15 @@ class Index:
         new = np.zeros(len(rows), dtype=bool)  # the row starts a new prefix
         new[:1] = True
         parent = np.zeros(len(rows), dtype=np.int64)
-        self._levels, lo = [], 0  # levels: (columns, powers, radix**width, keys)
+        self._levels, lo = [], 0  # levels: (columns, powers, their shift, radix**width, keys)
         for width in key_widths(radix, self._width, room=len(rows) + 1):
             powers = _powers(radix, width)
-            digits = _digits(rows[:, lo : lo + width], powers)
+            shift = powers.sum()
+            digits = _digits(rows[:, lo : lo + width], powers, shift)
             new[1:] |= digits[1:] != digits[:-1]
             at = np.flatnonzero(new)
             keys = parent[at] * radix**width + digits[at]
-            self._levels.append((slice(lo, lo + width), powers, radix**width,
+            self._levels.append((slice(lo, lo + width), powers, shift, radix**width,
                                  np.append(keys, np.iinfo(np.int64).max)))
             np.cumsum(new, out=parent)
             parent -= 1
@@ -145,10 +149,12 @@ class Index:
         """The table row range [start, stop) that holds each of the (b, w')
         rows; rows narrower than the table's are right-padded with -1."""
         if rows.shape[1] < self._width:
-            rows = np.pad(rows, ((0, 0), (0, self._width - rows.shape[1])), constant_values=-1)
+            padded = np.full((len(rows), self._width), -1, dtype=np.int64)
+            padded[:, : rows.shape[1]] = rows
+            rows = padded
         node = 0
-        for columns, powers, span, level_keys in self._levels:
-            key = _digits(rows[:, columns], powers) + node * span
-            at = np.searchsorted(level_keys, key)
+        for columns, powers, shift, span, level_keys in self._levels:
+            key = _digits(rows[:, columns], powers, shift + node * span)
+            at = level_keys.searchsorted(key)
             node = np.where(level_keys[at] == key, at, len(level_keys) - 1)
         return self._bounds[node], self._bounds[node + 1]

@@ -15,6 +15,7 @@ from sidkit.catalog import (
     ItemCatalog,
     ItemRecord,
     SemanticId,
+    SequenceColumns,
     SidStructure,
     as_embedding,
     flat_tokens_to_sid,
@@ -328,6 +329,44 @@ class TestSequences:
         path.write_text("pv1\t\t\ta,b\n")
         with pytest.raises(DataError):
             load_sequences(path)
+
+
+@st.composite
+def sequence_lists(draw):
+    """Interaction sequences: empty and repeating histories, ids with a
+    space inside, one or more targets, and an optional query."""
+    item = st.sampled_from(["a", "b", "c7", "d d"])
+    return [InteractionSequence(f"pv{n}", tuple(draw(st.lists(item, max_size=4))),
+                                tuple(draw(st.lists(item, min_size=1, max_size=3))),
+                                draw(st.sampled_from([None, "dried leaves"])))
+            for n in range(draw(st.integers(0, 6)))]
+
+
+class TestSequenceColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(sequences=sequence_lists(), window=st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
+    def test_reads_as_the_list_it_replaces(self, tmp_path_factory, sequences, window):
+        """Built from the objects or loaded from their file: len, ==,
+        iteration, indexing from either end, slices, and the distinct ids in
+        the order first named, each history before its targets."""
+        path = tmp_path_factory.mktemp("sequences") / "sequences.tsv"
+        save_sequences(sequences, path)
+        named = [i for seq in sequences for i in (*seq.history, *seq.targets)]
+        for view in (SequenceColumns.of(sequences), load_sequences(path)):
+            assert isinstance(view, SequenceColumns)
+            assert len(view) == len(sequences) and view == sequences and list(view) == sequences
+            assert [view[i] for i in range(-len(view), len(view))] == sequences * 2
+            assert view[slice(*window)] == sequences[slice(*window)]
+            assert view.item_ids == tuple(dict.fromkeys(named))
+            assert [view.item_ids[i] for i in view.items.tolist()] == named
+
+    def test_columns_are_read_only(self, tmp_path):
+        path = tmp_path / "seqs.tsv"
+        path.write_text("pv1\tb\t\ta,b\n")
+        view = load_sequences(path)
+        for column in (view.items, view.starts, view.target_starts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
 
 
 class TestReadRows:

@@ -297,6 +297,30 @@ class TestAssignmentTable:
         with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):
             table.items_for_codes([(2**70,)])
 
+    def test_items_for_codes_reads_every_form_alike(self):
+        """A list of lists or tuples and an int64, int32 or uint64 array
+        holding the same rows find the same members; a uint64 code beyond
+        int64 is out of band, as in a list."""
+        table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["b", "a", "c"],
+                                [[1, 2], [1, 2], [0, 0]])
+        rows = [[1, 2], [0, 0], [1, 1], [0, 0]]
+        for form in (rows, [tuple(row) for row in rows], np.array(rows),
+                     np.array(rows, dtype=np.int32), np.array(rows, dtype=np.uint64)):
+            assert table.items_for_codes(form) == ["a", "b", "c", "c"]
+        far = [[2**64 - 1, 0], [0, 0]]
+        assert table.items_for_codes(far) == table.items_for_codes(
+            np.array(far, dtype=np.uint64)) == ["c"]
+
+    @pytest.mark.parametrize("code", [0.5, 2.0], ids=["0.5", "2.0"])
+    def test_items_for_codes_refuses_a_float_code(self, code):
+        table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a"], [[1, 2]])
+        with pytest.raises(DataError, match=rf"^code {code} at position \(1, 1\) is not an integer$"):
+            table.items_for_codes([(1, 2), (0, code)])
+        with pytest.raises(DataError, match=r"^code 1.0 at position \(0, 0\) is not an integer$"):
+            table.items_for_codes(np.array([(1, 2), (0, code)]))
+        with pytest.raises(DataError, match=rf"^code {code} at position \(0, 0\) is not an integer$"):
+            table.items_for_sid((code, 2))
+
     def test_items_for_codes_rejects_rows_of_another_length(self):
         table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["a"], [[0, 1]])
         with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):

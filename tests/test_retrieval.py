@@ -16,6 +16,8 @@ from sidkit.catalog import (
     SemanticId,
     SidStructure,
     flat_tokens_to_sid,
+    load_sequences,
+    save_sequences,
     sid_to_flat_tokens,
 )
 from sidkit.collision import AssignmentTable
@@ -840,6 +842,65 @@ class TestDynamicBeamSearch:
         assert [logp for _, logp in got] == [math.log(0.5), -math.inf, -math.inf, -math.inf]
 
 
+class TestContextForms:
+    """A context reads as integers whatever holds it: a list, a tuple or an
+    integer array of any width decodes the same bytes and is refused with
+    the same text, and a float, integral or not, is refused at its position
+    by every entry point that takes tokens."""
+
+    def setup_method(self):
+        self.structure = SidStructure((4, 4, 4), code_dim=2)
+        corpus = random_corpus(self.structure, 60, 2, np.random.default_rng(1))
+        self.scorer = train_markov_scorer(corpus, self.structure, order=3, alpha=0.1)
+        self.schedule = BeamSchedule((4, 8, 8))
+        self.context = [0, 5, 9, 1, 6, 8]
+
+    def test_every_form_decodes_the_same_bytes(self):
+        want = dynamic_beam_search(self.scorer, self.context, self.schedule, k=8)
+        assert len(want) == 8
+        for form in (tuple(self.context), np.array(self.context, dtype=np.int64),
+                     np.array(self.context, dtype=np.int32)):
+            assert_same_decode(dynamic_beam_search(self.scorer, form, self.schedule, k=8), want)
+
+    @pytest.mark.parametrize("bad, dtypes", [
+        (3, (np.int64, np.int32, np.uint64)),  # a level-0 token at level 1
+        (2**64 - 1, (np.uint64, object)),
+        (2**70, (object,)),
+    ], ids=["out of band", "beyond int64", "beyond uint64"])
+    def test_every_form_refuses_a_token_with_one_text(self, bad, dtypes):
+        context = self.context[:4] + [bad] + self.context[5:]
+        with pytest.raises(DataError) as from_list:
+            dynamic_beam_search(self.scorer, context, self.schedule, k=1)
+        assert str(from_list.value) == f"token {bad} at position 4 is outside level 1's band"
+        for dtype in dtypes:
+            with pytest.raises(DataError) as info:
+                dynamic_beam_search(self.scorer, np.array(context, dtype=dtype), self.schedule, k=1)
+            assert str(info.value) == str(from_list.value)
+
+    @pytest.mark.parametrize("value", [25.5, 9.0, np.float64(9.0)], ids=["25.5", "9.0", "f64"])
+    def test_beam_refuses_a_float_token(self, value):
+        context = self.context[:2] + [value] + self.context[3:]
+        with pytest.raises(DataError, match=rf"^token {value} at position 2 is not an integer$"):
+            dynamic_beam_search(self.scorer, context, self.schedule, k=1)
+        with pytest.raises(DataError, match=r"^token 0.0 at position 0 is not an integer$"):
+            dynamic_beam_search(self.scorer, np.array(self.context, dtype=float), self.schedule, k=1)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0], ids=["1.5", "1.0"])
+    def test_scorer_steps_refuse_a_float_token(self, value):
+        with pytest.raises(DataError, match=rf"^token {value} at position 0 is not an integer$"):
+            self.scorer.next_token_log_probs([value, 5, 9])
+        with pytest.raises(DataError,
+                           match=rf"^token {value} at position \(1, 0\) is not an integer$"):
+            self.scorer.next_token_log_probs_sparse([[0, 5, 9], [value, 5, 9]])
+
+    def test_scorer_steps_read_every_form_alike(self):
+        want = self.scorer.next_token_log_probs(self.context)
+        for form in (np.array(self.context, dtype=np.int32), np.array(self.context, np.uint16)):
+            assert self.scorer.next_token_log_probs(form).tobytes() == want.tobytes()
+        with pytest.raises(DataError, match=f"^token {2**70} outside the structure's token space$"):
+            self.scorer.next_token_log_probs_sparse([self.context, [0, 5, 2**70, 1, 6, 8]])
+
+
 class FloorScorer(SequenceScorer):
     """Stub scorer in the sparse form: each context draws its floor, which
     codes it lists and their log-probs from a few values, seeded by the
@@ -1285,6 +1346,42 @@ class TestTokenStreams:
         assert isinstance(corpus, TokenStreams)
         assert corpus.tokens.tolist() == [1, 2, 0, 3, 0, 2, 0, 2]
         assert corpus.lengths.tolist() == [6, 2]
+
+
+@st.composite
+def sequence_lists(draw, item_ids):
+    """Interaction sequences over the given ids: empty and repeating
+    histories, one or more targets, and an optional query."""
+    item = st.sampled_from(item_ids)
+    return [InteractionSequence(f"pv{n}", tuple(draw(st.lists(item, max_size=4))),
+                                tuple(draw(st.lists(item, min_size=1, max_size=3))),
+                                draw(st.sampled_from([None, "tea"])))
+            for n in range(draw(st.integers(0, 6)))]
+
+
+class TestCorpusColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(sequences=sequence_lists(["a", "b", "c", "d"]))
+    def test_loaded_columns_and_lists_give_the_per_sequence_streams(self, tmp_path_factory,
+                                                                    sequences):
+        """The corpus read off loaded columns, and off a list, is each
+        sequence's history and targets through sequence_context."""
+        _, table = toy_assignment()
+        path = tmp_path_factory.mktemp("corpus") / "sequences.tsv"
+        save_sequences(sequences, path)
+        want = [sequence_context(table, seq.history + seq.targets) for seq in sequences]
+        for source in (sequences, load_sequences(path)):
+            corpus = build_useraction_corpus(source, table)
+            assert corpus == want
+            assert corpus.tokens.dtype == corpus.lengths.dtype == np.int64
+
+    def test_first_unmapped_item_in_order_is_named(self):
+        _, table = toy_assignment()
+        sequences = [InteractionSequence("p1", ("a",), ("b",)),
+                     InteractionSequence("p2", ("c", "ghost2"), ("ghost1",)),
+                     InteractionSequence("p3", ("ghost1",), ("a",))]
+        with pytest.raises(DataError, match="^item 'ghost2' has no assigned SID$"):
+            build_useraction_corpus(sequences, table)
 
 
 class TestScorerSerialization:
