@@ -8,6 +8,7 @@ UTF-8 TSV so that fixtures stay diff-friendly.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import operator
 import os
@@ -86,7 +87,7 @@ class SemanticId:
     codes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", tuple(map(int, self.codes)))
+        object.__setattr__(self, "codes", integer_tuple(self.codes, "code"))
 
     def validate(self, structure: SidStructure) -> "SemanticId":
         if len(self.codes) != structure.num_levels:
@@ -353,6 +354,30 @@ def integer_array(values, what: str) -> np.ndarray:
         return array
 
 
+def int64_array(values, what: str) -> np.ndarray:
+    """`values` as integer_array reads them, as int64: a value beyond int64
+    is read as -1, outside every band as -1 is."""
+    array = integer_array(values, what)
+    if array.dtype == object:
+        array = np.array([v if -(2**63) <= v < 2**63 else -1 for v in array.ravel().tolist()],
+                         dtype=np.int64).reshape(array.shape)
+    return array.astype(np.int64, copy=False)
+
+
+def integer_tuple(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints, each read by operator.index.  A value
+    that is no integer, a float among them even when it is integral, is a
+    DataError naming `what`, the value and its position, as integer_array's."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for at, value in enumerate(values):
+            if not hasattr(type(value), "__index__"):
+                raise DataError(f"{what} {value} at position {at} is not an integer") from None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Flat-token encoding
 #
@@ -426,24 +451,27 @@ def parse_sid_brackets(text: str) -> SemanticId:
 PARSE_ERRORS = (ValueError, IndexError, KeyError, OverflowError, DataError)
 
 
-def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None):
+def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None, fold=None):
     """Read one artifact file: the one place the package opens one to read.
 
     Each non-blank line, less its line ending only (a scorer row may start
     with a tab), goes split on tabs to ``parse_row``; ``finish`` makes the
-    list of results the loaded object.  The reader records the line each
-    result came from.  In the whole-file form, ``parse_row`` is None and
+    list of results the loaded object.  With ``fold``, the results go to it
+    _BLOCK_ROWS at a time instead, as they are read, and ``finish`` gets the
+    list of what it returns, one per block, so only one block's rows are
+    alive at once.  In the whole-file form, ``parse_row`` is None and
     ``finish`` gets the file's text instead.  Any of PARSE_ERRORS becomes
-    ``DataError("path:line: ...")``; from ``finish`` (whole-file checks) or
-    from read-ahead UTF-8 decoding it becomes ``"path: ..."``.  When
-    ``check_row(i, row)`` is given (the one-row form of the checks a load
-    makes in bulk), any error sends the rows read so far through it in file
-    order, and the first it refuses is reported at its line instead: the
-    first bad row in file order is the one reported.  In the whole-file
-    form those rows are the text's non-blank lines, split and numbered as
-    the per-line form reads them.  A file that loads is never walked.
+    ``DataError("path:line: ...")``; from ``fold`` or ``finish`` (checks on
+    many rows) or from read-ahead UTF-8 decoding it becomes ``"path: ..."``.
+    When ``check_row(i, row)`` is given (the one-row form of the checks a
+    load makes in bulk), any error sends the rows through it in file order,
+    the file read again and each line parsed as before, and the first row
+    that the parse or the check refuses is reported at its line instead.
+    In the whole-file form those rows are the text's non-blank lines, split
+    and numbered as the per-line form reads them.  A file that loads is
+    never walked.
     """
-    rows, lines, lineno, text = [], array("q"), 0, ""
+    rows, folded, lineno, text = [], [], 0, ""
     try:
         with open(path, encoding="utf-8") as fh:
             if parse_row is None:
@@ -452,22 +480,45 @@ def read_rows(path, parse_row, finish=lambda rows: rows, check_row=None):
                 for lineno, line in enumerate(fh, start=1):
                     if not line.isspace():
                         rows.append(parse_row(line.rstrip("\n").split("\t")))
-                        lines.append(lineno)
+                        if fold is not None and len(rows) == _BLOCK_ROWS:
+                            lineno = 0  # a fold checks a block, no single line
+                            folded.append(fold(rows))
+                            rows = []
         lineno = 0  # no single line is at fault from here on
+        if fold is not None:
+            if rows:
+                folded.append(fold(rows))
+            rows = folded
         return finish(text if parse_row is None else rows)
     except PARSE_ERRORS as exc:
-        if check_row is not None:  # the first row it refuses outranks the error
-            numbered = zip(lines, rows) if parse_row is not None else (
-                (n, line.split("\t")) for n, line in enumerate(text.split("\n"), start=1)
-                if line.strip())
-            for i, (n, row) in enumerate(numbered):
-                try:
-                    check_row(i, row)
-                except PARSE_ERRORS as refused:
-                    exc, lineno = refused, n
-                    break
+        if check_row is not None:  # the first row refused outranks the error
+            with (open(path, encoding="utf-8") if parse_row is not None
+                  else contextlib.nullcontext(text.split("\n"))) as lines:
+                refused = _first_refused(lines, parse_row, check_row)
+            if refused is not None:
+                exc, lineno = refused
         where = path if not lineno or isinstance(exc, UnicodeDecodeError) else f"{path}:{lineno}"
         raise DataError(f"{where}: {exc}") from exc
+
+
+def _first_refused(lines, parse_row, check_row):
+    """The error and number of the first of `lines` (a file's, or its text's)
+    that ``parse_row`` (None: none) or ``check_row`` refuses, blank lines
+    counted but not walked; None if none is refused before the lines end or
+    stop decoding."""
+    i = 0
+    try:
+        for n, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    fields = line.rstrip("\n").split("\t")
+                    check_row(i, fields if parse_row is None else parse_row(fields))
+                except PARSE_ERRORS as refused:
+                    return refused, n
+                i += 1
+    except UnicodeDecodeError:  # every row before the bad byte was accepted
+        pass
+    return None
 
 
 def write_artifact(path, chunks) -> None:
@@ -568,9 +619,11 @@ def load_item_catalog(path, d_in: int) -> ItemCatalog:
     then optionally a bracketed SID, a related item id, a style group and an
     origin group.  Empty trailing fields mean "absent".
 
-    Each row is read as its fields, the values kept as text; once the file
-    is read, every float is parsed into one (N, d_in) matrix, and widths,
-    finiteness and duplicate ids are checked on the whole file.  When a
+    Each row is read as its fields, the values kept as text, and the rows
+    are folded _BLOCK_ROWS at a time: a block's floats are parsed into the
+    one growing buffer that becomes the (N, d_in) matrix, its widths,
+    finiteness and SID slots checked at once, and its texts dropped.  Once
+    the file is read, duplicate ids are checked on the whole file.  When a
     check fails, `read_rows` walks the rows through their one-row check to
     report the first bad one.
 
@@ -596,15 +649,24 @@ def load_item_catalog(path, d_in: int) -> ItemCatalog:
         related, style, origin = (f or None for f in rest + [""] * (3 - len(rest)))
         return item_id, values, slot, related, style, origin
 
-    def finish(parsed):
-        ids, texts, slots, related, styles, origins = list(zip(*parsed)) or [()] * 6
+    floats = array("d")  # every row's embedding, end to end
+
+    def fold(block):
+        ids, texts, slots, related, styles, origins = zip(*block)
         matrix = comma_matrix(texts, d_in, float, np.float64)  # the one embedding check
         if not np.isfinite(matrix).all():
             raise ValueError("a value is not finite")
+        floats.frombytes(matrix.tobytes())
         sids = [parse_sid_brackets(slot) if slot else None for slot in slots]
+        return ids, sids, related, styles, origins
+
+    def finish(blocks):
+        columns = list(zip(*blocks)) or [()] * 5  # each column's blocks
+        ids, sids, related, styles, origins = (list(chain.from_iterable(c)) for c in columns)
         rows = dict(zip(ids, range(len(ids))))
         if len(rows) < len(ids):
             raise DataError("an item id repeats")
+        matrix = np.frombuffer(floats, dtype=np.float64).reshape(len(ids), d_in)
         return ItemCatalog._of_columns(d_in, rows, matrix, sids, related, styles, origins)
 
     seen: dict[str, int] = {}  # id -> first row, as check_row walks
@@ -616,7 +678,7 @@ def load_item_catalog(path, d_in: int) -> ItemCatalog:
             parse_sid_brackets(slot)
         _checked_item(seen, i, item_id, embedding, d_in)
 
-    return read_rows(path, parse, finish, check_row)
+    return read_rows(path, parse, finish, check_row, fold)
 
 
 def save_item_catalog(catalog: ItemCatalog, path) -> None:

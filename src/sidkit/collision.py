@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rows
-from .catalog import (SemanticId, SidStructure, comma_matrix, integer_array, parse_sid_brackets,
+from .catalog import (SemanticId, SidStructure, comma_matrix, int64_array, parse_sid_brackets,
                       read_rows, write_artifact)
 from .errors import DataError
-from .quantizer import QuantizerModel, assign_random, nearest_codewords
+from .quantizer import QuantizerModel, assign_random, block_rows, nearest_codewords
 
 DEFAULT_SIGMA = 25
 
@@ -121,8 +121,9 @@ class AssignmentTable:
         return list(zip(self._rows, map(SemanticId, self._codes.tolist())))
 
     def occupancy_of(self, sid: SemanticId | tuple[int, ...]) -> int:
-        """Items holding the SID; a SID of the wrong length raises DataError."""
-        codes = sid.codes if isinstance(sid, SemanticId) else tuple(sid)
+        """Items holding the SID; a SID of the wrong length, or a code that
+        is no integer, raises DataError."""
+        codes = (sid if isinstance(sid, SemanticId) else SemanticId(sid)).codes
         count = self._occupancy().get(codes)
         if count is None and len(codes) != self.structure.num_levels:
             self.items_for_codes([codes])  # raises the shape error
@@ -144,11 +145,7 @@ class AssignmentTable:
         with a code out of its level's band holds nobody.  A code that is no
         integer is a DataError."""
         m = self.structure.num_levels
-        codes = integer_array(code_rows, "code")
-        if codes.dtype == object:  # a code beyond int64 is out of every band, as -1 is
-            codes = np.array([c if -(2**63) <= c < 2**63 else -1 for c in codes.ravel().tolist()],
-                             dtype=np.int64).reshape(codes.shape)
-        codes = codes.astype(np.int64, copy=False)
+        codes = int64_array(code_rows, "code")  # a code beyond int64 is out of every band
         codes = codes.reshape(0, m) if codes.shape == (0,) else codes
         if codes.ndim != 2 or codes.shape[1] != m:
             raise DataError(f"expected an (n, {m}) code matrix, got shape {codes.shape}")
@@ -195,6 +192,13 @@ def apply_knn_policy(
     takes the first whose SID holds fewer than sigma items so far.  If every
     candidate is full the item falls back to the least-occupied candidate
     (ties to the lowest code), so assignment never fails.
+
+    The prefixes are walked once and each item's nearest codeword taken
+    from its residual.  Only an item whose nearest codeword's SID is full
+    reads the ranking: the residuals of its block, the block_rows(n_m) rows
+    nearest_codewords decides together, are ranked when the first such item
+    of the block comes, once per block.  Both forms break ties to the lowest
+    code, so the nearest codeword heads its ranking.
     """
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
@@ -202,16 +206,25 @@ def apply_knn_policy(
     k = n_m if k_candidates is None else min(int(k_candidates), n_m)
     if k < 1:
         raise ValueError("k_candidates must be >= 1")
-    prefixes, orders = model.rank_last_level_batch(catalog.embedding_matrix())
+    prefixes, Z = model.prefix_walk(catalog.embedding_matrix())
+    codewords = model.codebooks.levels[-1]
+    last = nearest_codewords(Z, codewords)
+    step = block_rows(n_m)
+    ranked_block, ranking = -1, None  # the block ranked last, and its (rows, k) ranking
     loads: dict[tuple[int, ...], list[int]] = {}  # prefix -> items per last code so far
-    last = []
-    for prefix, candidates in zip(map(tuple, prefixes.tolist()), orders[:, :k].tolist()):
+    for i, (prefix, chosen) in enumerate(zip(map(tuple, prefixes.tolist()), last.tolist())):
         load = loads.setdefault(prefix, [0] * n_m)
-        chosen = next((c for c in candidates if load[c] < sigma), None)
-        if chosen is None:
-            chosen = min(candidates, key=lambda c: (load[c], c))
+        if load[chosen] >= sigma:
+            if i // step != ranked_block:
+                ranked_block = i // step
+                block = Z[ranked_block * step : (ranked_block + 1) * step]
+                ranking = nearest_codewords(block, codewords, ranked=True)[:, :k]
+            candidates = ranking[i % step].tolist()
+            chosen = next((c for c in candidates if load[c] < sigma), None)
+            if chosen is None:
+                chosen = min(candidates, key=lambda c: (load[c], c))
+            last[i] = chosen
         load[chosen] += 1
-        last.append(chosen)
     return AssignmentTable(model.structure, catalog.item_ids, np.column_stack([prefixes, last]))
 
 

@@ -207,7 +207,7 @@ def nearest_codewords(A: np.ndarray, B: np.ndarray, ranked: bool = False) -> np.
     _check_widths(A, B)
     n, k, d = A.shape[0], B.shape[0], A.shape[1]
     out = np.empty((n, k) if ranked else n, dtype=np.int64)
-    step, fb_step = max(1, _BLOCK_FLOATS // k), max(1, _BLOCK_FLOATS // max(k * d, 1))
+    step, fb_step = block_rows(k), max(1, _BLOCK_FLOATS // max(k * d, 1))
     for start in range(0, n, step):
         a = A[start : start + step]
         # overflow leaves inf or nan in the GEMM form, never a certified row
@@ -223,6 +223,12 @@ def nearest_codewords(A: np.ndarray, B: np.ndarray, ranked: bool = False) -> np.
                 order[idx] = np.argmin(exact, axis=1)
         out[start : start + a.shape[0]] = order
     return out
+
+
+def block_rows(k: int) -> int:
+    """Rows per block of nearest_codewords against k codewords: the rows
+    [i * block_rows(k), (i + 1) * block_rows(k)) are decided together."""
+    return max(1, _BLOCK_FLOATS // k)
 
 
 def _residual_codes(Z: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +355,7 @@ class QuantizerModel:
     def structure(self) -> SidStructure:
         return self.codebooks.structure
 
-    def _prefix_walk(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def prefix_walk(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, m-1) prefix codes and the rows the last level quantizes: the
         running residual for rqvae and rqkmeans, the last level encoder's
         output for multivq."""
@@ -367,7 +373,7 @@ class QuantizerModel:
 
     def assign_batch(self, X: np.ndarray) -> np.ndarray:
         """Codes for a matrix of embeddings, shape (N, m)."""
-        prefixes, Z = self._prefix_walk(X)
+        prefixes, Z = self.prefix_walk(X)
         return np.column_stack((prefixes, nearest_codewords(Z, self.codebooks.levels[-1])))
 
     def rank_last_level_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +383,7 @@ class QuantizerModel:
         The collision-repair policies walk this ranking; ties in distance
         resolve to the lower code so the order is total and reproducible.
         """
-        prefixes, Z = self._prefix_walk(X)
+        prefixes, Z = self.prefix_walk(X)
         return prefixes, nearest_codewords(Z, self.codebooks.levels[-1], ranked=True)
 
     def _reconstruct_batch(self, X: np.ndarray) -> np.ndarray:

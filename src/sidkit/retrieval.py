@@ -20,7 +20,8 @@ import numpy as np
 
 from . import rows
 from .catalog import (INT_LIST, Header, SemanticId, SequenceColumns, SidStructure, _ListView,
-                      integer_array, read_rows, saved_int, write_artifact)
+                      int64_array, integer_array, integer_tuple, read_rows, saved_int,
+                      write_artifact)
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -194,15 +195,17 @@ def _checked_chunks(streams, structure: SidStructure):
 
 
 def _flattened(batch) -> tuple[np.ndarray, np.ndarray]:
-    """The streams' tokens end to end as int64, and each one's length; a
-    token beyond int64, outside every band as -1 is, is read as -1."""
+    """The streams' tokens end to end as int64, and each one's length.  A
+    token that is no integer is a DataError naming it at its position in its
+    stream, as the beam's check does; one beyond int64, outside every band
+    as -1 is, is read as -1."""
     lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
-    total = int(lengths.sum())
     try:
-        tokens = np.fromiter(chain.from_iterable(batch), dtype=np.int64, count=total)
-    except OverflowError:
-        flat = (t if -(2**63) <= t < 2**63 else -1 for t in map(int, chain.from_iterable(batch)))
-        tokens = np.fromiter(flat, dtype=np.int64, count=total)
+        tokens = int64_array(list(chain.from_iterable(batch)), "token")
+    except DataError:
+        for stream in batch:
+            integer_array(stream, "token")  # names the first such token in its stream
+        raise
     return tokens, lengths
 
 
@@ -268,8 +271,8 @@ class LabeledSequence:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        object.__setattr__(self, "labels", tuple(int(t) for t in self.labels))
+        object.__setattr__(self, "tokens", integer_tuple(self.tokens, "token"))
+        object.__setattr__(self, "labels", integer_tuple(self.labels, "label"))
         if len(self.tokens) != len(self.labels):
             raise ValueError("tokens and labels must have equal length")
         if not any(label >= 0 for label in self.labels):
@@ -278,7 +281,7 @@ class LabeledSequence:
 
 def labeled_from_stream(stream, scored_from: int) -> LabeledSequence:
     """Score positions from index `scored_from` on; mask everything before."""
-    tokens = tuple(int(t) for t in stream)
+    tokens = integer_tuple(stream, "token")
     labels = tuple(
         SENTINEL if pos < scored_from else tok for pos, tok in enumerate(tokens)
     )

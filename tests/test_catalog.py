@@ -82,6 +82,19 @@ class TestSemanticId:
     def test_prefix_drops_last_level(self):
         assert SemanticId((1, 2, 3)).prefix == (1, 2)
 
+    @pytest.mark.parametrize("codes, at, value", [
+        ((1.5, 0.7), 0, "1.5"), ((1, 0.0), 1, "0.0"), ((np.float64(2.0), 1), 0, "2.0"),
+        ((0, "1"), 1, "1"), ((np.True_, 0), 0, "True"),
+    ])
+    def test_a_code_that_is_no_integer_is_refused(self, codes, at, value):
+        with pytest.raises(DataError, match=rf"^code {value} at position {at} is not an integer$"):
+            SemanticId(codes)
+
+    def test_integer_codes_of_any_type_read_as_ints(self):
+        sid = SemanticId([np.int64(3), np.uint8(1), True, 2**70])
+        assert sid.codes == (3, 1, 1, 2**70)
+        assert all(type(c) is int for c in sid.codes)
+
 
 class TestFlatTokens:
     def test_published_example_encoding(self):

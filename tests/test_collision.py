@@ -1,15 +1,19 @@
 """Collision-repair policies and the assignment table they operate on."""
 
+import dataclasses
+import functools
 import itertools
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidkit import collision, quantizer
 from sidkit.catalog import ItemCatalog, ItemRecord, SemanticId, SidStructure
 from sidkit.collision import (
     AssignmentTable,
@@ -28,6 +32,7 @@ from sidkit.quantizer import (
     QuantizerModel,
     RqkmeansConfig,
     RqvaeConfig,
+    nearest_codewords,
     train_multivq,
     train_rqkmeans,
     train_rqvae,
@@ -35,6 +40,7 @@ from sidkit.quantizer import (
 from sidkit.sidmetrics import OccupancyVector, gini_coefficient
 
 from conftest import assignment_tables, clustered_catalog
+from reference_knn import full_ranking_knn
 
 
 def identical_catalog(n, embedding):
@@ -131,6 +137,19 @@ def streaming_knn(catalog, model, sigma, k):
         counts[prefix + (code,)] += 1
         out[item_id] = prefix + (code,)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def trained_model(kind):
+    """A clustered catalog and a (3, 6) model of `kind` trained on it."""
+    catalog, _ = clustered_catalog(n_items=80, n_clusters=5, d_in=5, seed=6)
+    X = catalog.embedding_matrix()
+    structure = SidStructure((3, 6), code_dim=3)
+    if kind == "rqkmeans":
+        return catalog, train_rqkmeans(X, structure, RqkmeansConfig(seed=0))
+    train = train_rqvae if kind == "rqvae" else train_multivq
+    return catalog, train(X, structure, RqvaeConfig(epochs=3, warmup_epochs=1, batch_size=32,
+                                                    learning_rate=1e-3, hidden_dims=(8,)))
 
 
 def quadratic_merge(table, codebooks, merge_threshold):
@@ -321,6 +340,23 @@ class TestAssignmentTable:
         with pytest.raises(DataError, match=rf"^code {code} at position \(0, 0\) is not an integer$"):
             table.items_for_sid((code, 2))
 
+    @pytest.mark.parametrize("sid, value, at", [
+        ((1.5, 0.7), "1.5", "0"), ((1, 0.0), "0.0", "1"), ((1.0, 0), "1.0", "0"),
+    ])
+    def test_a_sid_with_a_float_code_is_refused(self, sid, value, at):
+        """(1.5, 0.7) once read as (1, 0): it found the members of (1, 0),
+        and occupancy_of counted none.  As a tuple or as a SemanticId, each
+        read now refuses it."""
+        table = AssignmentTable(SidStructure((2, 3), code_dim=2), ["a", "b"], [[1, 0], [0, 0]])
+        refused = rf"^code {re.escape(value)} at position {{}} is not an integer$"
+        with pytest.raises(DataError, match=refused.format(at)):
+            table.occupancy_of(sid)
+        with pytest.raises(DataError, match=refused.format(rf"\(0, {at}\)")):
+            table.items_for_sid(sid)
+        with pytest.raises(DataError, match=refused.format(at)):
+            table.items_for_sid(SemanticId(sid))
+        assert table.items_for_sid((1, 0)) == ["a"] and table.occupancy_of((1, 0)) == 1
+
     def test_items_for_codes_rejects_rows_of_another_length(self):
         table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["a"], [[0, 1]])
         with pytest.raises(DataError, match=r"expected an \(n, 2\) code matrix"):
@@ -474,6 +510,58 @@ class TestKnnPolicy:
         table = apply_knn_policy(catalog, model, sigma=sigma, k_candidates=k)
         expected = streaming_knn(catalog, model, sigma, k)
         assert [(i, sid.codes) for i, sid in table.items()] == list(expected.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_full_ranking_walk(self, data):
+        """Byte-equal tables to the walk over every item's full ranking, on
+        trained models of every content-based kind: items drawn with
+        repeats, so many share a SID and divert, a last level with copied
+        codewords (distance ties), k below n_m, and ranking blocks of a few
+        rows, so a catalog spans several."""
+        kind = data.draw(st.sampled_from(["rqkmeans", "rqvae", "multivq"]), label="kind")
+        pool, model = trained_model(kind)
+        n_m = model.structure.level_sizes[-1]
+        copies = data.draw(st.lists(st.tuples(st.integers(0, n_m - 1), st.integers(0, n_m - 1)),
+                                    max_size=3), label="codeword copies")
+        last = model.codebooks.levels[-1].copy()
+        for source, target in copies:
+            last[target] = last[source]
+        model = dataclasses.replace(model, codebooks=CodebookStack(
+            model.structure, [*model.codebooks.levels[:-1], last]))
+        rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60),
+                         label="rows")
+        catalog = ItemCatalog([ItemRecord(f"i{j:02d}", pool.embedding_matrix()[row])
+                               for j, row in enumerate(rows)], d_in=pool.d_in)
+        sigma = data.draw(st.sampled_from([1, 2, 3, 10]), label="sigma")
+        k = data.draw(st.none() | st.integers(1, n_m - 1), label="k")
+        block = data.draw(st.sampled_from([1, 2, 3, 7, None]), label="rows per block")
+        floats = quantizer._BLOCK_FLOATS if block is None else block * n_m
+        with mock.patch.object(quantizer, "_BLOCK_FLOATS", floats):
+            got = apply_knn_policy(catalog, model, sigma=sigma, k_candidates=k)
+        want = full_ranking_knn(catalog, model, sigma, k)
+        assert list(got) == list(want)
+        assert got.codes_of(got).tobytes() == want.codes_of(want).tobytes()
+
+    def test_ranks_each_block_of_a_diverting_item_once(self):
+        """No item diverts at sigma = N, so no block is ranked; at sigma 1
+        each block of 4 rows is ranked at most once."""
+        catalog, model = trained_model("rqkmeans")
+        starts = []  # the address of each ranked block's first row
+
+        def spy(A, B, ranked=False):
+            if ranked:
+                starts.append(A.__array_interface__["data"][0])
+            return nearest_codewords(A, B, ranked)
+
+        n_m = model.structure.level_sizes[-1]
+        with mock.patch.object(collision, "nearest_codewords", spy), \
+                mock.patch.object(quantizer, "_BLOCK_FLOATS", 4 * n_m):
+            table = apply_knn_policy(catalog, model, sigma=len(catalog))
+            assert starts == []
+            assert dict(table.items()) == dict(raw_assignment(catalog, model).items())
+            apply_knn_policy(catalog, model, sigma=1)
+        assert 0 < len(starts) == len(set(starts)) <= math.ceil(len(catalog) / 4)
 
     def test_invalid_sigma_rejected(self):
         catalog = identical_catalog(2, [0.1, 0.0])

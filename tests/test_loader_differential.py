@@ -7,10 +7,13 @@ warning, for a sequence file); on a corrupted one both raise DataError with
 the same text, so among several bad rows the first in file order is
 reported.  The exceptions: a scorer integer spelt other than in ASCII
 digits, which only the array-based loader rejects, and a sequence row of the
-wrong field count, whose error names the same line in other words.
+wrong field count, whose error names the same line in other words.  The
+catalog loader is held to the reference also with its fold taking a few
+rows at a time, and to a traced memory peak.
 """
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidkit import retrieval
+from sidkit import catalog, retrieval
 from sidkit.catalog import MAX_HISTORY, SidStructure, load_item_catalog, load_sequences
 from sidkit.collision import load_assignment
 from sidkit.errors import DataError
@@ -113,6 +116,70 @@ def test_catalog_loader_matches_the_per_row_reference(workdir, rows):
         assert got[1] == want[1]
     else:
         assert_same_columns(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=CATALOG_ROWS, block=st.integers(1, 3))
+def test_catalog_loader_in_blocks_matches_the_per_row_reference(workdir, rows, block):
+    """The same rows folded `block` rows at a time, so a file spans several
+    blocks: the same columns, or the same error."""
+    path = workdir / "catalog.tsv"
+    path.write_text(catalog_text(rows), encoding="utf-8")
+    with mock.patch.object(catalog, "_BLOCK_ROWS", block):
+        got = outcome(lambda p: catalog_columns(load_item_catalog(p, D_IN)), path)
+    want = outcome(lambda p: load_item_catalog_rows(p, D_IN), path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert_same_columns(got[1], want[1])
+
+
+def numbered_catalog_lines(n):
+    """n valid rows, `i00000`, .., each item related to the one before."""
+    return [f"i{k:05d}\t{k}.5,-{k},0.25\t\t{f'i{k - 1:05d}' if k else ''}" for k in range(n)]
+
+
+@pytest.mark.parametrize("row, line", [
+    ("i02100\t1.5,2", 2101),                    # a wrong width
+    ("i02100\t1.5,inf,3", 2101),                # a non-finite value
+    ("i02100\t1.5,2,3\t[1,x]", 2101),           # a bad SID slot
+    ("i00005\t1.5,2,3", 2101),                  # an id first seen in the first block
+    ("i02100\t1.5,2,3\t\tghost", None),         # a dangling related item: no line
+])
+def test_catalog_of_several_blocks_reports_a_bad_row_in_a_later_one(tmp_path, row, line):
+    """A 2500-row catalog spans three blocks of the fold; a bad row in the
+    third gives the per-row reference's error, at the same line."""
+    lines = numbered_catalog_lines(2500)
+    lines[2100] = row
+    path = tmp_path / "catalog.tsv"
+    path.write_text("".join(text + "\n" for text in lines))
+    assert 2500 > 2 * catalog._BLOCK_ROWS
+    where = re.escape(str(path)) + ("" if line is None else f":{line}")
+    with pytest.raises(DataError, match=f"^{where}: ") as got:
+        load_item_catalog(path, D_IN)
+    with pytest.raises(DataError) as want:
+        load_item_catalog_rows(path, D_IN)
+    assert str(got.value) == str(want.value)
+
+
+def test_catalog_load_peaks_below_twice_the_catalog(tmp_path):
+    """On a 10k x 32 catalog only one block's texts are alive at once: the
+    load's traced peak stays below twice what the catalog it returns holds."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "catalog.tsv"
+    path.write_text("".join(f"item{k:05d}\t{','.join(map(repr, row))}\n"
+                            for k, row in enumerate(rng.standard_normal((10_000, 32)).tolist())))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = load_item_catalog(path, 32)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 10_000
+    assert peak - before < 2 * (held - before), (peak - before, held - before)
 
 
 CODE_DEFECTS = [None] * 8 + ["-1", "3", "4", "x", "", " 2", "99999999999999999999",

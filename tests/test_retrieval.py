@@ -280,6 +280,24 @@ def token_streams(streams) -> TokenStreams:
 
 
 class TestCountTable:
+    @pytest.mark.parametrize("streams, value, at", [
+        ([[0.5, 2.9]], "0.5", 0),
+        ([[0, 2], [1, 2.0]], "2.0", 1),
+        ([[0, 2], np.array([1.0, 3.0])], "1.0", 0),
+    ])
+    def test_a_float_token_in_a_stream_is_refused(self, streams, value, at):
+        """[0.5, 2.9] once counted as [0, 2].  A float is refused at its
+        position in its stream, as the beam refuses one in a context."""
+        structure = SidStructure((2, 2), code_dim=2)
+        with pytest.raises(DataError, match=rf"^token {value} at position {at} is not an integer$"):
+            train_markov_scorer(streams, structure, order=1)
+        scorer = MarkovScorer(structure, order=1)
+        with pytest.raises(DataError, match=rf"^token {value} at position {at} is not an integer$"):
+            for stream in streams:
+                scorer.observe(stream)
+        assert scorer_count_dicts(scorer) == scorer_count_dicts(
+            train_markov_scorer([s for s in streams[:-1]], structure, order=1))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_table_equals_reference_counter(self, data, tmp_path_factory):
@@ -436,6 +454,18 @@ class TestRecLoss:
     def test_fully_masked_sequence_unconstructible(self):
         with pytest.raises(ValueError):
             LabeledSequence(tokens=(0, 2), labels=(SENTINEL, SENTINEL))
+
+    def test_a_float_token_or_label_is_refused(self):
+        """(0.5, 2.9) once read as (0, 2), in a stream and in its labels."""
+        with pytest.raises(DataError, match=r"^token 0.5 at position 0 is not an integer$"):
+            LabeledSequence((0.5, 2.9), (SENTINEL, 2.9))
+        with pytest.raises(DataError, match=r"^label 2.9 at position 1 is not an integer$"):
+            LabeledSequence((0, 2), (SENTINEL, 2.9))
+        with pytest.raises(DataError, match=r"^token 2.0 at position 1 is not an integer$"):
+            labeled_from_stream([0, np.float64(2.0)], scored_from=1)
+        example = labeled_from_stream(np.array([0, 2], dtype=np.int32), scored_from=1)
+        assert example == LabeledSequence((0, 2), (SENTINEL, 2))
+        assert all(type(t) is int for t in example.tokens + example.labels)
 
 
 def loop_scored_loss(scorer, examples):
