@@ -44,7 +44,7 @@ class SidStructure:
     code_dim: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "level_sizes", tuple(int(n) for n in self.level_sizes))
+        object.__setattr__(self, "level_sizes", integer_tuple(self.level_sizes, "level size"))
         if self.num_levels < 1:
             raise ValueError("a SID needs at least one level")
         if any(n < 2 for n in self.level_sizes):
@@ -352,16 +352,6 @@ def integer_array(values, what: str) -> np.ndarray:
         return array.astype(np.int64)
     except OverflowError:
         return array
-
-
-def int64_array(values, what: str) -> np.ndarray:
-    """`values` as integer_array reads them, as int64: a value beyond int64
-    is read as -1, outside every band as -1 is."""
-    array = integer_array(values, what)
-    if array.dtype == object:
-        array = np.array([v if -(2**63) <= v < 2**63 else -1 for v in array.ravel().tolist()],
-                         dtype=np.int64).reshape(array.shape)
-    return array.astype(np.int64, copy=False)
 
 
 def integer_tuple(values, what: str) -> tuple[int, ...]:

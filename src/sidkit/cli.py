@@ -192,7 +192,7 @@ def _sequences_and_table(args, structure: SidStructure):
 
 def _schedule(args, scorer) -> retrieval.BeamSchedule:
     """--beam, or the scorer's default widths."""
-    if args.beam:
+    if args.beam is not None:
         return retrieval.BeamSchedule(args.beam)
     return retrieval.default_schedule(scorer.structure)
 

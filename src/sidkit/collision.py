@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rows
-from .catalog import (SemanticId, SidStructure, comma_matrix, int64_array, parse_sid_brackets,
+from .catalog import (SemanticId, SidStructure, comma_matrix, integer_array, parse_sid_brackets,
                       read_rows, write_artifact)
 from .errors import DataError
 from .quantizer import QuantizerModel, assign_random, block_rows, nearest_codewords
@@ -47,16 +47,17 @@ class AssignmentTable:
         if len(self._rows) < len(ids):
             dup = next(item_id for i, item_id in enumerate(ids) if self._rows[item_id] != i)
             raise DataError(f"duplicate item_id {dup!r}")
-        codes = np.array(codes, dtype=np.int64)
-        self._codes = codes.reshape(0, structure.num_levels) if codes.size == 0 else codes
-        if self._codes.shape != (len(ids), structure.num_levels):
+        codes = integer_array(codes, "code")
+        codes = codes.reshape(0, structure.num_levels) if codes.size == 0 else codes
+        if codes.shape != (len(ids), structure.num_levels):
             raise DataError(f"expected a ({len(ids)}, {structure.num_levels}) code matrix, "
                             f"got {codes.shape}")
-        bad = np.argwhere((self._codes < 0) | (self._codes >= structure.level_sizes))
+        bad = np.argwhere((codes < 0) | (codes >= structure.level_sizes))
         if bad.size:
             i, j = bad[0]
-            raise DataError(f"item {ids[i]!r}: code {self._codes[i, j]} out of range "
+            raise DataError(f"item {ids[i]!r}: code {codes[i, j]} out of range "
                             f"[0, {structure.level_sizes[j]}) at level {j}")
+        self._codes = codes.astype(np.int64)  # a copy, which copy() and merge rely on
         self._index = self._counts = None
 
     def assign(self, item_id: str, sid: SemanticId) -> None:
@@ -142,18 +143,20 @@ class AssignmentTable:
         """The members of each code row in turn, each SID's in ascending id,
         cut at `limit` ids (no cut when None).  The rows, an (n, m) array or
         a list of code rows, are looked up at once in the SID index; a row
-        with a code out of its level's band holds nobody.  A code that is no
-        integer is a DataError."""
+        with a code out of its level's band, however large, holds nobody.  A
+        code that is no integer is a DataError."""
         m = self.structure.num_levels
-        codes = int64_array(code_rows, "code")  # a code beyond int64 is out of every band
+        codes = integer_array(code_rows, "code")
         codes = codes.reshape(0, m) if codes.shape == (0,) else codes
         if codes.ndim != 2 or codes.shape[1] != m:
             raise DataError(f"expected an (n, {m}) code matrix, got shape {codes.shape}")
-        start, stop = self._sid_index().rows_of(codes + np.asarray(self.structure.offsets))
-        sizes = self.structure.level_sizes
-        if codes.size and (codes.min() < 0 or (codes.max(axis=0) >= sizes).any()):
-            stop = np.where(((codes >= 0) & (codes < sizes)).all(axis=1), stop, start)
-        found, _ = rows.expand(start, stop)
+        in_band = (codes >= 0) & (codes < self.structure.level_sizes)
+        held = None if in_band.all() else in_band.all(axis=1)  # the rows that may hold items
+        if held is not None:
+            codes = np.where(held[:, None], codes, 0)  # looked up as zeros, then emptied
+        start, stop = self._sid_index().rows_of(
+            codes.astype(np.int64, copy=False) + np.asarray(self.structure.offsets))
+        found, _ = rows.expand(start, stop if held is None else np.where(held, stop, start))
         ordered = self._ordered
         return [ordered[i] for i in found[:limit].tolist()]
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import rows
 from .catalog import (INT_LIST, Header, SemanticId, SequenceColumns, SidStructure, _ListView,
-                      int64_array, integer_array, integer_tuple, read_rows, saved_int,
-                      write_artifact)
+                      integer_array, integer_tuple, read_rows, saved_int, write_artifact)
 # not called here; perfbench/test_tracer.py checks that tracing patches and
 # restores this module's binding of it
 from .catalog import flat_tokens_to_sid  # noqa: F401
@@ -172,72 +171,45 @@ _CHUNK_TOKENS = 1 << 16
 def _checked_chunks(streams, structure: SidStructure):
     """Yield (tokens, position in stream) int64 arrays for runs of whole
     streams of about _CHUNK_TOKENS tokens, in order, each run checked by
-    _checked before it is yielded.  A TokenStreams is cut straight from its
-    arrays; other streams are flattened one run at a time."""
-    if isinstance(streams, TokenStreams):
-        starts, ends = streams._starts, streams._starts + streams.lengths
-        first = 0
-        while first < len(ends):
-            last = min(int(np.searchsorted(ends, starts[first] + _CHUNK_TOKENS)), len(ends) - 1)
-            yield _checked(streams.tokens[starts[first] : ends[last]],
-                           streams.lengths[first : last + 1], structure)
-            first = last + 1
-        return
-    batch, size = [], 0
-    for stream in streams:
-        batch.append(list(stream))
-        size += len(batch[-1])
-        if size >= _CHUNK_TOKENS:
-            yield _checked(*_flattened(batch), structure, batch)
-            batch, size = [], 0
-    if batch:
-        yield _checked(*_flattened(batch), structure, batch)
+    _checked before it is yielded.  Streams that are no TokenStreams are
+    read into one first (TokenStreams.of)."""
+    if not isinstance(streams, TokenStreams):
+        streams = TokenStreams.of(streams)
+    starts, ends = streams._starts, streams._starts + streams.lengths
+    first = 0
+    while first < len(ends):
+        last = min(int(np.searchsorted(ends, starts[first] + _CHUNK_TOKENS)), len(ends) - 1)
+        yield _checked(streams.tokens[starts[first] : ends[last]],
+                       streams.lengths[first : last + 1], structure)
+        first = last + 1
 
 
-def _flattened(batch) -> tuple[np.ndarray, np.ndarray]:
-    """The streams' tokens end to end as int64, and each one's length.  A
-    token that is no integer is a DataError naming it at its position in its
-    stream, as the beam's check does; one beyond int64, outside every band
-    as -1 is, is read as -1."""
-    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
-    try:
-        tokens = int64_array(list(chain.from_iterable(batch)), "token")
-    except DataError:
-        for stream in batch:
-            integer_array(stream, "token")  # names the first such token in its stream
-        raise
-    return tokens, lengths
-
-
-def _checked(tokens, lengths, structure: SidStructure, given=None):
-    """The streams' tokens end to end, and each one's position in its stream.
-    The first bad stream raises: a token outside its level's band, else a
-    length that is no whole number of SIDs.  `given`, the streams `tokens`
-    was flattened from, names a bad token as it was given."""
+def _checked(tokens, lengths, structure: SidStructure):
+    """The streams' tokens end to end as int64, and each one's position in
+    its stream.  The first bad stream raises: a token outside its level's
+    band, else a length that is no whole number of SIDs."""
     ragged = np.flatnonzero(lengths % structure.num_levels)
     if len(ragged):
         end = ragged[0] + 1
-        _banded(tokens[: lengths[:end].sum()], lengths[:end], structure, given)
+        _banded(tokens[: lengths[:end].sum()], lengths[:end], structure)
         raise DataError("stream length must be a whole number of SIDs")
-    return _banded(tokens, lengths, structure, given)
+    return _banded(tokens, lengths, structure)
 
 
-def _banded(tokens, lengths, structure: SidStructure, given=None):
+def _banded(tokens, lengths, structure: SidStructure):
     """_checked without the length check: the first token outside its
-    level's band raises."""
-    ends = np.cumsum(lengths)
-    positions = np.arange(len(tokens)) - np.repeat(ends - lengths, lengths)
+    level's band raises.  The tokens are compared as integer_array reads
+    them, so one beyond int64 (dtype object) is named as it was given."""
+    positions = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     level = positions % structure.num_levels
     low = np.asarray(structure.offsets)[level]
     high = low + np.asarray(structure.level_sizes)[level]
     out_of_band = np.flatnonzero((tokens < low) | (tokens >= high))
     if len(out_of_band):
         at = out_of_band[0]
-        token = tokens[at] if given is None else (
-            given[np.searchsorted(ends, at, side="right")][positions[at]])
-        raise DataError(
-            f"token {int(token)} at position {positions[at]} is outside level {level[at]}'s band")
-    return tokens, positions
+        raise DataError(f"token {int(tokens[at])} at position {positions[at]} "
+                        f"is outside level {level[at]}'s band")
+    return tokens.astype(np.int64, copy=False), positions
 
 
 def _windows(tokens: np.ndarray, positions: np.ndarray, order: int) -> np.ndarray:
@@ -301,7 +273,8 @@ def _scored_loss(scorer: SequenceScorer, examples, start: int = 0) -> float:
     structure = scorer.structure
     by_length = {}  # prefix length -> [(example index, label code, prefix)]
     for e, example in enumerate(examples):
-        _banded(*_flattened([example.tokens]), structure, [example.tokens])
+        tokens = integer_array(example.tokens, "token")
+        _banded(tokens, np.array([len(tokens)]), structure)
         for pos in range(start, len(example.labels)):
             label = example.labels[pos]
             if label < 0:
@@ -385,7 +358,7 @@ class BeamSchedule:
     widths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", integer_tuple(self.widths, "beam width"))
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError("beam widths must be positive")
         if any(b < a for a, b in zip(self.widths, self.widths[1:])):
@@ -520,18 +493,12 @@ def dynamic_beam_search(
 
 
 def _context_tokens(context, structure: SidStructure) -> np.ndarray:
-    """The beam's context as an int64 token array, checked in one pass: as
-    whole SIDs, each column against its level's band.  Only a context that
-    fails goes through _checked, which raises as a training stream's check
-    would: at the first bad token, else at the length."""
+    """The beam's context as an int64 token array, checked as one training
+    stream: the first bad token raises, else the length."""
     tokens = integer_array(context, "token")
     if tokens.ndim != 1:
         raise DataError(f"expected a flat token context, got shape {tokens.shape}")
-    m, low = structure.num_levels, np.asarray(structure.offsets)
-    sids = tokens.reshape(-1, m) if len(tokens) % m == 0 and tokens.dtype != object else None
-    if sids is None or not ((sids >= low) & (sids < low + structure.level_sizes)).all():
-        _checked(tokens, np.array([len(tokens)]), structure)  # names the first bad token
-    return tokens.astype(np.int64, copy=False)
+    return _checked(tokens, np.array([len(tokens)]), structure)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +555,13 @@ def evaluate_hr(
 
 
 class TokenStreams(_ListView):
-    """Read-only view of a corpus: one flat int64 token array, the streams
-    end to end, and each stream's length.
+    """Read-only view of a corpus: one flat token array, the streams end to
+    end, and each stream's length.
 
     It reads as the list of token lists (see _ListView).  A stream's list is
     built only when read; training counts straight from the arrays (see
-    _checked_chunks).
+    _checked_chunks).  `of` builds the view of any other streams, so every
+    stream is read through one path.
     """
 
     __slots__ = ("tokens", "lengths", "_starts")
@@ -602,6 +570,22 @@ class TokenStreams(_ListView):
         self.tokens, self.lengths = tokens, lengths
         self._starts = np.cumsum(lengths) - lengths
         tokens.flags.writeable = lengths.flags.writeable = False
+
+    @classmethod
+    def of(cls, streams) -> "TokenStreams":
+        """The streams, in order, as one view, their tokens read by
+        integer_array, so a token beyond int64 is kept exact.  A token that
+        is no integer is a DataError naming it at its position in its
+        stream."""
+        streams = [list(stream) for stream in streams]
+        lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
+        try:
+            tokens = integer_array(list(chain.from_iterable(streams)), "token")
+        except DataError:
+            for stream in streams:
+                integer_array(stream, "token")  # names the first such token in its stream
+            raise
+        return cls(tokens, lengths)
 
     def __len__(self) -> int:
         return len(self.lengths)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rows
-from .catalog import ItemCatalog, SidStructure, read_rows, write_artifact
+from .catalog import ItemCatalog, SidStructure, integer_array, read_rows, write_artifact
 from .collision import AssignmentTable
 from .errors import DataError
 
@@ -49,7 +49,7 @@ class OccupancyVector:
     def from_counts(cls, counts, total_sids: int | None = None) -> "OccupancyVector":
         """From a plain count list, SID i holding counts[i]; zeros are
         dropped into the implicit pool."""
-        counts = np.array([int(c) for c in counts], dtype=np.int64)
+        counts = integer_array(counts, "count").astype(np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         occupied = np.flatnonzero(counts)

@@ -13,7 +13,7 @@ import numpy as np
 
 from sidkit import rows
 from sidkit.errors import DataError
-from sidkit.retrieval import BeamResult, _checked, _flattened
+from sidkit.retrieval import BeamResult, TokenStreams, _checked
 
 
 def densified(sparse, band):
@@ -30,7 +30,8 @@ def dense_beam_search(scorer, context, schedule, k: int) -> BeamResult:
     schedule.validate(structure)
     if not 1 <= k <= schedule.widths[-1]:
         raise ValueError(f"k={k} outside [1, {schedule.widths[-1]}]")
-    context, _ = _checked(*_flattened([context]), structure, [context])
+    context = TokenStreams.of([context])
+    context, _ = _checked(context.tokens, context.lengths, structure)
     beams = np.empty((1, 0), dtype=np.int64)
     scores = np.zeros(1)
     for level, width in enumerate(schedule.widths):

@@ -70,6 +70,14 @@ class TestSidStructure:
         with pytest.raises(ValueError):
             SidStructure((4,), code_dim=0)
 
+    @pytest.mark.parametrize("sizes, value, at", [((2.9, 3.5), "2.9", 0), ((4, 4.0), "4.0", 1),
+                                                  ((4, "3"), "3", 1)])
+    def test_a_level_size_that_is_no_integer_is_refused(self, sizes, value, at):
+        """(2.9, 3.5) once read as (2, 3)."""
+        message = f"^level size {value} at position {at} is not an integer$"
+        with pytest.raises(DataError, match=message):
+            SidStructure(sizes, code_dim=4)
+
 class TestSemanticId:
     def test_validate_checks_ranges(self):
         s = SidStructure((4, 4), code_dim=4)

@@ -664,6 +664,8 @@ class TestArgumentLimits:
         (["eval-sid", "--k", "0"], "K must be >= 1"),
         (["retrieve", "--k", "21"], "k=21 exceeds the final beam width 20"),
         (["eval-hr", "--k", "0"], "K values must be positive"),
+        (["retrieve", "--beam", ""], "beam widths must be positive"),
+        (["eval-hr", "--beam", ""], "beam widths must be positive"),
     ])
     def test_typed_value_out_of_range(self, bad, message, toy_dir, pipeline, tmp_path, capsys):
         """A value out of range is a bad argument, whatever the files hold."""

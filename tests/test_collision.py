@@ -397,10 +397,29 @@ class TestAssignmentTable:
             AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b", "a"],
                             [[0, 0], [0, 1], [1, 1]])
 
-    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("bad", [2, -1, 2**70, -(2**70)])
     def test_constructor_rejects_out_of_band_code(self, bad):
         with pytest.raises(DataError, match=f"item 'b': code {bad} out of range"):
             AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b"], [[0, 0], [1, bad]])
+
+    @pytest.mark.parametrize("codes, message", [
+        ([[0.5, 1.7], [1, 0]], r"code 0.5 at position \(0, 0\)"),
+        (np.array([[0, 1], [1.0, 0]]), r"code 0.0 at position \(0, 0\)"),
+        ([[0, 1], [1, "0"]], r"code 0 at position \(1, 1\)"),
+    ])
+    def test_constructor_rejects_a_code_that_is_no_integer(self, codes, message):
+        """[[0.5, 1.7], [1, 0]] once held (0, 1) for 'a'.  A float is refused,
+        even an integral one, as items_for_codes and SemanticId refuse it."""
+        with pytest.raises(DataError, match=f"^{message} is not an integer$"):
+            AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b"], codes)
+
+    def test_constructor_copies_the_codes(self):
+        """The table holds its own matrix: a later write to the caller's
+        array does not reach it."""
+        codes = np.array([[0, 1], [1, 0]])
+        table = AssignmentTable(SidStructure((2, 2), code_dim=2), ["a", "b"], codes)
+        codes[0] = [1, 1]
+        assert table["a"].codes == (0, 1)
 
     def test_constructor_rejects_wrong_shape(self):
         with pytest.raises(DataError, match="code matrix"):

@@ -596,6 +596,13 @@ class TestBeamSchedule:
         with pytest.raises(ValueError):
             BeamSchedule((4, 0, 4))
 
+    @pytest.mark.parametrize("widths, value, at", [((2.5, 4), "2.5", 0), ((2, "4"), "4", 1)])
+    def test_a_width_that_is_no_integer_is_refused(self, widths, value, at):
+        """(2.5, 4) once read as (2, 4)."""
+        message = f"^beam width {value} at position {at} is not an integer$"
+        with pytest.raises(DataError, match=message):
+            BeamSchedule(widths)
+
     def test_decreasing_widths_warn(self, caplog):
         with caplog.at_level(logging.WARNING):
             BeamSchedule((8, 4, 2))
@@ -1365,6 +1372,35 @@ class TestTokenStreams:
             from_lists = train_markov_scorer(streams, structure, order=order)
         assert from_view._rows.tobytes() == from_lists._rows.tobytes()
         assert from_view._counts.tobytes() == from_lists._counts.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams=st.lists(st.lists(st.integers(0, 300), max_size=6), max_size=6))
+    def test_of_reads_as_the_lists_do(self, streams):
+        """Any streams, none among them, read as the lists: the same arrays
+        as the view built by hand, and streams given as numpy arrays of any
+        integer width read the same."""
+        want = token_streams(streams)
+        arrays = [np.array(stream, dtype=np.int16) for stream in streams]
+        for given_streams in (streams, iter(streams), arrays):
+            view = TokenStreams.of(given_streams)
+            assert view == streams
+            assert view.tokens.tolist() == want.tokens.tolist()
+            assert view.lengths.tolist() == want.lengths.tolist()
+
+    @pytest.mark.parametrize("streams, value, at", [
+        ([[0, 2], [1, 3], [1, 2, 0.5]], "0.5", 2),
+        ([[0, 2], [np.float64(1), 3]], "1.0", 0),
+        ([[0, 2], ["1", 3]], "1", 0),
+    ])
+    def test_of_names_a_token_that_is_no_integer_in_its_stream(self, streams, value, at):
+        message = rf"^token {value} at position {at} is not an integer$"
+        with pytest.raises(DataError, match=message):
+            TokenStreams.of(streams)
+
+    def test_of_keeps_a_token_beyond_int64_exact(self):
+        view = TokenStreams.of([[0, 2], [2**70, -(2**70)]])
+        assert view == [[0, 2], [2**70, -(2**70)]]
+        assert view.tokens.tolist() == [0, 2, 2**70, -(2**70)]
 
     def test_corpus_is_a_view(self):
         structure, table = toy_assignment()

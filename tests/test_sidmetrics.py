@@ -61,6 +61,13 @@ class TestGiniHandValues:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("counts, value, at", [(["3", 1.9], "3", 0), ([3, 1.9], "1.9", 1),
+                                                   ([0, 2.0], "2.0", 1)])
+    def test_a_count_that_is_no_integer_is_refused(self, counts, value, at):
+        """["3", 1.9] once read as [3, 1]."""
+        with pytest.raises(DataError, match=f"^count {value} at position {at} is not an integer$"):
+            OccupancyVector.from_counts(counts)
+
 
 class TestGiniProperties:
     def test_matches_dense_oracle_on_200_vectors(self):
