@@ -90,7 +90,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="quantizer file from tokenize")
     p.add_argument("--policy", required=True, choices=["noco", "knn", "random", "merge"])
     p.add_argument("--sigma", type=int, default=collision.DEFAULT_SIGMA)
-    p.add_argument("--k-candidates", type=int, default=None)
     p.add_argument("--merge-threshold", type=int, default=0)
     p.add_argument("--assignment",
                    help="assignment TSV that merge and noco repair (default: the raw assignment "
@@ -252,9 +251,7 @@ def cmd_collide(args) -> int:
     catalog = _load_catalog(args)
     model = quantizer.load_quantizer(args.model)
     if args.policy == "knn":
-        table = collision.apply_knn_policy(
-            catalog, model, sigma=args.sigma, k_candidates=args.k_candidates
-        )
+        table = collision.apply_knn_policy(catalog, model, sigma=args.sigma)
     elif args.policy == "random":
         table = collision.apply_random_policy(catalog, model)
     else:

@@ -186,14 +186,13 @@ def apply_knn_policy(
     catalog,
     model: QuantizerModel,
     sigma: int = DEFAULT_SIGMA,
-    k_candidates: int | None = None,
 ) -> AssignmentTable:
     """Divert items away from full SIDs via the nearest-codeword ranking.
 
     Items stream in catalog order.  Levels 1..m-1 stay as assigned; the last
-    level tries the k nearest codewords in ascending residual distance and
-    takes the first whose SID holds fewer than sigma items so far.  If every
-    candidate is full the item falls back to the least-occupied candidate
+    level walks the codewords in ascending residual distance and takes the
+    first whose SID holds fewer than sigma items so far.  If every SID of the
+    prefix is full the item falls back to the prefix's least-loaded code
     (ties to the lowest code), so assignment never fails.
 
     The prefixes are walked once and each item's nearest codeword taken
@@ -206,14 +205,11 @@ def apply_knn_policy(
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
     n_m = model.structure.level_sizes[-1]
-    k = n_m if k_candidates is None else min(int(k_candidates), n_m)
-    if k < 1:
-        raise ValueError("k_candidates must be >= 1")
     prefixes, Z = model.prefix_walk(catalog.embedding_matrix())
     codewords = model.codebooks.levels[-1]
     last = nearest_codewords(Z, codewords)
     step = block_rows(n_m)
-    ranked_block, ranking = -1, None  # the block ranked last, and its (rows, k) ranking
+    ranked_block, ranking = -1, None  # the block ranked last, and its (rows, n_m) ranking
     loads: dict[tuple[int, ...], list[int]] = {}  # prefix -> items per last code so far
     for i, (prefix, chosen) in enumerate(zip(map(tuple, prefixes.tolist()), last.tolist())):
         load = loads.setdefault(prefix, [0] * n_m)
@@ -221,11 +217,10 @@ def apply_knn_policy(
             if i // step != ranked_block:
                 ranked_block = i // step
                 block = Z[ranked_block * step : (ranked_block + 1) * step]
-                ranking = nearest_codewords(block, codewords, ranked=True)[:, :k]
-            candidates = ranking[i % step].tolist()
-            chosen = next((c for c in candidates if load[c] < sigma), None)
+                ranking = nearest_codewords(block, codewords, ranked=True)
+            chosen = next((c for c in ranking[i % step].tolist() if load[c] < sigma), None)
             if chosen is None:
-                chosen = min(candidates, key=lambda c: (load[c], c))
+                chosen = load.index(min(load))
             last[i] = chosen
         load[chosen] += 1
     return AssignmentTable(model.structure, catalog.item_ids, np.column_stack([prefixes, last]))
@@ -241,7 +236,7 @@ def apply_random_policy(catalog, model: QuantizerModel) -> AssignmentTable:
     if structure.num_levels < 2:
         raise DataError("random policy overwrites the last level; structure needs m >= 2")
     n_m = structure.level_sizes[-1]
-    prefixes = model.assign_batch(catalog.embedding_matrix())[:, :-1]
+    prefixes = model.prefix_walk(catalog.embedding_matrix())[0]
     order, keys = rows.sort(rows.pack(prefixes, structure.total_tokens + 1), kind="stable")
     starts, counts = rows.distinct(keys)
     last = np.empty(len(order), dtype=np.int64)

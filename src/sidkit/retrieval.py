@@ -72,12 +72,12 @@ class MarkovScorer(SequenceScorer):
     """
 
     def __init__(self, structure: SidStructure, order: int = 2, alpha: float = DEFAULT_ALPHA):
-        if order < 1:
+        (self.order,) = integer_tuple([order], "order")
+        if self.order < 1:
             raise ValueError("order must be >= 1")
         if not 0 < alpha < float("inf"):
             raise ValueError("alpha must be positive and finite")
         self.structure = structure
-        self.order = int(order)
         self.alpha = float(alpha)
         self._set_table(np.empty((0, self.order + 1), dtype=np.int64), np.empty(0, dtype=np.int64))
 
@@ -171,10 +171,9 @@ _CHUNK_TOKENS = 1 << 16
 def _checked_chunks(streams, structure: SidStructure):
     """Yield (tokens, position in stream) int64 arrays for runs of whole
     streams of about _CHUNK_TOKENS tokens, in order, each run checked by
-    _checked before it is yielded.  Streams that are no TokenStreams are
-    read into one first (TokenStreams.of)."""
-    if not isinstance(streams, TokenStreams):
-        streams = TokenStreams.of(streams)
+    _checked before it is yielded; the streams are read as TokenStreams.of
+    reads them."""
+    streams = TokenStreams.of(streams)
     starts, ends = streams._starts, streams._starts + streams.lengths
     first = 0
     while first < len(ends):
@@ -419,14 +418,14 @@ def dynamic_beam_search(
     token tuple.  The returned log-probs are plain sums of scorer outputs, so
     with widths covering the full vocabulary this is exhaustive enumeration.
 
-    The beams are a (B, L + level) token matrix, each row the context and
-    then its beam's tokens, kept in token-tuple order, and their scores;
-    each level scores all B rows in one next_token_log_probs_sparse call.
-    So candidate parent * band + code sits at its place in tuple order, and
-    rows.top_k, ties to the lowest position, keeps the `want` best
-    (widths[j], or k at the last level) as a full sort by score, then
-    tokens, would.  Sorted, they stay in tuple order; the last level keeps
-    its k best, best first, as codes alone.
+    The beams are a (B, level) code matrix in code-tuple order and their
+    scores.  Each level scores all B beams in one next_token_log_probs_sparse
+    call on their (B, L + level) contexts, the context then the beam's codes
+    as tokens, so candidate parent * band + code sits at its place in tuple
+    order, and rows.top_k, ties to the lowest position, keeps the `want`
+    best (widths[j], or k at the last level) as a full sort by score, then
+    tokens, would.  The kept parents' codes gain the new code; sorted, they
+    stay in tuple order, and the last level keeps its k best, best first.
 
     Only some candidates are scored.  Each listed pair scores
     scores[row] + log_prob, and each unlisted code of parent p the floor
@@ -445,19 +444,20 @@ def dynamic_beam_search(
     """
     structure = scorer.structure
     schedule.validate(structure)
+    (k,) = integer_tuple([k], "k")
     if k < 1:
         raise ValueError(f"k={k} must be positive")
     if k > schedule.widths[-1]:
         raise ValueError(f"k={k} exceeds the final beam width {schedule.widths[-1]}")
     context = _context_tokens(context, structure)
-    length, offsets = len(context), np.asarray(structure.offsets)
-    contexts = context[None]
+    offsets = np.asarray(structure.offsets)
+    codes = np.empty((1, 0), dtype=np.int64)
     scores = np.zeros(1)
-    for level, width in enumerate(schedule.widths):
-        band = structure.level_sizes[level]
-        last = level == structure.num_levels - 1
+    for level, (band, want) in enumerate(zip(structure.level_sizes, (*schedule.widths[:-1], k))):
+        contexts = np.empty((len(codes), len(context) + level), dtype=np.int64)
+        contexts[:, : len(context)] = context
+        contexts[:, len(context) :] = codes + offsets[:level]
         floor, row, code, log_prob = scorer.next_token_log_probs_sparse(contexts)
-        want = k if last else width
         listed = scores[row] + log_prob
         floors = scores + floor
         unlisted = band - np.bincount(row, minlength=len(contexts))
@@ -476,20 +476,12 @@ def dynamic_beam_search(
         candidates = floors[position // band]
         candidates[position.searchsorted(listed_at)] = listed
         keep = rows.top_k(candidates, want)
-        if not last:
+        if level < structure.num_levels - 1:
             keep.sort()
         parent, code = np.divmod(position[keep], band)
         scores = candidates[keep]
-        if last:
-            codes = np.empty((len(keep), level + 1), dtype=np.int64)
-            codes[:, :level] = contexts[parent, length:] - offsets[:level]
-            codes[:, level] = code
-            return BeamResult(codes, scores)
-        grown = np.empty((len(keep), length + level + 1), dtype=np.int64)
-        grown[:, :length] = context
-        grown[:, length:-1] = contexts[parent, length:]
-        grown[:, -1] = code + offsets[level]
-        contexts = grown
+        codes = np.concatenate((codes[parent], code[:, None]), axis=1)
+    return BeamResult(codes, scores)
 
 
 def _context_tokens(context, structure: SidStructure) -> np.ndarray:
@@ -532,7 +524,7 @@ def evaluate_hr(
     its clicked items found in that top-K list.  The expansion reads the
     decode's code matrix, so no SemanticId is built per decoded SID.
     """
-    k_list = sorted(set(int(k) for k in k_list))
+    k_list = sorted(set(integer_tuple(k_list, "K")))
     if not k_list or k_list[0] < 1:
         raise ValueError("K values must be positive")
     sequences = list(sequences)
@@ -573,10 +565,12 @@ class TokenStreams(_ListView):
 
     @classmethod
     def of(cls, streams) -> "TokenStreams":
-        """The streams, in order, as one view, their tokens read by
-        integer_array, so a token beyond int64 is kept exact.  A token that
-        is no integer is a DataError naming it at its position in its
-        stream."""
+        """The streams, in order, as one view (a TokenStreams as it is),
+        their tokens read by integer_array, so a token beyond int64 is kept
+        exact.  A token that is no integer is a DataError naming it at its
+        position in its stream."""
+        if isinstance(streams, cls):
+            return streams
         streams = [list(stream) for stream in streams]
         lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
         try:
@@ -621,8 +615,8 @@ def build_useraction_corpus(sequences, table: AssignmentTable) -> TokenStreams:
 
 
 def save_corpus(corpus, path) -> None:
-    """One stream per line, comma-separated flat tokens."""
-    write_artifact(path, (",".join(str(int(t)) for t in stream) + "\n" for stream in corpus))
+    """One stream per line, comma-separated flat tokens (TokenStreams.of)."""
+    write_artifact(path, (",".join(map(str, stream)) + "\n" for stream in TokenStreams.of(corpus)))
 
 
 def load_corpus(path) -> list[list[int]]:

@@ -49,11 +49,13 @@ class OccupancyVector:
     def from_counts(cls, counts, total_sids: int | None = None) -> "OccupancyVector":
         """From a plain count list, SID i holding counts[i]; zeros are
         dropped into the implicit pool."""
-        counts = integer_array(counts, "count").astype(np.int64)
+        counts = integer_array(counts, "count")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        if (counts > np.iinfo(np.int64).max).any():
+            raise ValueError(f"count {max(counts)} is beyond int64")
         occupied = np.flatnonzero(counts)
-        return cls(occupied[:, None], counts[occupied],
+        return cls(occupied[:, None], counts[occupied].astype(np.int64),
                    len(counts) if total_sids is None else int(total_sids))
 
 

@@ -660,7 +660,7 @@ class TestArgumentLimits:
 
     @pytest.mark.parametrize("bad, message", [
         (["collide", "--sigma", "0"], "sigma must be >= 1"),
-        (["collide", "--k-candidates", "0"], "k_candidates must be >= 1"),
+        (["collide", "--sigma", "-1"], "sigma must be >= 1"),
         (["eval-sid", "--k", "0"], "K must be >= 1"),
         (["retrieve", "--k", "21"], "k=21 exceeds the final beam width 20"),
         (["eval-hr", "--k", "0"], "K values must be positive"),

@@ -123,15 +123,15 @@ def draw_merge_case(data):
     return table, books, threshold
 
 
-def streaming_knn(catalog, model, sigma, k):
-    """Reference knn over the same ranking: a count dict, a scan of the k
-    nearest codes for the first with headroom, else min((load, code))."""
+def streaming_knn(catalog, model, sigma):
+    """Reference knn over the same ranking: a count dict, a scan of the
+    ranked codes for the first with headroom, else min((load, code))."""
     prefixes, orders = model.rank_last_level_batch(catalog.embedding_matrix())
     counts = Counter()
     out = {}
     for i, item_id in enumerate(catalog.item_ids):
         prefix = tuple(int(c) for c in prefixes[i])
-        candidates = [int(c) for c in orders[i, :k]]
+        candidates = [int(c) for c in orders[i]]
         free = [c for c in candidates if counts[prefix + (c,)] < sigma]
         code = free[0] if free else min((counts[prefix + (c,)], c) for c in candidates)[1]
         counts[prefix + (code,)] += 1
@@ -496,22 +496,12 @@ class TestKnnPolicy:
         for item_id in catalog.item_ids:
             assert repaired[item_id].prefix == raw[item_id].prefix
 
-    def test_single_candidate_reduces_to_raw(self):
-        catalog, _ = clustered_catalog(n_items=40, n_clusters=4, d_in=6, seed=2)
-        model = train_rqkmeans(
-            catalog.embedding_matrix(), SidStructure((4, 4), code_dim=6), RqkmeansConfig(seed=0)
-        )
-        raw = raw_assignment(catalog, model)
-        knn = apply_knn_policy(catalog, model, sigma=1, k_candidates=1)
-        for item_id in catalog.item_ids:
-            assert knn[item_id] == raw[item_id]
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_streaming_reference(self, data):
-        """Small worlds on an integer grid with k < n_m and sigma <= 3, so
-        many items share a prefix, every candidate fills up, and the
-        fallback's load ties are common."""
+        """Small worlds on an integer grid with sigma <= 3, so many items
+        share a prefix, every code fills up, and the fallback's load ties
+        are common."""
         m = data.draw(st.integers(1, 2), label="m")
         sizes = tuple(data.draw(st.lists(st.integers(2, 5), min_size=m, max_size=m)))
         dim = data.draw(st.integers(1, 2), label="dim")
@@ -524,10 +514,9 @@ class TestKnnPolicy:
             [ItemRecord(f"i{i:02d}", np.array(p, dtype=np.float64)) for i, p in enumerate(points)],
             d_in=dim,
         )
-        k = data.draw(st.integers(1, sizes[-1] - 1), label="k")
         sigma = data.draw(st.integers(1, 3), label="sigma")
-        table = apply_knn_policy(catalog, model, sigma=sigma, k_candidates=k)
-        expected = streaming_knn(catalog, model, sigma, k)
+        table = apply_knn_policy(catalog, model, sigma=sigma)
+        expected = streaming_knn(catalog, model, sigma)
         assert [(i, sid.codes) for i, sid in table.items()] == list(expected.items())
 
     @settings(max_examples=150, deadline=None)
@@ -536,8 +525,8 @@ class TestKnnPolicy:
         """Byte-equal tables to the walk over every item's full ranking, on
         trained models of every content-based kind: items drawn with
         repeats, so many share a SID and divert, a last level with copied
-        codewords (distance ties), k below n_m, and ranking blocks of a few
-        rows, so a catalog spans several."""
+        codewords (distance ties), and ranking blocks of a few rows, so a
+        catalog spans several."""
         kind = data.draw(st.sampled_from(["rqkmeans", "rqvae", "multivq"]), label="kind")
         pool, model = trained_model(kind)
         n_m = model.structure.level_sizes[-1]
@@ -553,12 +542,11 @@ class TestKnnPolicy:
         catalog = ItemCatalog([ItemRecord(f"i{j:02d}", pool.embedding_matrix()[row])
                                for j, row in enumerate(rows)], d_in=pool.d_in)
         sigma = data.draw(st.sampled_from([1, 2, 3, 10]), label="sigma")
-        k = data.draw(st.none() | st.integers(1, n_m - 1), label="k")
         block = data.draw(st.sampled_from([1, 2, 3, 7, None]), label="rows per block")
         floats = quantizer._BLOCK_FLOATS if block is None else block * n_m
         with mock.patch.object(quantizer, "_BLOCK_FLOATS", floats):
-            got = apply_knn_policy(catalog, model, sigma=sigma, k_candidates=k)
-        want = full_ranking_knn(catalog, model, sigma, k)
+            got = apply_knn_policy(catalog, model, sigma=sigma)
+        want = full_ranking_knn(catalog, model, sigma)
         assert list(got) == list(want)
         assert got.codes_of(got).tobytes() == want.codes_of(want).tobytes()
 

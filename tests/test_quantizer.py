@@ -13,6 +13,7 @@ from sidkit.autodiff import Tensor
 from sidkit.catalog import SemanticId, SidStructure
 from sidkit.errors import DataError
 from sidkit.quantizer import (
+    LLOYD_TOL,
     CodebookStack,
     Mlp,
     QuantizerModel,
@@ -300,6 +301,16 @@ class TestLloydKmeans:
         assert centroids.shape == (5, 2)
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assert d2[np.arange(3), labels].max() < 1e-18
+
+    def test_stops_when_the_objective_falls_less_than_the_tolerance(self):
+        """The tolerance is absolute, so points of scale 1e-8 stop after two
+        iterations while the centroids still move: they differ from the
+        centroids one iteration gives."""
+        X = 1e-8 * np.random.default_rng(0).standard_normal((30, 2))
+        centroids, _, trace = lloyd_kmeans(X, 3, np.random.default_rng(0), max_iters=50)
+        assert len(trace) == 2 and trace[0] - trace[1] < LLOYD_TOL
+        once, _, _ = lloyd_kmeans(X, 3, np.random.default_rng(0), max_iters=1)
+        assert (centroids != once).any()
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):

@@ -132,6 +132,12 @@ class TestMarkovScorer:
         with pytest.raises(ValueError):
             MarkovScorer(two_by_two(), alpha=0.0)
 
+    def test_an_order_that_is_no_integer_is_refused(self):
+        """order=2.9 once counted an order-2 table."""
+        with pytest.raises(DataError, match=r"^order 2.9 at position 0 is not an integer$"):
+            train_markov_scorer([[0, 2]], two_by_two(), order=2.9)
+        assert type(train_markov_scorer([[0, 2]], two_by_two(), order=np.int64(3)).order) is int
+
 
 def loop_log_probs(scorer, context):
     """Reference: one context scored with per-token count lookups and a
@@ -455,6 +461,10 @@ class TestRecLoss:
         with pytest.raises(ValueError):
             LabeledSequence(tokens=(0, 2), labels=(SENTINEL, SENTINEL))
 
+    def test_tokens_and_labels_of_other_lengths_unconstructible(self):
+        with pytest.raises(ValueError, match="^tokens and labels must have equal length$"):
+            LabeledSequence(tokens=(0, 2), labels=(SENTINEL, 2, 1))
+
     def test_a_float_token_or_label_is_refused(self):
         """(0.5, 2.9) once read as (0, 2), in a stream and in its labels."""
         with pytest.raises(DataError, match=r"^token 0.5 at position 0 is not an integer$"):
@@ -765,6 +775,13 @@ class TestDynamicBeamSearch:
         """A negative k would slice rows off the end of the beam."""
         with pytest.raises(ValueError, match=f"k={k}"):
             dynamic_beam_search(self.scorer, [], BeamSchedule((2, 4, 8)), k=k)
+
+    def test_a_k_that_is_no_integer_is_refused(self):
+        """k=1.5 once raised numpy's IndexError from the last level's cut."""
+        with pytest.raises(DataError, match=r"^k 1.5 at position 0 is not an integer$"):
+            dynamic_beam_search(self.scorer, [], BeamSchedule((2, 4, 8)), k=1.5)
+        decoded = dynamic_beam_search(self.scorer, [], BeamSchedule((2, 4, 8)), k=np.int64(3))
+        assert len(decoded) == 3
 
     def test_wider_beam_never_scores_worse(self):
         """The best SID found can only improve as widths grow."""
@@ -1212,6 +1229,17 @@ class TestEvaluateHr:
         assert hr[1] == pytest.approx(0.5)
         assert hr[4] == pytest.approx(1.0)
 
+    def test_a_k_that_is_no_integer_is_refused(self):
+        """K = 1.7 once reported HR@1."""
+        structure, table = toy_assignment()
+        scorer = self.make_scorer(table, structure, (0, 0))
+        sequences = [InteractionSequence(pv_id="p1", history=("b",), targets=("a",), query="")]
+        schedule = BeamSchedule((2, 4))
+        with pytest.raises(DataError, match=r"^K 1.7 at position 1 is not an integer$"):
+            evaluate_hr(scorer, table, sequences, schedule, k_list=(4, 1.7))
+        assert evaluate_hr(scorer, table, sequences, schedule, k_list=np.array([4, 1])) == {
+            1: 1.0, 4: 1.0}
+
     def test_expansion_is_ascending_item_id_and_truncated(self):
         structure, table = toy_assignment()
         scorer = self.make_scorer(table, structure, (0, 0))
@@ -1310,6 +1338,15 @@ class TestCorpus:
         path = tmp_path / "corpus.txt"
         save_corpus([c for c in corpus if c], path)
         assert load_corpus(path) == [[0, 2, 1, 3], [1, 2]]
+
+    def test_a_token_that_is_no_integer_is_not_saved(self, tmp_path):
+        """[0.5, 2.9] was once written as 0,2."""
+        path = tmp_path / "corpus.txt"
+        with pytest.raises(DataError, match=r"^token 2.9 at position 1 is not an integer$"):
+            save_corpus([[0, 2], [1, 2.9]], path)
+        assert not path.exists()
+        save_corpus([np.array([0, 2], dtype=np.int32), [2**70]], path)
+        assert path.read_text() == f"0,2\n{2**70}\n"
 
     @pytest.mark.parametrize("stream", [" +0, 4", "0,\uff14", "1_0,4"])
     def test_tokens_only_in_ascii_digits_and_commas(self, tmp_path, stream):

@@ -56,7 +56,11 @@ class TestGiniHandValues:
         (lambda: OccupancyVector(np.zeros((0, 1), np.int64), np.zeros(0, np.int64), 0),
          "total_sids must be positive"),
         (lambda: OccupancyVector.from_counts([2, -1]), "counts must be non-negative"),
-    ], ids=["empty-space", "negative-count"])
+        (lambda: OccupancyVector.from_counts([1, 2**70]),
+         "count 1180591620717411303424 is beyond int64"),
+        (lambda: OccupancyVector.from_counts(np.array([0, 2**64 - 1], np.uint64)),
+         "count 18446744073709551615 is beyond int64"),
+    ], ids=["empty-space", "negative-count", "count-beyond-int64", "uint64-count-beyond-int64"])
     def test_malformed_occupancy_refused(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
