@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough machinery for the small training loops in this package: scalar
-losses built from matmul/add/relu/exp/log/sqrt/sum chains over float64
-arrays, with broadcasting handled on the backward pass.  Not a general
-framework; every op the package needs is defined here and nothing more.
+losses built from matmul/add/relu/pow/sum chains and a fused logsumexp over
+float64 arrays, with broadcasting handled on the backward pass.  Not a
+general framework.  No training loop calls ``__rsub__``, ``/``, ``exp``,
+``log`` or ``sqrt``; the tests check their gradients and the benchmark's
+layer trace times them.
 
 A Tensor the caller makes with ``Tensor(...)`` needs a gradient, and so
 does an op's output with such a parent.  Every other Tensor is a constant:

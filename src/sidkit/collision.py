@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rows
-from .catalog import (SemanticId, SidStructure, comma_matrix, integer_array, parse_sid_brackets,
-                      read_rows, write_artifact)
+from .catalog import (SemanticId, SidStructure, comma_matrix, integer_array, integer_tuple,
+                      parse_sid_brackets, read_rows, write_artifact)
 from .errors import DataError
 from .quantizer import QuantizerModel, assign_random, block_rows, nearest_codewords
 
@@ -202,6 +202,7 @@ def apply_knn_policy(
     of the block comes, once per block.  Both forms break ties to the lowest
     code, so the nearest codeword heads its ranking.
     """
+    (sigma,) = integer_tuple([sigma], "sigma")
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
     n_m = model.structure.level_sizes[-1]
@@ -260,8 +261,6 @@ def apply_merge_policy(
     nearest sibling at the threshold, else to its largest sibling.  Distinct
     occupied SIDs never increase.
     """
-    if merge_threshold <= 0:
-        return table.copy()
     last_table = codebooks.levels[-1]
     sids, counts = table.occupied()
     last = sids[:, -1].copy()  # each SID's new last code

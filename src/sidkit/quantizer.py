@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import AdamW, Tensor, cosine_warmup_lr, wrap
-from .catalog import Header, SidStructure, read_rows, saved_int, write_artifact
+from .catalog import Header, SidStructure, integer_tuple, read_rows, saved_int, write_artifact
 from .errors import DataError, NumericError
 
 
@@ -68,7 +68,7 @@ class Mlp:
 
 def init_mlp(dims, rng: np.random.Generator) -> Mlp:
     """He-scaled gaussian weights, zero biases."""
-    dims = tuple(int(d) for d in dims)
+    dims = integer_tuple(dims, "dim")
     if len(dims) < 2:
         raise ValueError("an mlp needs at least input and output dims")
     weights = [

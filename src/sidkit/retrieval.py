@@ -68,7 +68,7 @@ class MarkovScorer(SequenceScorer):
     order a save writes them in.  Counting cuts a stream's windows with numpy
     and sorts them once as packed keys (see sidkit.rows).  A lookup walks the
     context columns as a trie of dense prefix ids (rows.Index), which is
-    built on the first lookup after the counts change.
+    built whenever the counts are set.
     """
 
     def __init__(self, structure: SidStructure, order: int = 2, alpha: float = DEFAULT_ALPHA):
@@ -81,18 +81,14 @@ class MarkovScorer(SequenceScorer):
         self.alpha = float(alpha)
         self._set_table(np.empty((0, self.order + 1), dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def _set_table(self, rows: np.ndarray, counts: np.ndarray) -> None:
-        self._rows, self._counts, self._index = rows, counts, None
-
-    def _context_index(self) -> rows.Index:
-        if self._index is None:
-            self._index = rows.Index(self._rows[:, : self.order], self.structure.total_tokens + 1)
-        return self._index
+    def _set_table(self, table: np.ndarray, counts: np.ndarray) -> None:
+        self._rows, self._counts = table, counts
+        self._index = rows.Index(table[:, : self.order], self.structure.total_tokens + 1)
 
     @property
     def num_contexts(self) -> int:
         """Distinct contexts seen in training."""
-        return len(self._context_index().starts) - 1
+        return len(self._index.starts) - 1
 
     def observe(self, stream) -> None:
         """Accumulate (context, next-token) counts from one flat-token stream;
@@ -150,7 +146,7 @@ class MarkovScorer(SequenceScorer):
         level = length % self.structure.num_levels
         offset = self.structure.offsets[level]
         band = self.structure.level_sizes[level]
-        start, stop = self._context_index().rows_of(contexts[:, max(0, length - self.order) :])
+        start, stop = self._index.rows_of(contexts[:, max(0, length - self.order) :])
         picked, row = rows.expand(start, stop)
         code = self._rows[picked, self.order] - offset
         if code.size and (code.min() < 0 or code.max() >= band):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rows
-from .catalog import ItemCatalog, SidStructure, integer_array, read_rows, write_artifact
+from .catalog import (ItemCatalog, SidStructure, integer_array, integer_tuple, read_rows,
+                      write_artifact)
 from .collision import AssignmentTable
 from .errors import DataError
 
@@ -55,8 +56,9 @@ class OccupancyVector:
         if (counts > np.iinfo(np.int64).max).any():
             raise ValueError(f"count {max(counts)} is beyond int64")
         occupied = np.flatnonzero(counts)
-        return cls(occupied[:, None], counts[occupied].astype(np.int64),
-                   len(counts) if total_sids is None else int(total_sids))
+        (total_sids,) = integer_tuple([len(counts) if total_sids is None else total_sids],
+                                      "total_sids")
+        return cls(occupied[:, None], counts[occupied].astype(np.int64), total_sids)
 
 
 def gini_coefficient(occupancy: OccupancyVector) -> float:

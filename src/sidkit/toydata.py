@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rows
 from .catalog import MAX_HISTORY, InteractionSequence, ItemCatalog, ItemRecord
-from .sidmetrics import PairLabels
+from .sidmetrics import RELATIONS, PairLabels
 
 
 CENTER_SCALE = 10.0
@@ -66,42 +67,39 @@ def make_toy_catalog(
     """Gaussian-cluster catalog with planted companion links.
 
     Centers are standard gaussian times CENTER_SCALE, and an item is its
-    center plus standard gaussian times NOISE.  Each item's related_item is
-    the next member of its own cluster (cyclic), style groups coincide with
-    clusters, and origin groups pool two clusters each, so origin
-    consistency is the weaker signal by construction.
+    center plus standard gaussian times NOISE, one draw for all items.  Each
+    item's related_item is the next member of its own cluster (cyclic; none
+    in a cluster of one), style groups coincide with clusters, and origin
+    groups pool two clusters each, so origin consistency is the weaker
+    signal by construction.
     """
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_clusters, d_in)) * CENTER_SCALE
     clusters = np.concatenate(
         [np.arange(n_clusters), rng.integers(n_clusters, size=n_items - n_clusters)]
     )
-    members: dict[int, list[int]] = {c: [] for c in range(n_clusters)}
-    for i, c in enumerate(clusters):
-        members[int(c)].append(i)
+    embeddings = centers[clusters] + rng.standard_normal((n_items, d_in)) * NOISE
+
+    order, (keys,) = rows.sort([clusters], kind="stable")  # each cluster's members, in item order
+    starts, sizes = rows.distinct([keys])
+    first = np.repeat(starts, sizes)
+    partner = np.empty(n_items, dtype=np.int64)
+    partner[order] = order[first + (np.arange(n_items) - first + 1) % np.repeat(sizes, sizes)]
 
     ids = [f"item{i:05d}" for i in range(n_items)]
-    related: dict[int, str | None] = {}
-    for c, rows in members.items():
-        for pos, i in enumerate(rows):
-            related[i] = ids[rows[(pos + 1) % len(rows)]] if len(rows) > 1 else None
-
     n_origins = max(1, (n_clusters + 1) // 2)
-    records = []
-    for i in range(n_items):
-        c = int(clusters[i])
-        records.append(
-            ItemRecord(
-                item_id=ids[i],
-                embedding=centers[c] + rng.standard_normal(d_in) * NOISE,
-                related_item=related[i],
-                sid=None,
-                style_group=f"s{c}",
-                origin_group=f"o{c % n_origins}",
-            )
+    records = [
+        ItemRecord(
+            item_id=ids[i],
+            embedding=embeddings[i],
+            related_item=ids[p] if p != i else None,
+            sid=None,
+            style_group=f"s{c}",
+            origin_group=f"o{c % n_origins}",
         )
-    catalog = ItemCatalog(records, d_in=d_in)
-    return catalog, {ids[i]: int(clusters[i]) for i in range(n_items)}
+        for i, (p, c) in enumerate(zip(partner.tolist(), clusters.tolist()))
+    ]
+    return ItemCatalog(records, d_in=d_in), dict(zip(ids, clusters.tolist()))
 
 
 def make_toy_sequences(
@@ -121,48 +119,42 @@ def make_toy_sequences(
     """
     rng = np.random.default_rng(seed)
     by_cluster: dict[int, list[str]] = {c: [] for c in range(n_clusters)}
-    for item_id, c in cluster_of.items():
+    for item_id, c in sorted(cluster_of.items()):
         by_cluster[c].append(item_id)
     for c, pool in by_cluster.items():
         if not pool:
             raise ValueError(f"cluster {c} has no items")
-        pool.sort()
 
     sequences = []
     for s in range(n_sequences):
         start = int(rng.integers(n_clusters))
-        history = []
-        for step in range(history_len):
-            pool = by_cluster[(start + step) % n_clusters]
-            history.append(pool[int(rng.integers(len(pool)))])
-        target_pool = by_cluster[(start + history_len) % n_clusters]
+        *walk, target_pool = (by_cluster[(start + step) % n_clusters]
+                              for step in range(history_len + 1))
+        history = tuple(pool[int(rng.integers(len(pool)))] for pool in walk)
         count = min(n_targets, len(target_pool))
         picks = rng.choice(len(target_pool), size=count, replace=False)
         targets = tuple(target_pool[int(p)] for p in np.sort(picks))
         sequences.append(
             InteractionSequence(
-                pv_id=f"{pv_prefix}{s:06d}", history=tuple(history), targets=targets
+                pv_id=f"{pv_prefix}{s:06d}", history=history, targets=targets
             )
         )
     return sequences
 
 
 def toy_pair_labels(catalog: ItemCatalog) -> PairLabels:
-    """Consecutive members of each style/origin group, paired."""
-    by_style: dict[str, list[str]] = {}
-    by_origin: dict[str, list[str]] = {}
-    for rec in catalog.records():
-        if rec.style_group:
-            by_style.setdefault(rec.style_group, []).append(rec.item_id)
-        if rec.origin_group:
-            by_origin.setdefault(rec.origin_group, []).append(rec.item_id)
+    """Consecutive members of each style, then each origin group, paired."""
+    records = list(catalog.records())
     pairs = []
-    for group in sorted(by_style):
-        ids = by_style[group]
-        pairs.extend((ids[i], ids[i + 1], "style") for i in range(len(ids) - 1))
-    for group in sorted(by_origin):
-        ids = by_origin[group]
-        pairs.extend((ids[i], ids[i + 1], "origin") for i in range(len(ids) - 1))
+    for relation in RELATIONS:
+        members: dict[str, list[str]] = {}
+        for rec in records:
+            group = getattr(rec, f"{relation}_group")
+            if group:
+                members.setdefault(group, []).append(rec.item_id)
+        for group in sorted(members):
+            ids = members[group]
+            pairs.extend((a, b, relation) for a, b in zip(ids, ids[1:]))
     return PairLabels(tuple(pairs))
 
 
@@ -171,23 +163,11 @@ def make_toy_world(config: ToyConfig) -> ToyWorld:
     catalog, cluster_of = make_toy_catalog(
         config.n_items, config.n_clusters, config.d_in, config.seed
     )
-    train = make_toy_sequences(
-        cluster_of,
-        config.n_clusters,
-        config.n_train_sequences,
-        config.history_len,
-        config.n_targets,
-        seed=config.seed + 1,
-        pv_prefix="train",
-    )
-    eval_seqs = make_toy_sequences(
-        cluster_of,
-        config.n_clusters,
-        config.n_eval_sequences,
-        config.history_len,
-        config.n_targets,
-        seed=config.seed + 2,
-        pv_prefix="eval",
+    train, eval_seqs = (
+        make_toy_sequences(cluster_of, config.n_clusters, n_sequences, config.history_len,
+                           config.n_targets, seed=config.seed + offset, pv_prefix=prefix)
+        for n_sequences, offset, prefix in ((config.n_train_sequences, 1, "train"),
+                                            (config.n_eval_sequences, 2, "eval"))
     )
     return ToyWorld(
         catalog=catalog,

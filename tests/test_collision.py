@@ -575,6 +575,12 @@ class TestKnnPolicy:
         with pytest.raises(ValueError):
             apply_knn_policy(catalog, two_prefix_model(), sigma=0)
 
+    def test_a_sigma_that_is_no_integer_is_refused(self):
+        """sigma=1.5 once acted as sigma=2."""
+        catalog = identical_catalog(2, [0.1, 0.0])
+        with pytest.raises(DataError, match="^sigma 1.5 at position 0 is not an integer$"):
+            apply_knn_policy(catalog, two_prefix_model(), sigma=1.5)
+
 
 class TestRandomPolicy:
     def test_cycles_last_code_per_prefix(self):
@@ -646,9 +652,13 @@ class TestMergePolicy:
         return CodebookStack(SidStructure((2, n_last), code_dim=2), [level1, level2])
 
     def test_zero_threshold_is_identity(self):
-        table = self.small_table({(0, 0): 1, (0, 1): 7})
-        merged = apply_merge_policy(table, self.books(), merge_threshold=0)
-        assert dict(merged.items()) == dict(table.items())
+        """No SID holds fewer than a threshold of 0 or below, so none moves;
+        an empty table stays empty."""
+        for counts in ({(0, 0): 1, (0, 1): 7}, {}):
+            table = self.small_table(counts)
+            for threshold in (0, -1):
+                merged = apply_merge_policy(table, self.books(), merge_threshold=threshold)
+                assert dict(merged.items()) == dict(table.items())
 
     def test_lone_small_sid_folds_into_big_sibling(self):
         table = self.small_table({(0, 0): 100, (0, 3): 1})

@@ -609,6 +609,11 @@ class TestRqvae:
         )
         assert graph.value.tobytes() == mlp.forward(X).tobytes()
 
+    def test_a_dim_that_is_no_integer_is_refused(self):
+        """(4, 2.7, 3) once built an mlp of dims (4, 2, 3)."""
+        with pytest.raises(DataError, match="^dim 2.7 at position 1 is not an integer$"):
+            init_mlp((4, 2.7, 3), np.random.default_rng(0))
+
     def test_one_encoder_forward_per_batch(self, monkeypatch):
         """Each batch runs one encoder and one decoder graph forward;
         initialization runs none.  Mlp.forward and the full-data evaluation

@@ -72,6 +72,11 @@ class TestGiniHandValues:
         with pytest.raises(DataError, match=f"^count {value} at position {at} is not an integer$"):
             OccupancyVector.from_counts(counts)
 
+    def test_a_total_that_is_no_integer_is_refused(self):
+        """total_sids=2.9 once read as a space of 2 SIDs."""
+        with pytest.raises(DataError, match="^total_sids 2.9 at position 0 is not an integer$"):
+            OccupancyVector.from_counts([1, 2], total_sids=2.9)
+
 
 class TestGiniProperties:
     def test_matches_dense_oracle_on_200_vectors(self):
