@@ -120,6 +120,8 @@ class AlignmentConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2 to form negatives, got {self.batch_size}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def collect_pairs(catalog: ItemCatalog) -> tuple[np.ndarray, np.ndarray]:

@@ -208,8 +208,7 @@ class ItemCatalog:
 
     def records(self) -> Iterator[ItemRecord]:
         """Every item as an ItemRecord, in catalog order, each built when read."""
-        return map(ItemRecord, self._ids, self._matrix, self._related, self._sids,
-                   self._styles, self._origins)
+        return map(self.__getitem__, self._ids)
 
     def related_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the items that name a related item, in catalog order,
@@ -254,7 +253,9 @@ class _ListView(Sequence):
     """Read-only view that reads as the list of its items: len, iteration,
     indexing and == against such a list (or a view of the same class)
     behave as the list does, and a slice is that list's slice.  A subclass
-    gives __len__, __iter__ and _item, the item at one index."""
+    gives __len__ and _item, the item at one index, raising IndexError past
+    the end, so iteration reads each item through _item.  A subclass adds
+    an __iter__ only where a measured caller needs one."""
 
     __slots__ = ()
 
@@ -325,13 +326,6 @@ class SequenceColumns(_ListView):
         ids = [self.item_ids[i] for i in self.items[start:stop].tolist()]
         cut = self.target_starts[index] - start
         return InteractionSequence(self.pv_ids[index], ids[:cut], ids[cut:], self.queries[index])
-
-    def __iter__(self) -> Iterator[InteractionSequence]:
-        ids = list(map(self.item_ids.__getitem__, self.items.tolist()))
-        for pv_id, start, split, stop, query in zip(
-                self.pv_ids, self.starts.tolist(), self.target_starts.tolist(),
-                self.starts[1:].tolist(), self.queries):
-            yield InteractionSequence(pv_id, ids[start:split], ids[split:stop], query)
 
 
 def integer_array(values, what: str) -> np.ndarray:

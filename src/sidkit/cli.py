@@ -100,7 +100,6 @@ def build_parser() -> _Parser:
     add_catalog_args(p)
     p.add_argument("--assignment", required=True)
     p.add_argument("--levels", help="comma list of level sizes (or pass --model)")
-    p.add_argument("--code-dim", type=int, default=64)
     p.add_argument("--model", help="quantizer file; enables reconstruction fidelity")
     p.add_argument("--labels", help="pair-label TSV; enables consistency")
     p.add_argument("--sequences", help="sequence TSV; enables embedding hitrate")
@@ -137,7 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write CSV here instead of stdout")
 
     p = sub.add_parser("build-pretrain-corpus", help="sequences + assignment -> token streams")
-    add_structure_args(p)
+    p.add_argument("--levels", required=True, help="comma list of level sizes, e.g. 16,16,16")
     p.add_argument("--sequences", required=True)
     p.add_argument("--assignment", required=True)
     p.add_argument("--out", required=True)
@@ -279,7 +278,7 @@ def cmd_eval_sid(args) -> int:
     model = quantizer.load_quantizer(args.model) if args.model else None
     if model is None and not args.levels:
         raise DataError("eval-sid needs --model or --levels for the SID structure")
-    structure = model.structure if model is not None else _structure(args)
+    structure = model.structure if model is not None else SidStructure(_int_list(args.levels))
     if model is not None and args.levels and _int_list(args.levels) != structure.level_sizes:
         raise DataError(f"--levels {args.levels} disagrees with the levels "
                         f"{','.join(map(str, structure.level_sizes))} of --model {args.model}")
@@ -381,7 +380,8 @@ def cmd_eval_hr(args) -> int:
 
 
 def cmd_build_pretrain_corpus(args) -> int:
-    corpus = retrieval.build_useraction_corpus(*_sequences_and_table(args, _structure(args)))
+    structure = SidStructure(_int_list(args.levels))
+    corpus = retrieval.build_useraction_corpus(*_sequences_and_table(args, structure))
     retrieval.save_corpus(corpus, args.out)
     print(f"build-pretrain-corpus: {len(corpus)} streams")
     return EXIT_OK

@@ -71,6 +71,8 @@ def init_mlp(dims, rng: np.random.Generator) -> Mlp:
     dims = integer_tuple(dims, "dim")
     if len(dims) < 2:
         raise ValueError("an mlp needs at least input and output dims")
+    if min(dims) < 1:
+        raise ValueError(f"every mlp dim must be at least 1, got {dims}")
     weights = [
         rng.standard_normal((dims[i], dims[i + 1])) * np.sqrt(2.0 / dims[i])
         for i in range(len(dims) - 1)
@@ -421,6 +423,8 @@ class RqvaeConfig:
                              f"{self.epochs} and {self.warmup_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def _stack_embeddings(embeddings) -> np.ndarray:

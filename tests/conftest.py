@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from sidkit import rows
 from sidkit.catalog import ItemCatalog, ItemRecord, SidStructure
 from sidkit.collision import AssignmentTable
 
@@ -24,27 +25,25 @@ def clustered_catalog(
     center_scale: float = 10.0,
     noise: float = 0.3,
 ) -> tuple[ItemCatalog, np.ndarray]:
-    """Well-separated Gaussian clusters with in-cluster companion links."""
+    """Well-separated Gaussian clusters with in-cluster companion links: each
+    item's related_item is the next member of its cluster (cyclic; none in
+    a cluster of one), found as toydata.make_toy_catalog finds it."""
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_clusters, d_in)) * center_scale
     labels = np.concatenate(
         [np.arange(n_clusters), rng.integers(n_clusters, size=n_items - n_clusters)]
     )
+    embeddings = centers[labels] + rng.standard_normal((n_items, d_in)) * noise
+    order, (keys,) = rows.sort([labels], kind="stable")
+    starts, sizes = rows.distinct([keys])
+    first = np.repeat(starts, sizes)
+    partner = np.empty(n_items, dtype=np.int64)
+    partner[order] = order[first + (np.arange(n_items) - first + 1) % np.repeat(sizes, sizes)]
     ids = [f"item{i:05d}" for i in range(n_items)]
-    members: dict[int, list[int]] = {}
-    for i, c in enumerate(labels):
-        members.setdefault(int(c), []).append(i)
-    related = {}
-    for rows in members.values():
-        for pos, i in enumerate(rows):
-            related[i] = ids[rows[(pos + 1) % len(rows)]] if len(rows) > 1 else None
     records = [
-        ItemRecord(
-            item_id=ids[i],
-            embedding=centers[int(labels[i])] + rng.standard_normal(d_in) * noise,
-            related_item=related[i],
-        )
-        for i in range(n_items)
+        ItemRecord(item_id=ids[i], embedding=embeddings[i],
+                   related_item=ids[p] if p != i else None)
+        for i, p in enumerate(partner.tolist())
     ]
     return ItemCatalog(records, d_in=d_in), labels
 

@@ -206,6 +206,12 @@ class TestTrainProjection:
         with pytest.raises(ValueError, match=next(iter(bad))):
             AlignmentConfig(**bad)
 
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_config_learning_rate_negative_or_not_finite_rejected(self, rate):
+        with pytest.raises(ValueError, match="^learning_rate must be finite and >= 0"):
+            AlignmentConfig(learning_rate=rate)
+        assert AlignmentConfig(learning_rate=0.0).learning_rate == 0.0
+
     def test_catalog_without_pairs_rejected(self):
         from sidkit.catalog import ItemCatalog, ItemRecord
 

@@ -243,6 +243,20 @@ class TestCatalog:
         np.testing.assert_array_equal(rec.embedding, records[0].embedding)
         assert loaded["787551011877"].sid is None
 
+    def test_records_are_the_items_read_one_by_one(self):
+        """records() yields, in catalog order, the record catalog[item_id]
+        builds: every field, the embedding to the bit."""
+        records = [
+            ItemRecord(item_id="b", embedding=np.array([0.5, -1.0]), sid=SemanticId((1, 0)),
+                       related_item="a", style_group="s1", origin_group="o2"),
+            ItemRecord(item_id="a", embedding=np.array([2.0, 0.25]), related_item="b"),
+            ItemRecord(item_id="c", embedding=np.array([0.0, 3.0]), style_group="s1"),
+        ]
+        catalog = ItemCatalog(records, d_in=2)
+        fields = lambda rec: {**vars(rec), "embedding": rec.embedding.tobytes()}
+        assert list(map(fields, catalog.records())) == [fields(catalog[i]) for i in catalog]
+        assert [rec.item_id for rec in catalog.records()] == ["b", "a", "c"]
+
     def test_row_with_sid_and_related(self, tmp_path):
         path = tmp_path / "catalog.tsv"
         path.write_text("835905354006\t0.12,0.56,0.03\t[1203,2315,3576]\t787551011877\n"

@@ -56,7 +56,7 @@ def pipeline(toy_dir, tmp_path_factory):
     assert code == EXIT_OK
     code = main(
         [
-            "build-pretrain-corpus", "--levels", "5,4", "--code-dim", "8",
+            "build-pretrain-corpus", "--levels", "5,4",
             "--sequences", str(toy_dir / "train_sequences.tsv"),
             "--assignment", str(work / "knn.tsv"),
             "--out", str(work / "corpus.txt"),
@@ -300,7 +300,7 @@ class TestEvalSid:
                 [sys.executable, "-m", "sidkit.cli", "eval-sid",
                  "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
                  "--assignment", str(pipeline / "knn.tsv"), "--levels", "5,4",
-                 "--code-dim", "8", "--csv", "/dev/stdout"],
+                 "--csv", "/dev/stdout"],
                 stdout=fh, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
@@ -314,7 +314,7 @@ class TestEvalSid:
         space leaves most SIDs empty, so both figures move if the flag
         shrinks the space they read."""
         argv = ["eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
-                "--assignment", str(pipeline / "knn.tsv"), "--levels", "16,16", "--code-dim", "8"]
+                "--assignment", str(pipeline / "knn.tsv"), "--levels", "16,16"]
         plain, occupied = tmp_path / "plain.csv", tmp_path / "occupied.csv"
         assert main([*argv, "--csv", str(plain)]) == EXIT_OK
         assert main([*argv, "--occupied-only", "--csv", str(occupied)]) == EXIT_OK
@@ -336,12 +336,26 @@ class TestEvalSid:
         code = main(
             [
                 "eval-sid", "--catalog", str(toy_dir / "catalog.tsv"), "--d-in", "8",
-                "--assignment", str(pipeline / "knn.tsv"),
-                "--levels", "5,4", "--code-dim", "8",
+                "--assignment", str(pipeline / "knn.tsv"), "--levels", "5,4",
             ]
         )
         assert code == EXIT_OK
         assert "gini" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval-sid", "build-pretrain-corpus"])
+    def test_code_dim_is_not_an_option(self, command, pipeline, toy_dir, tmp_path, capsys):
+        """Neither command reads a codeword dimension, so neither takes one."""
+        out = tmp_path / "out.txt"
+        argv = {
+            "eval-sid": ["eval-sid", "--catalog", toy_dir / "catalog.tsv", "--d-in", "8",
+                         "--assignment", pipeline / "knn.tsv", "--csv", out],
+            "build-pretrain-corpus": ["build-pretrain-corpus", "--out", out,
+                                      "--sequences", toy_dir / "train_sequences.tsv",
+                                      "--assignment", pipeline / "knn.tsv"],
+        }[command]
+        assert main([str(a) for a in (*argv, "--levels", "5,4", "--code-dim", "8")]) == EXIT_USAGE
+        assert "unrecognized arguments: --code-dim 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_levels_that_disagree_with_the_model_are_rejected(self, pipeline, toy_dir, capsys):
         """--levels must name the model's structure when both are given; the
@@ -563,7 +577,7 @@ class TestExitCodes:
         out = tmp_path / "out.txt"
         base = ["--catalog", str(catalog), "--d-in", "8"]
         model = ["--model", str(pipeline / "model.tsv")]
-        structure = ["--levels", "5,4", "--code-dim", "8"]
+        levels = ["--levels", "5,4"]
         argv = {
             "eval-sid": ["eval-sid", *base, *model, "--assignment", bad, "--csv", out],
             "noco": ["collide", *base, *model, "--assignment", bad, "--policy", "noco",
@@ -572,14 +586,14 @@ class TestExitCodes:
                       "--out", out],
             "eval-hr": ["eval-hr", "--scorer", pipeline / "scorer.tsv", "--beam", "10,20",
                         "--assignment", assignment, "--sequences", bad, "--out", out],
-            "build-pretrain-corpus": ["build-pretrain-corpus", *structure,
+            "build-pretrain-corpus": ["build-pretrain-corpus", *levels,
                                       "--assignment", assignment, "--sequences", bad,
                                       "--out", out],
-            "train-scorer": ["train-scorer", *structure, "--assignment", assignment,
-                             "--sequences", bad, "--out", out],
-            "labels": ["eval-sid", *base, *structure, "--assignment", assignment,
+            "train-scorer": ["train-scorer", *levels, "--code-dim", "8",
+                             "--assignment", assignment, "--sequences", bad, "--out", out],
+            "labels": ["eval-sid", *base, *levels, "--assignment", assignment,
                        "--labels", bad, "--csv", out],
-            "eval-sid-sequences": ["eval-sid", *base, *structure, "--assignment", assignment,
+            "eval-sid-sequences": ["eval-sid", *base, *levels, "--assignment", assignment,
                                    "--sequences", bad, "--csv", out],
         }[case]
         assert main([str(a) for a in argv]) == EXIT_DATA
@@ -601,7 +615,9 @@ class TestArgumentLimits:
     @pytest.mark.parametrize("kind, bad", [
         ("rqkmeans", ["--iters", "0"]), ("rqvae", ["--epochs", "-1"]),
         ("rqvae", ["--warmup-epochs", "-1"]), ("rqvae", ["--batch-size", "0"]),
-        ("multivq", ["--batch-size", "0"]),
+        ("multivq", ["--batch-size", "0"]), ("rqvae", ["--hidden-dims", "0"]),
+        ("multivq", ["--hidden-dims", "4,0"]), ("rqvae", ["--lr", "-1"]),
+        ("rqvae", ["--lr", "nan"]),
     ])
     def test_training_settings_out_of_range(self, kind, bad, toy_dir, tmp_path, capsys):
         out = tmp_path / "model.tsv"

@@ -177,7 +177,8 @@ def test_pipeline_artifacts_match_golden_digests(world, tmp_path, kind, capsys):
 
 def _run_retrieval(world, work, capsys) -> dict[str, str]:
     """sha256 of every retrieval artifact and printed output, by name."""
-    structure = ["--levels", LEVELS, "--code-dim", "8"]
+    levels = ["--levels", LEVELS]
+    structure = [*levels, "--code-dim", "8"]
     assert main(
         [
             "tokenize", "--catalog", str(world / "catalog.tsv"), "--d-in", "8", *structure,
@@ -195,7 +196,7 @@ def _run_retrieval(world, work, capsys) -> dict[str, str]:
     sequences = ["--sequences", str(world / "train_sequences.tsv")]
     assignment = ["--assignment", str(work / "raw.tsv")]
     run("build-pretrain-corpus", [
-        "build-pretrain-corpus", *structure, *sequences, *assignment,
+        "build-pretrain-corpus", *levels, *sequences, *assignment,
         "--out", str(work / "corpus.txt"),
     ])
     run("train-scorer", [

@@ -389,6 +389,14 @@ class TestRqvae:
         with pytest.raises(ValueError):
             self.config(**bad)
 
+    @pytest.mark.parametrize("rate", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_learning_rate_negative_or_not_finite_rejected(self, rate):
+        """-1 trained by gradient ascent and nan failed only once training
+        had begun; a zero rate, like zero epochs, stays legal."""
+        with pytest.raises(ValueError, match="^learning_rate must be finite and >= 0"):
+            self.config(learning_rate=rate)
+        assert self.config(learning_rate=0.0).learning_rate == 0.0
+
     def clustered(self, seed=0):
         rng = np.random.default_rng(seed)
         centers = rng.standard_normal((4, 8)) * 6.0
@@ -613,6 +621,12 @@ class TestRqvae:
         """(4, 2.7, 3) once built an mlp of dims (4, 2, 3)."""
         with pytest.raises(DataError, match="^dim 2.7 at position 1 is not an integer$"):
             init_mlp((4, 2.7, 3), np.random.default_rng(0))
+
+    def test_a_dim_below_one_is_refused(self):
+        """A zero-width layer once died dividing by zero in the He scale."""
+        message = r"^every mlp dim must be at least 1, got \(4, 0, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            init_mlp((4, 0, 3), np.random.default_rng(0))
 
     def test_one_encoder_forward_per_batch(self, monkeypatch):
         """Each batch runs one encoder and one decoder graph forward;

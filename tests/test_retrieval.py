@@ -14,6 +14,7 @@ from sidkit import retrieval
 from sidkit.catalog import (
     InteractionSequence,
     SemanticId,
+    SequenceColumns,
     SidStructure,
     flat_tokens_to_sid,
     load_sequences,
@@ -24,6 +25,7 @@ from sidkit.collision import AssignmentTable
 from sidkit.errors import DataError
 from sidkit.retrieval import (
     SENTINEL,
+    BeamResult,
     BeamSchedule,
     LabeledSequence,
     MarkovScorer,
@@ -1449,6 +1451,43 @@ class TestTokenStreams:
         assert isinstance(corpus, TokenStreams)
         assert corpus.tokens.tolist() == [1, 2, 0, 3, 0, 2, 0, 2]
         assert corpus.lengths.tolist() == [6, 2]
+
+
+VIEW_SEQUENCES = [
+    InteractionSequence(pv_id="p1", history=("c",), targets=("b", "a"), query="red"),
+    InteractionSequence(pv_id="p2", history=(), targets=("d",)),
+    InteractionSequence(pv_id="p3", history=("a", "d"), targets=("c",), query="blue"),
+]
+
+
+def loaded_sequences(tmp_path, sequences):
+    path = tmp_path / f"sequences{len(sequences)}.tsv"
+    save_sequences(sequences, path)
+    return load_sequences(path)
+
+
+@pytest.mark.parametrize("views", [
+    lambda tmp_path: [SequenceColumns.of(s) for s in (VIEW_SEQUENCES, [])],
+    lambda tmp_path: [loaded_sequences(tmp_path, s) for s in (VIEW_SEQUENCES, [])],
+    lambda tmp_path: [TokenStreams.of(s) for s in ([[0, 2], [], [1, 3, 2]], [])],
+    lambda tmp_path: [build_useraction_corpus(s, toy_assignment()[1])
+                      for s in (VIEW_SEQUENCES, [])],
+    lambda tmp_path: [dynamic_beam_search(MarkovScorer(two_by_two(), order=2), [],
+                                          BeamSchedule((2, 4)), k=3),
+                      BeamResult(np.zeros((0, 2), dtype=np.int64), np.zeros(0))],
+], ids=["SequenceColumns.of", "load_sequences", "TokenStreams.of", "build_useraction_corpus",
+        "BeamResult"])
+def test_column_view_iterates_as_it_indexes(views, tmp_path):
+    """Each column view, full and empty, iterates as it indexes, reads its
+    last item at -1 and raises IndexError one past its end."""
+    full, empty = views(tmp_path)
+    assert len(full) == 3 and len(empty) == 0
+    items = [full[i] for i in range(len(full))]
+    assert list(full) == items and full[-1] == items[-1]
+    assert list(empty) == []
+    for view in (full, empty):
+        with pytest.raises(IndexError):
+            view[len(view)]
 
 
 @st.composite
